@@ -5,16 +5,26 @@ studies.  It computes, for a (B, n, p) stack of samples, the same values as
 the per-sample functions in ``stats`` (up to floating-point noise), but with
 all moment tensors and covariance blocks built as batched array operations.
 
-The permutation sums in the third-order covariance block are precompiled,
-per dimension p, into gather-index arrays derived from the very same term
-lists that ``covblocks`` uses, so there is a single source of truth for the
-combinatorics.
+Every sample is centered and whitened by the Cholesky factor of its own
+covariance before any moment is formed, so its second moments m2 are the
+identity up to roundoff (L^-1 m2 L^-T = I).  The third-order block relies
+on this: every m2 factor in its permutation sums is a Kronecker delta, so
+those sums are fixed linear combinations of the fourth cumulants, of
+products of two third moments and of constants.  They are precompiled, per
+dimension p, into one sparse map derived from the very same term lists that
+``covblocks`` uses, so there is a single source of truth for the
+combinatorics; the 1/n, 1/(n-1) and n/((n-1)(n-2)) weights are folded into
+the map before it is applied.  The sixth moments enter only on pairs of
+distinct index triples, as the Gram matrix of the distinct triple products,
+so no p^6 tensor is formed.  The second-order blocks are gathered from the
+moment tensors with precompiled index arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,12 +42,15 @@ from .errors import (
     SingularBlockError,
 )
 from .moments import pair_indices, triple_indices
-from .stats import ALL_STATISTICS, StatisticId
+from .stats import ALL_STATISTICS, StatisticId, equilibrated_condition
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 
 @dataclass(frozen=True)
 class _Program:
-    """Gather-index arrays for one dimension p."""
+    """Gather-index arrays and constant term maps for one dimension p."""
 
     p: int
     k4_pairs: np.ndarray        # (p^4, 3, 2) flat2 indices for the pair contractions
@@ -45,29 +58,82 @@ class _Program:
     l22_m4: np.ndarray          # (q2, q2) flat4
     l22_prod: np.ndarray        # (q2, q2, 3, 2) flat2: (ij,kl), (ik,jl), (il,jk)
     s12: np.ndarray             # (p, q3) flat4
-    mu6: np.ndarray             # (q3, q3) flat6
-    lam15_p2: np.ndarray        # (q3, q3, 15) flat2
-    lam15_k4: np.ndarray        # (q3, q3, 15) flat4
-    lam10_t: np.ndarray         # (q3, q3, 10, 2) flat3
-    lam15m: np.ndarray          # (q3, q3, 15, 3) flat2
-    p9_p2: np.ndarray           # (q3, q3, 9) flat2
-    p9_k4: np.ndarray           # (q3, q3, 9) flat4
-    t9_t: np.ndarray            # (q3, q3, 9, 2) flat3
-    m6_pairs: np.ndarray        # (q3, q3, 6, 3) flat2
+    m3_distinct: np.ndarray     # (q3,) flat3 of the distinct third-order products
+    z3_map: csr_array           # (q3^2, p^4 + q3^2 + 1) pattern of the z3 term map
+    z3_coef: np.ndarray         # (3, nnz) term counts weighted by -1/n, 1/(n-1), n/((n-1)(n-2))
 
 
-def _flat(p: int, idx: tuple[int, ...]) -> int:
+def _flat(p: int, idx):
+    """Row-major flat index of a coordinate tuple; given a stack of
+    coordinate arrays it returns an array of flat indices."""
     out = 0
     for i in idx:
         out = out * p + i
     return out
 
 
+def _z3_term_map(p: int, triples: np.ndarray) -> tuple[csr_array, np.ndarray]:
+    """The permutation sums of the third-order b22 block as one sparse map.
+
+    Row a * q3 + b stands for entry (a, b), whose six coordinates are
+    c = triples[a] + triples[b].  Columns index the inputs [k4f (p^4 flat),
+    m3 (x) m3 over distinct triples (q3^2 flat), 1].  Since m2 = I, a factor
+    m2[c_x, c_y] is 1 when c_x == c_y and 0 otherwise: a pair term selects
+    one k4f entry or vanishes, and a matching is a constant on the unit
+    input.  Each term of each ``covblocks`` list adds 1 to coef[w] at its
+    (row, column), w being the weight of its sum in b22: 0 for -1/n, 1 for
+    1/(n-1), 2 for n/((n-1)(n-2)).  Returns the CSR pattern and coef.
+    """
+    q3 = len(triples)
+    c = np.concatenate(np.broadcast_arrays(triples[:, None], triples[None, :]), axis=-1)
+    row = np.arange(q3 * q3).reshape(q3, q3)
+    everywhere = np.ones(row.shape, dtype=bool)
+    tri_index = np.zeros(p**3, dtype=np.intp)
+    tri_index[_flat(p, triples.T)] = np.arange(q3)
+    n_k4, unit = p**4, p**4 + q3 * q3
+
+    def coords(slots):
+        return _flat(p, np.moveaxis(np.sort(c[..., list(slots)], axis=-1), -1, 0))
+
+    def same(pairs):
+        return np.logical_and.reduce([c[..., x] == c[..., y] for x, y in pairs])
+
+    rows, cols, classes = [], [], []
+
+    def add(mask, col, w):
+        rows.append(row[mask])
+        cols.append(np.broadcast_to(col, row.shape)[mask])
+        classes.append(np.full(mask.sum(), w))
+
+    for w, label in ((0, "sum15_pair"), (1, "sum9_pair")):
+        for pair, rest in permutation_scheme(label).terms:
+            add(same([pair]), coords(rest), w)
+    for w, label in ((0, "sum10_triple"), (1, "sum9_triple")):
+        for t1, t2 in permutation_scheme(label).terms:
+            add(everywhere, n_k4 + tri_index[coords(t1)] * q3 + tri_index[coords(t2)], w)
+    for w, label in ((0, "sum15_matching"), (2, "sum6_matching")):
+        for match in permutation_scheme(label).terms:
+            add(same(match), unit, w)
+
+    keys, inverse = np.unique(
+        np.concatenate(rows) * (unit + 1) + np.concatenate(cols), return_inverse=True
+    )
+    coef = np.zeros((3, len(keys)))
+    np.add.at(coef, (np.concatenate(classes), inverse), 1.0)
+    key_rows, key_cols = np.divmod(keys, unit + 1)
+    indptr = np.searchsorted(key_rows, np.arange(q3 * q3 + 1))
+    # Imported here, not at module level, because the per-sample path never
+    # needs it; a pool forked after this call inherits the import.
+    from scipy.sparse import csr_array
+
+    return csr_array((coef[0], key_cols, indptr), shape=(q3 * q3, unit + 1)), coef
+
+
 @lru_cache(maxsize=None)
 def _program(p: int) -> _Program:
     pairs = pair_indices(p)
     triples = triple_indices(p)
-    q2, q3 = len(pairs), len(triples)
+    q2 = len(pairs)
 
     k4_pairs = np.empty((p**4, 3, 2), dtype=np.intp)
     for e in range(p**4):
@@ -94,53 +160,12 @@ def _program(p: int) -> _Program:
             ]
 
     s12 = np.array([[_flat(p, (i,) + t) for t in triples] for i in range(p)], dtype=np.intp)
-
-    sum15_pair = permutation_scheme("sum15_pair").terms
-    sum10_triple = permutation_scheme("sum10_triple").terms
-    sum15_matching = permutation_scheme("sum15_matching").terms
-    sum9_pair = permutation_scheme("sum9_pair").terms
-    sum9_triple = permutation_scheme("sum9_triple").terms
-    sum6_matching = permutation_scheme("sum6_matching").terms
-
-    mu6 = np.empty((q3, q3), dtype=np.intp)
-    lam15_p2 = np.empty((q3, q3, 15), dtype=np.intp)
-    lam15_k4 = np.empty((q3, q3, 15), dtype=np.intp)
-    lam10_t = np.empty((q3, q3, 10, 2), dtype=np.intp)
-    lam15m = np.empty((q3, q3, 15, 3), dtype=np.intp)
-    p9_p2 = np.empty((q3, q3, 9), dtype=np.intp)
-    p9_k4 = np.empty((q3, q3, 9), dtype=np.intp)
-    t9_t = np.empty((q3, q3, 9, 2), dtype=np.intp)
-    m6_pairs = np.empty((q3, q3, 6, 3), dtype=np.intp)
-
-    for a, ijk in enumerate(triples):
-        for b, rst in enumerate(triples):
-            c = ijk + rst
-            mu6[a, b] = _flat(p, c)
-            for t, ((x, y), rest) in enumerate(sum15_pair):
-                lam15_p2[a, b, t] = _flat(p, (c[x], c[y]))
-                lam15_k4[a, b, t] = _flat(p, tuple(c[s] for s in rest))
-            for t, (t1, t2) in enumerate(sum10_triple):
-                lam10_t[a, b, t] = (
-                    _flat(p, tuple(c[s] for s in t1)),
-                    _flat(p, tuple(c[s] for s in t2)),
-                )
-            for t, match in enumerate(sum15_matching):
-                lam15m[a, b, t] = [_flat(p, (c[x], c[y])) for x, y in match]
-            for t, ((x, y), rest) in enumerate(sum9_pair):
-                p9_p2[a, b, t] = _flat(p, (c[x], c[y]))
-                p9_k4[a, b, t] = _flat(p, tuple(c[s] for s in rest))
-            for t, (t1, t2) in enumerate(sum9_triple):
-                t9_t[a, b, t] = (
-                    _flat(p, tuple(c[s] for s in t1)),
-                    _flat(p, tuple(c[s] for s in t2)),
-                )
-            for t, match in enumerate(sum6_matching):
-                m6_pairs[a, b, t] = [_flat(p, (c[x], c[y])) for x, y in match]
+    tri = np.array(triples, dtype=np.intp)
+    z3_map, z3_coef = _z3_term_map(p, tri)
 
     return _Program(
         p=p, k4_pairs=k4_pairs, l12=l12, l22_m4=l22_m4, l22_prod=l22_prod, s12=s12,
-        mu6=mu6, lam15_p2=lam15_p2, lam15_k4=lam15_k4, lam10_t=lam10_t, lam15m=lam15m,
-        p9_p2=p9_p2, p9_k4=p9_k4, t9_t=t9_t, m6_pairs=m6_pairs,
+        m3_distinct=_flat(p, tri.T), z3_map=z3_map, z3_coef=z3_coef,
     )
 
 
@@ -208,7 +233,7 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     prog = _program(p)
     xc = data - data.mean(axis=1, keepdims=True)
     m2 = np.swapaxes(xc, 1, 2) @ xc / n
-    cond = np.linalg.cond(m2)
+    cond = equilibrated_condition(m2)
     if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
         raise DegenerateSampleError(
             f"rank-deficient sample covariance in {int(np.sum(~(cond <= CONDITION_LIMIT)))} "
@@ -260,18 +285,16 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
                 out[sid] = vals[sid.functional]
 
     if need_z3:
-        t4 = (t2[:, :, :, None] * t2[:, :, None, :]).reshape(nb, n, p**4)
-        m6f = (np.swapaxes(t4, 1, 2) @ t2).reshape(nb, p**6) / n
-        lam = (
-            m6f[:, prog.mu6]
-            - np.sum(m2f[:, prog.lam15_p2] * k4f[:, prog.lam15_k4], axis=-1)
-            - np.sum(m3f[:, prog.lam10_t[..., 0]] * m3f[:, prog.lam10_t[..., 1]], axis=-1)
-            - np.sum(np.prod(m2f[:, prog.lam15m], axis=-1), axis=-1)
+        q3 = len(prog.m3_distinct)
+        # distinct triple products y_i y_j y_k: column (i, j) of t2 times column k of y
+        t3 = t2[:, :, prog.m3_distinct // p] * y[:, :, prog.m3_distinct % p]
+        m3d = m3f[:, prog.m3_distinct].T
+        inputs = np.concatenate(
+            [k4f.T, (m3d[:, None] * m3d[None, :]).reshape(q3 * q3, nb), np.ones((1, nb))]
         )
-        pair9 = np.sum(m2f[:, prog.p9_p2] * k4f[:, prog.p9_k4], axis=-1)
-        triple9 = np.sum(m3f[:, prog.t9_t[..., 0]] * m3f[:, prog.t9_t[..., 1]], axis=-1)
-        match6 = np.sum(np.prod(m2f[:, prog.m6_pairs], axis=-1), axis=-1)
-        b22 = lam / n + (pair9 + triple9) / (n - 1) + match6 * n / ((n - 1) * (n - 2))
+        term_map = prog.z3_map.copy()
+        term_map.data = np.array([-1.0 / n, 1.0 / (n - 1), n / ((n - 1) * (n - 2))]) @ prog.z3_coef
+        b22 = (np.swapaxes(t3, 1, 2) @ t3) / (n * n) + (term_map @ inputs).T.reshape(nb, q3, q3)
         b11 = m2f.reshape(nb, p, p) / n
         b12 = k4f[:, prog.s12] / n
         eigs = _batch_cancor_eigs(b11, b12, b22)

@@ -33,7 +33,7 @@ from .covblocks import (
     second_order_threshold,
     third_order_threshold,
 )
-from .engine import evaluate_batch
+from .engine import _program, evaluate_batch
 from .errors import SampleSizeError
 from .moments import as_sample
 from .stats import StatisticId, TestResult, compute_statistic
@@ -136,6 +136,9 @@ def _simulate(name, p, n, rng, context, reps, statistics, workers):
         for s in starts
     ]
     results: dict[int, dict[str, np.ndarray]] = {}
+    # Built here, before the pool forks, so that every worker inherits the
+    # per-p program instead of building its own copy.
+    _program(p)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for start, vals in pool.map(_chunk_values, jobs):

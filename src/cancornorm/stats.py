@@ -21,7 +21,7 @@ from math import factorial, prod, sqrt
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .cancor import FUNCTIONAL_NAMES, cancor_sq, functionals
+from .cancor import CONDITION_LIMIT, FUNCTIONAL_NAMES, cancor_sq, functionals
 from .covblocks import (
     lambda_blocks,
     psi_blocks,
@@ -105,6 +105,29 @@ class TestResult:
     reject: bool
 
 
+def equilibrated_condition(cov: np.ndarray) -> np.ndarray:
+    """Condition number of D^-1/2 cov D^-1/2, D = diag(cov), per matrix of a stack.
+
+    Every statistic is invariant to rescaling a coordinate, so rank
+    deficiency is judged on this equilibrated (correlation) matrix rather
+    than in raw units (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 7.3).  A zero variance gives inf.
+    """
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    live = np.all(var > 0.0, axis=-1)
+    d = np.sqrt(np.where(live[..., None], var, 1.0))
+    cond = np.linalg.cond(cov / (d[..., :, None] * d[..., None, :]))
+    return np.where(live, cond, np.inf)
+
+
+def _check_covariance(cov: np.ndarray) -> None:
+    cond = float(equilibrated_condition(cov))
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise DegenerateSampleError(
+            f"sample covariance is rank deficient (condition number {cond:.3g})"
+        )
+
+
 def _standardize(s: Sample) -> Sample:
     """Center and whiten by the Cholesky factor of the divisor-n covariance."""
     xc = s.data - sample_mean(s)
@@ -112,11 +135,7 @@ def _standardize(s: Sample) -> Sample:
     for i in range(s.p):
         for j in range(i, s.p):
             m2[i, j] = m2[j, i] = _ordered_sum(xc[:, i] * xc[:, j]) / s.n
-    cond = np.linalg.cond(m2)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DegenerateSampleError(
-            f"sample covariance is rank deficient (condition number {cond:.3g})"
-        )
+    _check_covariance(m2)
     try:
         chol = np.linalg.cholesky(m2)
     except np.linalg.LinAlgError as exc:
@@ -151,11 +170,7 @@ def z3_statistics(x) -> dict[str, float]:
 def _mahalanobis_whiten(s: Sample) -> np.ndarray:
     """Rows transformed so that w_a . w_b equals the S^-1 bilinear form."""
     cov = sample_cov(s)
-    cond = np.linalg.cond(cov)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DegenerateSampleError(
-            f"sample covariance is rank deficient (condition number {cond:.3g})"
-        )
+    _check_covariance(cov)
     chol = np.linalg.cholesky(cov)
     xc = s.data - sample_mean(s)
     return solve_triangular(chol, xc.T, lower=True).T

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -9,10 +11,10 @@ from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
 
 def test_engine_matches_per_sample_path():
     rng = np.random.default_rng(1)
-    for n, p in [(20, 2), (25, 3), (40, 1)]:
-        data = rng.standard_normal((8, n, p)) + 0.3 * rng.standard_exponential((8, n, p))
+    for n, p, size in [(20, 2, 8), (25, 3, 8), (40, 1, 8), (30, 4, 2), (40, 5, 2)]:
+        data = rng.standard_normal((size, n, p)) + 0.3 * rng.standard_exponential((size, n, p))
         batch = evaluate_batch(data)
-        for b in range(8):
+        for b in range(size):
             single = compute_statistics(data[b])
             for sid in ALL_STATISTICS:
                 assert_allclose(
@@ -23,12 +25,27 @@ def test_engine_matches_per_sample_path():
 
 def test_engine_batch_grouping_irrelevant():
     rng = np.random.default_rng(2)
-    data = rng.standard_normal((12, 20, 2))
-    whole = evaluate_batch(data)
-    parts = [evaluate_batch(data[:5]), evaluate_batch(data[5:7]), evaluate_batch(data[7:])]
-    for sid in ALL_STATISTICS:
-        stitched = np.concatenate([p[sid] for p in parts])
-        assert_array_equal(whole[sid], stitched)
+    for n, p in [(20, 2), (40, 5)]:
+        data = rng.standard_normal((12, n, p))
+        whole = evaluate_batch(data)
+        parts = [evaluate_batch(data[:5]), evaluate_batch(data[5:7]), evaluate_batch(data[7:])]
+        for sid in ALL_STATISTICS:
+            stitched = np.concatenate([part[sid] for part in parts])
+            assert_array_equal(whole[sid], stitched, err_msg=f"{sid.name} at p={p}")
+
+
+def test_engine_peak_memory_one_chunk_p6():
+    # A (256, 100, 6) chunk must stay under 100 MB: a p^6 sixth-moment tensor
+    # for it would take 96 MB on its own.
+    data = np.random.default_rng(9).standard_normal((256, 100, 6))
+    evaluate_batch(data[:2])  # builds the per-p program outside the traced call
+    tracemalloc.start()
+    try:
+        evaluate_batch(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_engine_subset_of_statistics():
@@ -61,6 +78,33 @@ def test_engine_degenerate_batch_errors():
     flat = np.column_stack([np.arange(20.0), np.arange(20.0)])
     with pytest.raises(DegenerateSampleError):
         evaluate_batch(np.stack([good, flat]))
+
+
+def test_mixed_units_are_not_degenerate():
+    # Column scales 1e7 apart once failed a condition check made in raw units.
+    for seed in range(5):
+        x = np.random.default_rng(seed).standard_normal((30, 3))
+        scaled = x * np.array([1.0, 1.0, 1e7])
+        reference = compute_statistics(x)
+        single = compute_statistics(scaled)
+        batch = evaluate_batch(np.stack([x, scaled]))
+        for sid in ALL_STATISTICS:
+            assert_allclose(single[sid], reference[sid], rtol=1e-9, atol=1e-12, err_msg=sid.name)
+            assert_allclose(batch[sid][1], batch[sid][0], rtol=1e-9, atol=1e-12, err_msg=sid.name)
+
+
+def test_diagonal_scaling_leaves_values_unchanged():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((30, 3)) + 0.3 * rng.standard_exponential((30, 3))
+    reference = compute_statistics(x)
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(4, 3))
+    batch = evaluate_batch(x[None] * scales[:, None, :])
+    for k, d in enumerate(scales):
+        single = compute_statistics(x * d)
+        for sid in ALL_STATISTICS:
+            msg = f"{sid.name} under scaling {d}"
+            assert_allclose(single[sid], reference[sid], rtol=1e-9, atol=1e-12, err_msg=msg)
+            assert_allclose(batch[sid][k], reference[sid], rtol=1e-9, atol=1e-12, err_msg=msg)
 
 
 def test_engine_rejects_wrong_shape():
