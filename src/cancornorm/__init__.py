@@ -31,9 +31,7 @@ from .moments import (
     MomentTable,
     Sample,
     central_moments,
-    sample_cov,
     sample_mean,
-    sample_third,
 )
 from .montecarlo import (
     NullTable,
@@ -96,9 +94,7 @@ __all__ = [
     "power",
     "psi_blocks",
     "run_test",
-    "sample_cov",
     "sample_mean",
-    "sample_third",
     "save_null",
     "sixth_order_term",
     "unvech",

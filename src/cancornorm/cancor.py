@@ -1,12 +1,16 @@
 """Squared canonical correlations of partitioned covariance blocks and the
-five scalar summaries used as test statistics."""
+five scalar summaries used as test statistics.
+
+``cancor_eigs`` is the one kernel: it solves the eigenproblem for a stack
+of block triples, and both the batched sample path (``engine``) and the
+single population or test blocks (``cancor_sq``) go through it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .covblocks import CovBlocks
 from .errors import EigenvalueRangeError, FunctionalDomainError, SingularBlockError
@@ -38,66 +42,76 @@ class CanCorSq:
         object.__setattr__(self, "values", v)
 
 
-def _check_condition(block: np.ndarray, name: str) -> None:
-    cond = np.linalg.cond(block)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularBlockError(
-            f"{name} block is numerically singular (condition number {cond:.3g})"
-        )
-
-
-def eigenvalues_from_raw(raw: np.ndarray) -> CanCorSq:
-    """Sort descending, validate the [0, 1] range and clamp roundoff noise."""
-    raw = np.sort(np.asarray(raw, dtype=float))[::-1]
-    if np.any(raw < -EIGENVALUE_TOL) or np.any(raw > 1.0 + EIGENVALUE_TOL):
-        bad = raw[(raw < -EIGENVALUE_TOL) | (raw > 1.0 + EIGENVALUE_TOL)]
-        raise EigenvalueRangeError(
-            f"squared canonical correlation {bad[0]:.6g} outside [0, 1] beyond "
-            f"tolerance {EIGENVALUE_TOL:g}; the covariance blocks are inconsistent"
-        )
-    clamped = int(np.sum((raw < 0.0) | (raw > 1.0)))
-    return CanCorSq(values=np.clip(raw, 0.0, 1.0), clamped_count=clamped)
-
-
-def cancor_sq(blocks: CovBlocks) -> CanCorSq:
-    """Squared canonical correlations from covariance blocks.
+def cancor_eigs(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared canonical correlations of a (B, ...) stack of block triples.
 
     The p x p eigenproblem b11^-1 b12 b22^-1 b21 is solved without forming
     inverses: the middle product is built from a linear solve and then
     whitened with the Cholesky factor of b11, giving a symmetric matrix whose
-    eigenvalues are real by construction.
+    eigenvalues are real by construction.  Returns the (B, p) eigenvalues,
+    sorted descending and clipped to [0, 1], and the (B,) count of raw
+    eigenvalues each item had outside [0, 1] within the 1e-8 tolerance.
     """
-    _check_condition(blocks.b11, "b11 (mean)")
-    _check_condition(blocks.b22, "b22 (moment)")
-    middle = blocks.b12 @ np.linalg.solve(blocks.b22, blocks.b12.T)
+    for name, block in (("b11 (mean)", b11), ("b22 (moment)", b22)):
+        cond = np.linalg.cond(block)
+        if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
+            raise SingularBlockError(
+                f"{name} block is numerically singular in {int(np.sum(cond > CONDITION_LIMIT))} "
+                "batch item(s)"
+            )
+    middle = b12 @ np.linalg.solve(b22, np.swapaxes(b12, 1, 2))
     try:
-        chol = np.linalg.cholesky(blocks.b11)
+        chol = np.linalg.cholesky(b11)
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError(f"b11 (mean) block is not positive definite: {exc}") from exc
-    half = solve_triangular(chol, middle, lower=True)
-    sym = solve_triangular(chol, half.T, lower=True)
-    sym = 0.5 * (sym + sym.T)
-    return eigenvalues_from_raw(np.linalg.eigvalsh(sym))
+    half = np.linalg.solve(chol, middle)
+    sym = np.linalg.solve(chol, np.swapaxes(half, 1, 2))
+    sym = 0.5 * (sym + np.swapaxes(sym, 1, 2))
+    eigs = np.linalg.eigvalsh(sym)[:, ::-1]
+    if np.any(eigs < -EIGENVALUE_TOL) or np.any(eigs > 1.0 + EIGENVALUE_TOL):
+        bad = eigs[(eigs < -EIGENVALUE_TOL) | (eigs > 1.0 + EIGENVALUE_TOL)]
+        raise EigenvalueRangeError(
+            f"squared canonical correlation {bad.flat[0]:.6g} outside [0, 1] beyond "
+            f"tolerance {EIGENVALUE_TOL:g}; the covariance blocks are inconsistent"
+        )
+    clamped = np.sum((eigs < 0.0) | (eigs > 1.0), axis=1)
+    return np.clip(eigs, 0.0, 1.0), clamped
+
+
+def cancor_sq(blocks: CovBlocks) -> CanCorSq:
+    """Squared canonical correlations of one set of covariance blocks."""
+    eigs, clamped = cancor_eigs(blocks.b11[None], blocks.b12[None], blocks.b22[None])
+    return CanCorSq(values=eigs[0], clamped_count=int(clamped[0]))
+
+
+def _ratio_trace(eigs: np.ndarray) -> np.ndarray:
+    if np.any(eigs >= 1.0 - UNIT_ROOT_TOL):
+        raise FunctionalDomainError(
+            "ratio trace undefined: a squared canonical correlation is at 1"
+        )
+    return np.sum(eigs / (1.0 - eigs), axis=1)
+
+
+# Each maps (B, k) eigenvalues, sorted descending, to (B,) summaries.
+_FUNCTIONALS = {
+    "hl": lambda eigs: eigs.sum(axis=1),
+    "w": lambda eigs: np.prod(1.0 - eigs, axis=1),
+    "pb": _ratio_trace,
+    "max": lambda eigs: eigs[:, 0],
+    "min": lambda eigs: eigs[:, -1],
+}
+
+
+def batch_functionals(eigs: np.ndarray) -> dict[str, np.ndarray]:
+    """All five summaries per row of a (B, k) stack of eigenvalues."""
+    return {name: f(eigs) for name, f in _FUNCTIONALS.items()}
 
 
 def functional_value(c: CanCorSq, name: str) -> float:
     """One scalar summary of the squared canonical correlations."""
-    lam = c.values
-    if name == "hl":
-        return float(np.sum(lam))
-    if name == "w":
-        return float(np.prod(1.0 - lam))
-    if name == "pb":
-        if np.any(lam >= 1.0 - UNIT_ROOT_TOL):
-            raise FunctionalDomainError(
-                "ratio trace undefined: a squared canonical correlation is at 1"
-            )
-        return float(np.sum(lam / (1.0 - lam)))
-    if name == "max":
-        return float(lam[0])
-    if name == "min":
-        return float(lam[-1])
-    raise ValueError(f"unknown functional {name!r}")
+    if name not in _FUNCTIONALS:
+        raise ValueError(f"unknown functional {name!r}")
+    return float(_FUNCTIONALS[name](c.values[None])[0])
 
 
 def functionals(c: CanCorSq) -> dict[str, float]:

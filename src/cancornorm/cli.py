@@ -37,12 +37,12 @@ from .errors import (
 from .montecarlo import (
     MissingTableError,
     TableMismatchError,
+    _test_result,
     calibrate,
-    population_value,
+    population_values,
     power,
-    run_test,
 )
-from .stats import ALL_STATISTICS, StatisticId
+from .stats import ALL_STATISTICS, StatisticId, compute_statistics
 from .store import (
     NullTableFormatError,
     NullTableIntegrityError,
@@ -133,7 +133,14 @@ def read_csv_sample(path) -> np.ndarray:
                 f"{path}: row {i + 1} has {len(row)} columns, expected {width}"
             )
         data.append(row)
-    return np.asarray(data)
+    data = np.asarray(data)
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        i, j = bad[0]
+        raise DataFileError(
+            f"{path}: row {start + i + 1}, column {j + 1}: not finite: {rows[start + i][j].strip()!r}"
+        )
+    return data
 
 
 def _load_tables(null_dir, statistics, n, p):
@@ -169,10 +176,11 @@ def cmd_test(ns) -> int:
     statistics = _parse_statistics(ns.statistics)
     data = read_csv_sample(ns.data)
     n, p = data.shape
-    results = []
-    for sid in statistics:
-        table = _load_tables(ns.null_dir, [sid], n, p)[sid]
-        results.append(run_test(data, sid, table, alpha=ns.alpha))
+    tables = _load_tables(ns.null_dir, statistics, n, p)
+    values = compute_statistics(data, statistics)
+    results = [
+        _test_result(sid, values[sid], tables[sid], (n, p), ns.alpha) for sid in statistics
+    ]
     print(f"dataset: {ns.data}  (n={n}, p={p}, alpha={ns.alpha})")
     print(f"{'statistic':<14}{'value':>16}{'p-value':>12}  decision")
     for r in results:
@@ -227,17 +235,19 @@ def _population_rows(names, p_values):
     rows = []
     for p in p_values:
         for name in names:
-            spec = alternative(name, p)
+            reported = [
+                sid for sid in ALL_STATISTICS
+                if (name, p, sid.family) not in UNREPORTED_POPULATION_CELLS
+            ]
+            try:
+                values = population_values(alternative(name, p), reported)
+                cells = {sid: repr(v) for sid, v in values.items()}
+            except MomentsUndefinedError:
+                cells = dict.fromkeys(reported, "--")
             for sid in ALL_STATISTICS:
-                if (name, p, sid.family) in UNREPORTED_POPULATION_CELLS:
-                    value = "X"
-                else:
-                    try:
-                        value = repr(population_value(spec, sid))
-                    except MomentsUndefinedError:
-                        value = "--"
                 rows.append(
-                    {"alternative": name, "p": p, "statistic": sid.name, "value": value}
+                    {"alternative": name, "p": p, "statistic": sid.name,
+                     "value": cells.get(sid, "X")}
                 )
     return rows
 

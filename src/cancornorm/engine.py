@@ -1,9 +1,10 @@
-"""Vectorized evaluation of the twelve statistics over batches of samples.
+"""Evaluation of the twelve statistics over batches of samples.
 
-This is the bulk path used by null-distribution calibration and power
-studies.  It computes, for a (B, n, p) stack of samples, the same values as
-the per-sample functions in ``stats`` (up to floating-point noise), but with
-all moment tensors and covariance blocks built as batched array operations.
+This is the one numerical path from data to statistic values: null
+calibration and power studies call it on (B, n, p) stacks, and the
+per-sample functions in ``stats`` call it on a stack of one.  All moment
+tensors and covariance blocks are built as batched array operations, and
+the squared canonical correlations come from the kernel in ``cancor``.
 
 Every sample is centered and whitened by the Cholesky factor of its own
 covariance before any moment is formed, so its second moments m2 are the
@@ -28,24 +29,89 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cancor import EIGENVALUE_TOL, CONDITION_LIMIT
+from .cancor import CONDITION_LIMIT, FUNCTIONAL_NAMES, batch_functionals, cancor_eigs
 from .covblocks import (
     permutation_scheme,
     second_order_threshold,
     third_order_threshold,
 )
-from .errors import (
-    DegenerateSampleError,
-    EigenvalueRangeError,
-    FunctionalDomainError,
-    SampleSizeError,
-    SingularBlockError,
-)
+from .errors import DegenerateSampleError, SampleSizeError
 from .moments import pair_indices, triple_indices
-from .stats import ALL_STATISTICS, StatisticId, equilibrated_condition
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
+
+
+FAMILIES = ("z2", "z3", "mardia_skew", "mardia_kurt")
+
+
+@dataclass(frozen=True)
+class StatisticId:
+    """Identifies one of the twelve test statistics.
+
+    ``functional`` selects the canonical-correlation summary for the z2/z3
+    families and must be None for the two classical statistics.  The
+    rejection tail is determined by the statistic: the product functional
+    rejects for small values, everything else for large values.  (Kurtosis
+    rejecting upward only, rather than two sided, is what reproduces the
+    benchmark power tables; the short-tailed rows there have power 0.)
+    """
+
+    family: str
+    functional: str | None = None
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.family in ("z2", "z3"):
+            if self.functional not in FUNCTIONAL_NAMES:
+                raise ValueError(f"family {self.family} needs a functional, got {self.functional!r}")
+        elif self.functional is not None:
+            raise ValueError(f"family {self.family} does not take a functional")
+
+    @property
+    def tail(self) -> str:
+        return "lower" if self.functional == "w" else "upper"
+
+    @property
+    def name(self) -> str:
+        return self.family if self.functional is None else f"{self.family}_{self.functional}"
+
+    @classmethod
+    def parse(cls, name: str) -> "StatisticId":
+        name = name.strip().lower()
+        if name in ("mardia_skew", "mardia_kurt"):
+            return cls(family=name)
+        for fam in ("z2", "z3"):
+            prefix = fam + "_"
+            if name.startswith(prefix):
+                return cls(family=fam, functional=name[len(prefix):])
+        raise ValueError(f"unknown statistic {name!r}")
+
+    def __str__(self) -> str:
+        return self.name
+
+
+ALL_STATISTICS: tuple[StatisticId, ...] = (
+    (StatisticId("mardia_skew"), StatisticId("mardia_kurt"))
+    + tuple(StatisticId("z2", f) for f in FUNCTIONAL_NAMES)
+    + tuple(StatisticId("z3", f) for f in FUNCTIONAL_NAMES)
+)
+
+
+def equilibrated_condition(cov: np.ndarray) -> np.ndarray:
+    """Condition number of D^-1/2 cov D^-1/2, D = diag(cov), per matrix of a stack.
+
+    Every statistic is invariant to rescaling a coordinate, so rank
+    deficiency is judged on this equilibrated (correlation) matrix rather
+    than in raw units (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 7.3).  A zero variance gives inf.
+    """
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    live = np.all(var > 0.0, axis=-1)
+    d = np.sqrt(np.where(live[..., None], var, 1.0))
+    cond = np.linalg.cond(cov / (d[..., :, None] * d[..., None, :]))
+    return np.where(live, cond, np.inf)
 
 
 @dataclass(frozen=True)
@@ -122,8 +188,8 @@ def _z3_term_map(p: int, triples: np.ndarray) -> tuple[csr_array, np.ndarray]:
     np.add.at(coef, (np.concatenate(classes), inverse), 1.0)
     key_rows, key_cols = np.divmod(keys, unit + 1)
     indptr = np.searchsorted(key_rows, np.arange(q3 * q3 + 1))
-    # Imported here, not at module level, because the per-sample path never
-    # needs it; a pool forked after this call inherits the import.
+    # Imported here, not at module level, so that only a z3 evaluation pays
+    # for it; a pool forked after this call inherits the import.
     from scipy.sparse import csr_array
 
     return csr_array((coef[0], key_cols, indptr), shape=(q3 * q3, unit + 1)), coef
@@ -167,44 +233,6 @@ def _program(p: int) -> _Program:
         p=p, k4_pairs=k4_pairs, l12=l12, l22_m4=l22_m4, l22_prod=l22_prod, s12=s12,
         m3_distinct=_flat(p, tri.T), z3_map=z3_map, z3_coef=z3_coef,
     )
-
-
-def _batch_cancor_eigs(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> np.ndarray:
-    """Squared canonical correlations per batch item, sorted descending."""
-    for name, block in (("b11 (mean)", b11), ("b22 (moment)", b22)):
-        cond = np.linalg.cond(block)
-        if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
-            raise SingularBlockError(
-                f"{name} block is numerically singular in {int(np.sum(cond > CONDITION_LIMIT))} "
-                "batch item(s)"
-            )
-    middle = b12 @ np.linalg.solve(b22, np.swapaxes(b12, 1, 2))
-    try:
-        chol = np.linalg.cholesky(b11)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"b11 (mean) block is not positive definite: {exc}") from exc
-    half = np.linalg.solve(chol, middle)
-    sym = np.linalg.solve(chol, np.swapaxes(half, 1, 2))
-    sym = 0.5 * (sym + np.swapaxes(sym, 1, 2))
-    eigs = np.linalg.eigvalsh(sym)[:, ::-1]
-    if np.any(eigs < -EIGENVALUE_TOL) or np.any(eigs > 1.0 + EIGENVALUE_TOL):
-        bad = eigs[(eigs < -EIGENVALUE_TOL) | (eigs > 1.0 + EIGENVALUE_TOL)]
-        raise EigenvalueRangeError(
-            f"squared canonical correlation {bad.flat[0]:.6g} outside [0, 1] beyond tolerance"
-        )
-    return np.clip(eigs, 0.0, 1.0)
-
-
-def _functionals_from_eigs(eigs: np.ndarray) -> dict[str, np.ndarray]:
-    if np.any(eigs >= 1.0 - 1e-12):
-        raise FunctionalDomainError("a squared canonical correlation reached 1")
-    return {
-        "hl": eigs.sum(axis=1),
-        "w": np.prod(1.0 - eigs, axis=1),
-        "pb": np.sum(eigs / (1.0 - eigs), axis=1),
-        "max": eigs[:, 0],
-        "min": eigs[:, -1],
-    }
 
 
 def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:
@@ -278,8 +306,7 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
             m2f[:, lp[..., 1, 0]] * m2f[:, lp[..., 1, 1]]
             + m2f[:, lp[..., 2, 0]] * m2f[:, lp[..., 2, 1]]
         ) / (n * (n - 1))
-        eigs = _batch_cancor_eigs(b11, b12, b22)
-        vals = _functionals_from_eigs(eigs)
+        vals = batch_functionals(cancor_eigs(b11, b12, b22)[0])
         for sid in statistics:
             if sid.family == "z2":
                 out[sid] = vals[sid.functional]
@@ -297,8 +324,7 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
         b22 = (np.swapaxes(t3, 1, 2) @ t3) / (n * n) + (term_map @ inputs).T.reshape(nb, q3, q3)
         b11 = m2f.reshape(nb, p, p) / n
         b12 = k4f[:, prog.s12] / n
-        eigs = _batch_cancor_eigs(b11, b12, b22)
-        vals = _functionals_from_eigs(eigs)
+        vals = batch_functionals(cancor_eigs(b11, b12, b22)[0])
         for sid in statistics:
             if sid.family == "z3":
                 out[sid] = vals[sid.functional]

@@ -3,8 +3,11 @@
 Moments are indexed by nondecreasing multi-indices (0-based coordinates);
 accessors sort their argument, so any permutation of an index retrieves the
 same stored value.  Sums over observations are computed on sorted addends,
-which makes every statistic built on top of them invariant, bit for bit,
-under permutations of the rows of the data matrix.
+which makes every moment invariant, bit for bit, under permutations of the
+rows of the data matrix.  These tables feed the population values and the
+univariate oracle statistics; the statistics of a sample are computed by
+``engine``, whose row-permutation invariance comes from the canonical row
+order that ``stats.compute_statistics`` imposes.
 """
 
 from __future__ import annotations
@@ -115,46 +118,6 @@ class MomentTable:
 def sample_mean(x) -> np.ndarray:
     s = as_sample(x)
     return np.array([_ordered_sum(s.data[:, j]) / s.n for j in range(s.p)])
-
-
-def sample_cov(x) -> np.ndarray:
-    """Sample covariance matrix with divisor n - 1."""
-    s = as_sample(x)
-    xc = s.data - sample_mean(s)
-    out = np.empty((s.p, s.p))
-    for i in range(s.p):
-        for j in range(i, s.p):
-            out[i, j] = out[j, i] = _ordered_sum(xc[:, i] * xc[:, j]) / (s.n - 1)
-    return out
-
-
-@dataclass(frozen=True)
-class ThirdMomentVector:
-    """All distinct third-order sample moments, in sorted multi-index order."""
-
-    p: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = self.p + self.p * (self.p - 1) + self.p * (self.p - 1) * (self.p - 2) // 6
-        if self.values.shape != (expected,):
-            raise ValueError(f"expected {expected} third moments, got {self.values.shape}")
-
-    def value(self, i: int, j: int, k: int) -> float:
-        return float(self.values[triple_indices(self.p).index(tuple(sorted((i, j, k))))])
-
-
-def sample_third(x) -> ThirdMomentVector:
-    """Third-order sample moments with the n/((n-1)(n-2)) normalization."""
-    s = as_sample(x)
-    if s.n < 3:
-        raise ValueError(f"third sample moments need n >= 3, got n={s.n}")
-    xc = s.data - sample_mean(s)
-    factor = s.n / ((s.n - 1) * (s.n - 2))
-    vals = np.array(
-        [factor * _ordered_sum(xc[:, i] * xc[:, j] * xc[:, k]) for i, j, k in triple_indices(s.p)]
-    )
-    return ThirdMomentVector(p=s.p, values=vals)
 
 
 def central_moments(x, max_order: int) -> MomentTable:

@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from math import sqrt
 
 import numpy as np
@@ -33,7 +34,7 @@ from .covblocks import (
     second_order_threshold,
     third_order_threshold,
 )
-from .engine import _program, evaluate_batch
+from .engine import ALL_STATISTICS, _program, evaluate_batch
 from .errors import SampleSizeError
 from .moments import as_sample
 from .stats import StatisticId, TestResult, compute_statistic
@@ -208,26 +209,34 @@ def empirical_pvalues(observed, table: NullTable) -> np.ndarray:
     return np.minimum(1.0, 2.0 * np.minimum(upper, lower))
 
 
-def run_test(x, statistic: StatisticId, table: NullTable, alpha: float = 0.05) -> TestResult:
-    """Test one dataset against a calibrated null table."""
+def _test_result(
+    statistic: StatisticId, value: float, table: NullTable, shape: tuple[int, int], alpha: float
+) -> TestResult:
+    """Check alpha and the table against the statistic and the (n, p) of the
+    data, then turn an observed value into a test decision."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if table.statistic != statistic:
         raise TableMismatchError(
             f"table holds {table.statistic.name}, not {statistic.name}"
         )
-    s = as_sample(x)
-    if (s.n, s.p) != (table.n, table.p):
+    n, p = shape
+    if (n, p) != (table.n, table.p):
         raise TableMismatchError(
             f"table was calibrated for (n={table.n}, p={table.p}) but the data "
-            f"is (n={s.n}, p={s.p}); tables are not interpolated"
+            f"is (n={n}, p={p}); tables are not interpolated"
         )
-    value = compute_statistic(s, statistic)
     p_value = float(empirical_pvalues(value, table)[0])
     return TestResult(
         statistic=statistic, value=value, p_value=p_value, alpha=alpha,
         reject=bool(p_value <= alpha),
     )
+
+
+def run_test(x, statistic: StatisticId, table: NullTable, alpha: float = 0.05) -> TestResult:
+    """Test one dataset against a calibrated null table."""
+    s = as_sample(x)
+    return _test_result(statistic, compute_statistic(s, statistic), table, (s.n, s.p), alpha)
 
 
 def power(
@@ -274,38 +283,43 @@ def power(
     return PowerReport(alternative=alt.name, n=n, p=p, alpha=alpha, cells=tuple(cells))
 
 
-def population_value(alt: AlternativeSpec, statistic: StatisticId) -> float:
-    """Large-n limit of a statistic under one alternative.
+def population_values(alt: AlternativeSpec, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:
+    """Large-n limits of a set of statistics under one alternative.
 
-    For the canonical-correlation families this evaluates the population
-    covariance blocks in their n -> infinity form (the common 1/n scale
-    cancels in the eigenproblem and the O(1/n) corrections vanish); for the
-    classical statistics it contracts the population moment tensors with the
-    inverse covariance.
+    One population moment table serves every family.  For the
+    canonical-correlation families it gives the population covariance
+    blocks in their n -> infinity form (the common 1/n scale cancels in the
+    eigenproblem and the O(1/n) corrections vanish), each family's blocks
+    are built and solved once; for the classical statistics the moment
+    tensors are contracted with the inverse covariance.
     """
-    if statistic.family == "z2":
-        blocks = lambda_blocks(population_moments(alt, 4), None)
-        return functional_value(cancor_sq(blocks), statistic.functional)
-    if statistic.family == "z3":
-        blocks = psi_blocks(population_moments(alt, 6), None)
-        return functional_value(cancor_sq(blocks), statistic.functional)
-    m = population_moments(alt, 4)
-    p = alt.p
-    sigma = np.array([[m.mu(i, j) for j in range(p)] for i in range(p)])
-    w = np.linalg.inv(sigma)
-    if statistic.family == "mardia_skew":
-        m3 = np.empty((p, p, p))
-        for i in range(p):
-            for j in range(p):
-                for k in range(p):
-                    m3[i, j, k] = m.mu(i, j, k)
-        return float(np.einsum("ijk,ir,js,kt,rst->", m3, w, w, w, m3))
-    if statistic.family == "mardia_kurt":
-        m4 = np.empty((p, p, p, p))
-        for i in range(p):
-            for j in range(p):
-                for k in range(p):
-                    for l in range(p):
-                        m4[i, j, k, l] = m.mu(i, j, k, l)
-        return float(np.einsum("ijkl,ij,kl->", m4, w, w))
-    raise ValueError(f"unknown statistic family {statistic.family!r}")
+    statistics = tuple(statistics)
+    families = {sid.family for sid in statistics}
+    m = population_moments(alt, 6 if "z3" in families else 4)
+    cancor = {
+        family: cancor_sq(build(m, None))
+        for family, build in (("z2", lambda_blocks), ("z3", psi_blocks))
+        if family in families
+    }
+
+    def tensor(order):
+        idx = product(range(alt.p), repeat=order)
+        return np.array([m.mu(*i) for i in idx]).reshape((alt.p,) * order)
+
+    out = {}
+    for sid in statistics:
+        if sid.family in cancor:
+            out[sid] = functional_value(cancor[sid.family], sid.functional)
+            continue
+        w = np.linalg.inv(tensor(2))
+        if sid.family == "mardia_skew":
+            m3 = tensor(3)
+            out[sid] = float(np.einsum("ijk,ir,js,kt,rst->", m3, w, w, w, m3))
+        else:
+            out[sid] = float(np.einsum("ijkl,ij,kl->", tensor(4), w, w))
+    return out
+
+
+def population_value(alt: AlternativeSpec, statistic: StatisticId) -> float:
+    """Large-n limit of one statistic under one alternative."""
+    return population_values(alt, (statistic,))[statistic]

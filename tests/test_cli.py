@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cancornorm.cli import main, read_csv_sample
+from cancornorm.cli import DataFileError, _population_rows, main, read_csv_sample
 from cancornorm.alternatives import RngStream, alternative, generate
 
 
@@ -72,6 +72,13 @@ def test_csv_reader_errors_name_location(tmp_path):
     ragged.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(Exception, match="row 2"):
         read_csv_sample(ragged)
+    for text, where in (("nan,1.0\n3.0,2.0\n", "row 1, column 1"),
+                        ("x,y\n1.0,2.0\n3.0,inf\n", "row 3, column 2"),
+                        ("1.0,2.0\n-inf,4.0\n", "row 2, column 1")):
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text(text)
+        with pytest.raises(DataFileError, match=f"{where}: not finite"):
+            read_csv_sample(nonfinite)
 
 
 def test_cmd_test_normal_data(null_dir, tmp_path, capsys):
@@ -119,6 +126,51 @@ def test_cmd_test_missing_table_is_data_error(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "mardia_skew" in err and "n=20" in err
+
+
+def test_cmd_test_non_finite_cell_is_data_error(null_dir, tmp_path, capsys):
+    data = generate(alternative("normal", 2), 20, RngStream(47))
+    data[4, 1] = np.nan
+    csv_path = tmp_path / "nan.csv"
+    write_csv(csv_path, data)
+    rc = main(["test", "--data", str(csv_path), "--null-dir", str(null_dir)])
+    assert rc == 3
+    assert "row 5, column 2" in capsys.readouterr().err
+
+
+def test_cmd_test_evaluates_the_sample_once(null_dir, tmp_path, monkeypatch):
+    import cancornorm.stats
+
+    calls = []
+    evaluate_batch = cancornorm.stats.evaluate_batch
+
+    def counting(data, statistics):
+        calls.append(tuple(statistics))
+        return evaluate_batch(data, statistics)
+
+    monkeypatch.setattr(cancornorm.stats, "evaluate_batch", counting)
+    data = generate(alternative("indep_exp", 2), 20, RngStream(48))
+    csv_path = tmp_path / "d.csv"
+    write_csv(csv_path, data)
+    assert main(["test", "--data", str(csv_path), "--null-dir", str(null_dir)]) == 0
+    assert len(calls) == 1 and len(calls[0]) == 12
+
+
+def test_population_rows_build_moments_once_per_alternative(monkeypatch):
+    import cancornorm.montecarlo
+
+    calls = []
+    population_moments = cancornorm.montecarlo.population_moments
+
+    def counting(alt, max_order=6):
+        calls.append(alt.name)
+        return population_moments(alt, max_order)
+
+    monkeypatch.setattr(cancornorm.montecarlo, "population_moments", counting)
+    for name in ("normal", "indep_exp", "mix75_m2_r0", "t2"):
+        rows = _population_rows([name], [3])
+        assert len(rows) == 12
+        assert calls.count(name) <= 1, name
 
 
 def test_cmd_power(null_dir, tmp_path):

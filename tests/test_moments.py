@@ -6,9 +6,7 @@ from cancornorm.moments import (
     MomentTable,
     Sample,
     central_moments,
-    sample_cov,
     sample_mean,
-    sample_third,
     sorted_multi_indices,
 )
 
@@ -48,54 +46,6 @@ def test_mean_matches_brute_force():
     x = rng.standard_normal((5, 2))
     expected = [sum(x[:, j]) / 5 for j in range(2)]
     assert_allclose(sample_mean(x), expected, rtol=1e-12)
-
-
-def test_cov_constant_sample_is_zero():
-    assert_array_equal(sample_cov(np.full((4, 2), 3.0)), np.zeros((2, 2)))
-
-
-def test_cov_univariate_hand_value():
-    assert_allclose(sample_cov(np.array([[0.0], [2.0]])), [[2.0]])
-
-
-def test_cov_matches_central_moments():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((23, 3))
-    m = central_moments(x, 2)
-    n = 23
-    expected = np.array([[m.mu(i, j) * n / (n - 1) for j in range(3)] for i in range(3)])
-    assert_allclose(sample_cov(x), expected, rtol=1e-13)
-
-
-def test_third_moments_symmetric_sample_vanish():
-    base = np.array([[1.0, -0.5], [0.3, 2.0], [-2.0, 0.7]])
-    x = np.vstack([base, -base])  # exactly symmetric about 0
-    t = sample_third(x)
-    assert_allclose(t.values, 0.0, atol=1e-14)
-
-
-def test_third_moments_univariate_normalization():
-    rng = np.random.default_rng(2)
-    x = rng.standard_exponential((11, 1))
-    n = 11
-    m = central_moments(x, 3)
-    t = sample_third(x)
-    assert_allclose(t.value(0, 0, 0), n**2 / ((n - 1) * (n - 2)) * m.mu(0, 0, 0), rtol=1e-13)
-
-
-def test_third_moments_brute_force():
-    rng = np.random.default_rng(3)
-    x = rng.standard_exponential((17, 2))
-    n = 17
-    t = sample_third(x)
-    for i, j, k in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]:
-        expected = n**2 / ((n - 1) * (n - 2)) * brute_force_moment(x, (i, j, k))
-        assert_allclose(t.value(i, j, k), expected, rtol=1e-12)
-
-
-def test_third_moments_need_three_observations():
-    with pytest.raises(ValueError):
-        sample_third(np.ones((2, 2)) + np.arange(4).reshape(2, 2))
 
 
 def test_central_moments_constant_sample():

@@ -192,12 +192,15 @@ def test_affine_invariance_all_statistics():
 
 def test_row_permutation_bit_identical():
     rng = np.random.default_rng(27)
-    x = skewed_sample(rng, 25, 2)
-    perm = rng.permutation(25)
-    fx = compute_statistics(x)
-    fy = compute_statistics(x[perm])
-    for sid in ALL_STATISTICS:
-        assert fx[sid] == fy[sid], sid.name
+    samples = [skewed_sample(rng, 25, 2), skewed_sample(rng, 60, 4)]
+    base = skewed_sample(rng, 20, 3)
+    samples.append(np.vstack([base, base[:6], base[3:5]]))  # duplicated rows tie in the sort
+    for x in samples:
+        perm = rng.permutation(len(x))
+        fx = compute_statistics(x)
+        fy = compute_statistics(x[perm])
+        for sid in ALL_STATISTICS:
+            assert fx[sid] == fy[sid], f"{sid.name} at {x.shape}"
 
 
 def test_column_permutation_invariance():
