@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, exp, factorial, sqrt
+from math import comb, exp, factorial, gamma, sqrt
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .covblocks import _matchings
 from .moments import MomentTable
@@ -293,22 +292,17 @@ def _ratio_moment(alpha: float, beta: float, counts: tuple[int, ...]) -> float:
     from scipy.special import hyperu
 
     mean = alpha / (alpha + beta)
-    coef = [gamma_fn(alpha + k) / gamma_fn(alpha) for k in range(7)]
-
-    def ratio_power(k, t):
-        if k == 0:
-            return 1.0
-        return coef[k] * t**alpha * hyperu(alpha + k, alpha + 1.0, t)
-
-    def centered(c, t):
-        return sum(
-            comb(c, j) * (-mean) ** (c - j) * ratio_power(j, t) for j in range(c + 1)
-        )
+    coef = [gamma(alpha + k) / gamma(alpha) for k in range(7)]
 
     def integrand(t):
-        out = t ** (beta - 1.0) * np.exp(-t) / gamma_fn(beta)
+        # E[(X/(X+t))^k | t] for k = 0 .. max(counts), shared by every count
+        power = [1.0] + [
+            coef[k] * t**alpha * hyperu(alpha + k, alpha + 1.0, t)
+            for k in range(1, max(counts) + 1)
+        ]
+        out = t ** (beta - 1.0) * np.exp(-t) / gamma(beta)
         for c in counts:
-            out = out * centered(c, t)
+            out = out * sum(comb(c, j) * (-mean) ** (c - j) * power[j] for j in range(c + 1))
         return out
 
     with warnings.catch_warnings():

@@ -17,8 +17,10 @@ dimension p, into one sparse map derived from the very same term lists that
 combinatorics; the 1/n, 1/(n-1) and n/((n-1)(n-2)) weights are folded into
 the map before it is applied.  The sixth moments enter only on pairs of
 distinct index triples, as the Gram matrix of the distinct triple products,
-so no p^6 tensor is formed.  The second-order blocks are gathered from the
-moment tensors with precompiled index arrays.
+so no p^6 tensor is formed.  Every other block is a sub-array of a moment
+tensor, read with the distinct pairs or triples as indices: the
+second-order b12 is m3 over the distinct pairs and the third-order b12 is
+k4 over the distinct triples.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .covblocks import (
     third_order_threshold,
 )
 from .errors import DegenerateSampleError, SampleSizeError
-from .moments import pair_indices, triple_indices
+from .moments import triple_indices
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -114,52 +116,33 @@ def equilibrated_condition(cov: np.ndarray) -> np.ndarray:
     return np.where(live, cond, np.inf)
 
 
-@dataclass(frozen=True)
-class _Program:
-    """Gather-index arrays and constant term maps for one dimension p."""
-
-    p: int
-    k4_pairs: np.ndarray        # (p^4, 3, 2) flat2 indices for the pair contractions
-    l12: np.ndarray             # (p, q2) flat3
-    l22_m4: np.ndarray          # (q2, q2) flat4
-    l22_prod: np.ndarray        # (q2, q2, 3, 2) flat2: (ij,kl), (ik,jl), (il,jk)
-    s12: np.ndarray             # (p, q3) flat4
-    m3_distinct: np.ndarray     # (q3,) flat3 of the distinct third-order products
-    z3_map: csr_array           # (q3^2, p^4 + q3^2 + 1) pattern of the z3 term map
-    z3_coef: np.ndarray         # (3, nnz) term counts weighted by -1/n, 1/(n-1), n/((n-1)(n-2))
-
-
-def _flat(p: int, idx):
-    """Row-major flat index of a coordinate tuple; given a stack of
-    coordinate arrays it returns an array of flat indices."""
-    out = 0
-    for i in idx:
-        out = out * p + i
-    return out
-
-
-def _z3_term_map(p: int, triples: np.ndarray) -> tuple[csr_array, np.ndarray]:
+@lru_cache(maxsize=None)
+def _z3_term_map(p: int) -> tuple[csr_array, np.ndarray]:
     """The permutation sums of the third-order b22 block as one sparse map.
 
-    Row a * q3 + b stands for entry (a, b), whose six coordinates are
-    c = triples[a] + triples[b].  Columns index the inputs [k4f (p^4 flat),
+    Row a * q3 + b stands for entry (a, b) of the distinct triples
+    (``triple_indices`` order), whose six coordinates are
+    c = triples[a] + triples[b].  Columns index the inputs [k4 (p^4, flattened),
     m3 (x) m3 over distinct triples (q3^2 flat), 1].  Since m2 = I, a factor
     m2[c_x, c_y] is 1 when c_x == c_y and 0 otherwise: a pair term selects
-    one k4f entry or vanishes, and a matching is a constant on the unit
+    one k4 entry or vanishes, and a matching is a constant on the unit
     input.  Each term of each ``covblocks`` list adds 1 to coef[w] at its
     (row, column), w being the weight of its sum in b22: 0 for -1/n, 1 for
-    1/(n-1), 2 for n/((n-1)(n-2)).  Returns the CSR pattern and coef.
+    1/(n-1), 2 for n/((n-1)(n-2)).  Returns the CSR pattern and coef; this
+    is the engine's only per-p state.
     """
+    triples = np.array(triple_indices(p))
     q3 = len(triples)
     c = np.concatenate(np.broadcast_arrays(triples[:, None], triples[None, :]), axis=-1)
     row = np.arange(q3 * q3).reshape(q3, q3)
     everywhere = np.ones(row.shape, dtype=bool)
     tri_index = np.zeros(p**3, dtype=np.intp)
-    tri_index[_flat(p, triples.T)] = np.arange(q3)
+    tri_index[np.ravel_multi_index(triples.T, (p,) * 3)] = np.arange(q3)
     n_k4, unit = p**4, p**4 + q3 * q3
 
     def coords(slots):
-        return _flat(p, np.moveaxis(np.sort(c[..., list(slots)], axis=-1), -1, 0))
+        idx = np.sort(c[..., list(slots)], axis=-1)
+        return np.ravel_multi_index(np.moveaxis(idx, -1, 0), (p,) * len(slots))
 
     def same(pairs):
         return np.logical_and.reduce([c[..., x] == c[..., y] for x, y in pairs])
@@ -195,46 +178,6 @@ def _z3_term_map(p: int, triples: np.ndarray) -> tuple[csr_array, np.ndarray]:
     return csr_array((coef[0], key_cols, indptr), shape=(q3 * q3, unit + 1)), coef
 
 
-@lru_cache(maxsize=None)
-def _program(p: int) -> _Program:
-    pairs = pair_indices(p)
-    triples = triple_indices(p)
-    q2 = len(pairs)
-
-    k4_pairs = np.empty((p**4, 3, 2), dtype=np.intp)
-    for e in range(p**4):
-        l = e % p
-        k = (e // p) % p
-        j = (e // p**2) % p
-        i = e // p**3
-        k4_pairs[e] = [
-            (_flat(p, (i, j)), _flat(p, (k, l))),
-            (_flat(p, (i, k)), _flat(p, (j, l))),
-            (_flat(p, (i, l)), _flat(p, (j, k))),
-        ]
-
-    l12 = np.array([[_flat(p, (i,) + jk) for jk in pairs] for i in range(p)], dtype=np.intp)
-    l22_m4 = np.empty((q2, q2), dtype=np.intp)
-    l22_prod = np.empty((q2, q2, 3, 2), dtype=np.intp)
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            l22_m4[a, b] = _flat(p, (i, j, k, l))
-            l22_prod[a, b] = [
-                (_flat(p, (i, j)), _flat(p, (k, l))),
-                (_flat(p, (i, k)), _flat(p, (j, l))),
-                (_flat(p, (i, l)), _flat(p, (j, k))),
-            ]
-
-    s12 = np.array([[_flat(p, (i,) + t) for t in triples] for i in range(p)], dtype=np.intp)
-    tri = np.array(triples, dtype=np.intp)
-    z3_map, z3_coef = _z3_term_map(p, tri)
-
-    return _Program(
-        p=p, k4_pairs=k4_pairs, l12=l12, l22_m4=l22_m4, l22_prod=l22_prod, s12=s12,
-        m3_distinct=_flat(p, tri.T), z3_map=z3_map, z3_coef=z3_coef,
-    )
-
-
 def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:
     """Evaluate statistics on a (B, n, p) stack of samples.
 
@@ -258,17 +201,16 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
             f"z3 statistics need n >= {third_order_threshold(p)} for p={p}, got n={n}"
         )
 
-    prog = _program(p)
     xc = data - data.mean(axis=1, keepdims=True)
-    m2 = np.swapaxes(xc, 1, 2) @ xc / n
-    cond = equilibrated_condition(m2)
+    cov = np.swapaxes(xc, 1, 2) @ xc / n
+    cond = equilibrated_condition(cov)
     if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
         raise DegenerateSampleError(
             f"rank-deficient sample covariance in {int(np.sum(~(cond <= CONDITION_LIMIT)))} "
             "batch item(s)"
         )
     try:
-        chol = np.linalg.cholesky(m2)
+        chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSampleError(f"rank-deficient sample in batch: {exc}") from exc
     y = np.swapaxes(np.linalg.solve(chol, np.swapaxes(xc, 1, 2)), 1, 2)
@@ -281,52 +223,56 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
             out[StatisticId("mardia_kurt")] = ((n - 1) / n) ** 2 * np.mean(r * r, axis=1)
 
     t2 = (y[:, :, :, None] * y[:, :, None, :]).reshape(nb, n, p * p)
-    m2f = t2.mean(axis=1)
-    m3f = (np.swapaxes(t2, 1, 2) @ y).reshape(nb, p**3) / n
+    m2 = t2.mean(axis=1).reshape(nb, p, p)
+    m3 = (np.swapaxes(t2, 1, 2) @ y).reshape(nb, p, p, p) / n
 
     if StatisticId("mardia_skew") in statistics:
-        out[StatisticId("mardia_skew")] = ((n - 1) / n) ** 3 * np.sum(m3f * m3f, axis=1)
+        out[StatisticId("mardia_skew")] = ((n - 1) / n) ** 3 * np.sum(m3 * m3, axis=(1, 2, 3))
 
     if not (need_z2 or need_z3):
         return out
 
-    m4f = (np.swapaxes(t2, 1, 2) @ t2).reshape(nb, p**4) / n
-    kp = prog.k4_pairs
-    k4f = m4f - (
-        m2f[:, kp[:, 0, 0]] * m2f[:, kp[:, 0, 1]]
-        + m2f[:, kp[:, 1, 0]] * m2f[:, kp[:, 1, 1]]
-        + m2f[:, kp[:, 2, 0]] * m2f[:, kp[:, 2, 1]]
+    m4 = (np.swapaxes(t2, 1, 2) @ t2).reshape(nb, p, p, p, p) / n
+    k4 = m4 - (
+        m2[:, :, :, None, None] * m2[:, None, None, :, :]
+        + m2[:, :, None, :, None] * m2[:, None, :, None, :]
+        + m2[:, :, None, None, :] * m2[:, None, :, :, None]
     )
+    # Each block is gathered with advanced indices only, the row coordinate
+    # included, so that the batch axis stays fastest in memory: the eigen
+    # step's matrix products round differently on another layout.
+    rows = np.arange(p)[:, None]
+    blocks = {}
 
     if need_z2:
-        b11 = m2f.reshape(nb, p, p) / n
-        b12 = m3f[:, prog.l12] / n
-        lp = prog.l22_prod
-        b22 = (m4f[:, prog.l22_m4] - m2f[:, lp[..., 0, 0]] * m2f[:, lp[..., 0, 1]]) / n + (
-            m2f[:, lp[..., 1, 0]] * m2f[:, lp[..., 1, 1]]
-            + m2f[:, lp[..., 2, 0]] * m2f[:, lp[..., 2, 1]]
+        u, v = np.triu_indices(p)
+        # entry (a, b) of b22 belongs to the pairs (i, j) = (u[a], v[a]) and (k, l) = (u[b], v[b])
+        i, k = np.meshgrid(u, u, indexing="ij")
+        j, l = np.meshgrid(v, v, indexing="ij")
+        b22 = (m4[:, i, j, k, l] - m2[:, i, j] * m2[:, k, l]) / n + (
+            m2[:, i, k] * m2[:, j, l] + m2[:, i, l] * m2[:, j, k]
         ) / (n * (n - 1))
-        vals = batch_functionals(cancor_eigs(b11, b12, b22)[0])
-        for sid in statistics:
-            if sid.family == "z2":
-                out[sid] = vals[sid.functional]
+        blocks["z2"] = (m3[:, rows, u, v] / n, b22)
 
     if need_z3:
-        q3 = len(prog.m3_distinct)
-        # distinct triple products y_i y_j y_k: column (i, j) of t2 times column k of y
-        t3 = t2[:, :, prog.m3_distinct // p] * y[:, :, prog.m3_distinct % p]
-        m3d = m3f[:, prog.m3_distinct].T
+        i, j, k = np.array(triple_indices(p)).T
+        q3 = len(i)
+        t3 = t2.reshape(nb, n, p, p)[:, :, i, j] * y[:, :, k]
+        m3d = m3[:, i, j, k].T
         inputs = np.concatenate(
-            [k4f.T, (m3d[:, None] * m3d[None, :]).reshape(q3 * q3, nb), np.ones((1, nb))]
+            [k4.reshape(nb, p**4).T, (m3d[:, None] * m3d[None, :]).reshape(q3 * q3, nb),
+             np.ones((1, nb))]
         )
-        term_map = prog.z3_map.copy()
-        term_map.data = np.array([-1.0 / n, 1.0 / (n - 1), n / ((n - 1) * (n - 2))]) @ prog.z3_coef
+        pattern, coef = _z3_term_map(p)
+        term_map = pattern.copy()
+        term_map.data = np.array([-1.0 / n, 1.0 / (n - 1), n / ((n - 1) * (n - 2))]) @ coef
         b22 = (np.swapaxes(t3, 1, 2) @ t3) / (n * n) + (term_map @ inputs).T.reshape(nb, q3, q3)
-        b11 = m2f.reshape(nb, p, p) / n
-        b12 = k4f[:, prog.s12] / n
-        vals = batch_functionals(cancor_eigs(b11, b12, b22)[0])
+        blocks["z3"] = (k4[:, rows, i, j, k] / n, b22)
+
+    for family, (b12, b22) in blocks.items():
+        vals = batch_functionals(cancor_eigs(m2 / n, b12, b22)[0])
         for sid in statistics:
-            if sid.family == "z3":
+            if sid.family == family:
                 out[sid] = vals[sid.functional]
 
     return out

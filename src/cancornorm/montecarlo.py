@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import sqrt
 
@@ -34,7 +35,7 @@ from .covblocks import (
     second_order_threshold,
     third_order_threshold,
 )
-from .engine import ALL_STATISTICS, _program, evaluate_batch
+from .engine import ALL_STATISTICS, _z3_term_map, evaluate_batch
 from .errors import SampleSizeError
 from .moments import as_sample
 from .stats import StatisticId, TestResult, compute_statistic
@@ -116,42 +117,29 @@ def timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-def _chunk_values(args):
-    name, p, n, seed, path, context, start, count, stat_names = args
-    spec = alternative(name, p)
-    rng = RngStream(seed, path)
-    stats = tuple(StatisticId.parse(s) for s in stat_names)
+def _chunk_values(spec, n, rng, context, statistics, start, count):
+    """Statistic values of replications start .. start + count - 1."""
     samples = np.stack(
         [generate(spec, n, rng.child(context, start + i)) for i in range(count)]
     )
-    values = evaluate_batch(samples, stats)
-    return start, {sid.name: values[sid] for sid in stats}
+    return evaluate_batch(samples, statistics)
 
 
-def _simulate(name, p, n, rng, context, reps, statistics, workers):
+def _simulate(spec, n, rng, context, reps, statistics, workers):
     """Statistic values over ``reps`` replications, chunked deterministically."""
-    stat_names = tuple(s.name for s in statistics)
-    starts = list(range(0, reps, CHUNK))
-    jobs = [
-        (name, p, n, rng.seed, rng.path, context, s, min(CHUNK, reps - s), stat_names)
-        for s in starts
-    ]
-    results: dict[int, dict[str, np.ndarray]] = {}
-    # Built here, before the pool forks, so that every worker inherits the
-    # per-p program instead of building its own copy.
-    _program(p)
-    if workers > 1 and len(jobs) > 1:
+    starts = range(0, reps, CHUNK)
+    counts = [min(CHUNK, reps - s) for s in starts]
+    chunk = partial(_chunk_values, spec, n, rng, context, statistics)
+    if any(sid.family == "z3" for sid in statistics):
+        # Built here, before the pool forks, so that every worker inherits
+        # the per-p term map instead of building its own copy.
+        _z3_term_map(spec.p)
+    if workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for start, vals in pool.map(_chunk_values, jobs):
-                results[start] = vals
+            chunks = list(pool.map(chunk, starts, counts))
     else:
-        for job in jobs:
-            start, vals = _chunk_values(job)
-            results[start] = vals
-    return {
-        sid: np.concatenate([results[s][sid.name] for s in starts])
-        for sid in statistics
-    }
+        chunks = list(map(chunk, starts, counts))
+    return {sid: np.concatenate([c[sid] for c in chunks]) for sid in statistics}
 
 
 def calibrate(
@@ -176,7 +164,9 @@ def calibrate(
         if n < need:
             raise SampleSizeError(f"{sid.name} needs n >= {need} for p={p}, got n={n}")
     created = timestamp()
-    values = _simulate("normal", p, n, rng, CALIBRATION_CONTEXT, replications, statistics, workers)
+    values = _simulate(
+        alternative("normal", p), n, rng, CALIBRATION_CONTEXT, replications, statistics, workers
+    )
     return {
         sid: NullTable(
             statistic=sid,
@@ -267,7 +257,7 @@ def power(
             raise TableMismatchError(
                 f"table for {sid.name} was calibrated for (n={t.n}, p={t.p}), need (n={n}, p={p})"
             )
-    values = _simulate(alt.name, p, n, rng, POWER_CONTEXT, reps, statistics, workers)
+    values = _simulate(alt, n, rng, POWER_CONTEXT, reps, statistics, workers)
     cells = []
     for sid in statistics:
         pvals = empirical_pvalues(values[sid], tables[sid])

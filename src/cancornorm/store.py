@@ -61,6 +61,15 @@ def save_null(table: NullTable, path) -> None:
         fh.write(payload)
 
 
+def _header_field(path, header: dict, key: str, kind: type):
+    value = header.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise NullTableFormatError(
+            f"{path}: header field {key!r} is {value!r}, expected {kind.__name__}"
+        )
+    return value
+
+
 def load_null(path) -> NullTable:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -69,29 +78,41 @@ def load_null(path) -> NullTable:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise NullTableFormatError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise NullTableFormatError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise NullTableFormatError(
             f"{path}: format version {header.get('format_version')!r} not supported "
             f"(expected {FORMAT_VERSION})"
         )
-    replications = int(header["replications"])
+    replications = _header_field(path, header, "replications", int)
     if len(payload) != 8 * replications:
         raise NullTableLengthError(
             f"{path}: payload holds {len(payload) // 8} values, header says {replications}"
         )
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+    if hashlib.sha256(payload).hexdigest() != _header_field(path, header, "payload_sha256", str):
         raise NullTableIntegrityError(f"{path}: payload checksum mismatch")
-    values = np.frombuffer(payload, dtype="<f8").astype(float)
-    return NullTable(
-        statistic=StatisticId.parse(header["statistic"]),
-        n=int(header["n"]),
-        p=int(header["p"]),
-        replications=replications,
-        seed=int(header["seed"]),
-        stream=tuple(int(s) for s in header.get("stream", ())),
-        values=values,
-        created_at=str(header["created_at"]),
-    )
+    stream = header.get("stream", [])
+    if not isinstance(stream, list) or not all(
+        isinstance(s, int) and not isinstance(s, bool) for s in stream
+    ):
+        raise NullTableFormatError(f"{path}: header field 'stream' is {stream!r}, expected ints")
+    name = _header_field(path, header, "statistic", str)
+    n, p, seed = (_header_field(path, header, key, int) for key in ("n", "p", "seed"))
+    created_at = _header_field(path, header, "created_at", str)
+    try:
+        return NullTable(
+            statistic=StatisticId.parse(name),
+            n=n,
+            p=p,
+            replications=replications,
+            seed=seed,
+            stream=tuple(stream),
+            values=np.frombuffer(payload, dtype="<f8").astype(float),
+            created_at=created_at,
+        )
+    except ValueError as exc:  # an unknown statistic or an unsorted payload
+        raise NullTableFormatError(f"{path}: {exc}") from exc
 
 
 def null_table_filename(statistic: StatisticId, n: int, p: int) -> str:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +130,20 @@ def test_cmd_test_missing_table_is_data_error(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "mardia_skew" in err and "n=20" in err
+
+
+def test_cmd_test_malformed_table_header_is_data_error(null_dir, tmp_path, capsys):
+    path = null_dir / "z2_hl_n20_p2.null"
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    del header["seed"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    data = generate(alternative("normal", 2), 20, RngStream(48))
+    csv_path = tmp_path / "d.csv"
+    write_csv(csv_path, data)
+    rc = main(["test", "--data", str(csv_path), "--null-dir", str(null_dir)])
+    assert rc == 3
+    assert "z2_hl_n20_p2.null" in capsys.readouterr().err
 
 
 def test_cmd_test_non_finite_cell_is_data_error(null_dir, tmp_path, capsys):
@@ -289,3 +307,13 @@ def test_exit_code_usage():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported lazily, by the paths that need it, not by start-up
+    code = "import sys, cancornorm.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -88,10 +89,39 @@ def test_unknown_version_is_format_error(tmp_path):
         load_null(path)
 
 
+def rewrite_header(path, edit):
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = edit(json.loads(header_line))
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
 def test_garbage_header_is_format_error(tmp_path):
     path = tmp_path / "t.null"
     path.write_bytes(b"\x00\x01\x02 not json\n12345678")
     with pytest.raises(NullTableFormatError):
+        load_null(path)
+    # valid JSON, malformed header: a missing field, a list, an unknown statistic,
+    # an ill-typed field
+    for edit in (
+        lambda h: {k: v for k, v in h.items() if k != "seed"},
+        lambda h: list(h.items()),
+        lambda h: {**h, "statistic": "z9_hl"},
+        lambda h: {**h, "n": "20"},
+    ):
+        save_null(make_table(), path)
+        rewrite_header(path, edit)
+        with pytest.raises(NullTableFormatError, match="t.null"):
+            load_null(path)
+
+
+def test_unsorted_payload_is_format_error(tmp_path):
+    path = tmp_path / "t.null"
+    save_null(make_table(), path)
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    payload = np.frombuffer(payload, dtype="<f8")[::-1].tobytes()
+    header = {**json.loads(header_line), "payload_sha256": hashlib.sha256(payload).hexdigest()}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(NullTableFormatError, match="sorted"):
         load_null(path)
 
 
