@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, exp, factorial, gamma, sqrt
+from operator import index
 
 import numpy as np
 
@@ -45,6 +46,23 @@ class RngStream:
     seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        # SeedSequence takes non-negative integers only; checked here so that
+        # a bad seed fails before any work, not inside a pool worker.
+        try:
+            seed = index(self.seed)
+            path = tuple(index(i) for i in self.path)
+        except TypeError:
+            raise ValueError(
+                f"seed and stream path must be integers, got {self.seed!r}, {self.path!r}"
+            ) from None
+        if seed < 0 or any(i < 0 for i in path):
+            raise ValueError(
+                f"seed and stream path must be non-negative, got {seed}, {path}"
+            )
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "path", path)
+
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(indices))
 
@@ -53,11 +71,104 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
+# numpy.random.SeedSequence's hash constants (pool of four uint32 words).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's word hash: each call uses, then advances, its constant."""
+
+    def hash_words(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hash_words
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence makes of an integer."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def stream_keys(rng: RngStream, context: int, start: int, count: int) -> np.ndarray:
+    """Philox keys, shape (count, 2) uint64, of ``rng.child(context, r)`` for
+    r = start .. start + count - 1.
+
+    Row i equals ``SeedSequence(entropy=seed, spawn_key=path + (context,
+    start + i)).generate_state(2, np.uint64)`` bit for bit: SeedSequence's
+    entropy mixing, with the replication index as the one word that varies.
+    """
+    if not (start >= 0 and count >= 0 and start + count <= 2**32):
+        raise ValueError(f"replication indices {start}..{start + count - 1} must fit in uint32")
+    seed = _uint32_words(rng.seed)
+    seed += [0] * (4 - len(seed))  # a spawned SeedSequence pads its seed to the pool
+    words = seed + [w for i in rng.path + (context,) for w in _uint32_words(i)]
+    entropy = [np.full(count, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(start, start + count, dtype=np.uint64).astype(np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ (out >> 16)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    output = _hasher(_INIT_B, _MULT_B)
+    state = [output(word).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def stream_generators(rng: RngStream, context: int, start: int, count: int):
+    """Yield, for r = start .. start + count - 1, a Generator in the state
+    ``rng.child(context, r).generator()`` starts in.
+
+    One Generator is re-keyed in place before each yield (counter 0, empty
+    buffer: a freshly seeded Philox), so use each before taking the next.
+    """
+    bitgen = np.random.Philox(0)
+    g = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for key in stream_keys(rng, context, start, count):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield g
+
+
 def equicorrelation(p: int, r: float) -> np.ndarray:
     """Covariance matrix with unit variances and common correlation r."""
     if not -1.0 / max(p - 1, 1) < r < 1.0:
         raise ValueError(f"correlation {r} does not give a positive definite matrix for p={p}")
     return np.full((p, p), r) + (1.0 - r) * np.eye(p)
+
+
+@lru_cache(maxsize=None)
+def _mixing_factor(p: int, r: float) -> np.ndarray:
+    """Cholesky factor of ``equicorrelation(p, r)``, built once per (p, r)."""
+    chol = np.linalg.cholesky(equicorrelation(p, r))
+    chol.flags.writeable = False
+    return chol
 
 
 @dataclass(frozen=True)
@@ -167,11 +278,15 @@ def alternative(name: str, p: int) -> AlternativeSpec:
 # sampling
 
 
-def generate(spec: AlternativeSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Draw n i.i.d. p-vectors; a fixed draw sequence per (spec, n, stream)."""
+def generate(spec: AlternativeSpec, n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """Draw n i.i.d. p-vectors; a fixed draw sequence per (spec, n, stream).
+
+    ``rng`` is a stream, or a Generator already in the stream's starting
+    state (see ``stream_generators``).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = rng.generator()
+    g = rng if isinstance(rng, np.random.Generator) else rng.generator()
     p = spec.p
     kind = spec.kind
     if kind == "normal":
@@ -202,14 +317,12 @@ def generate(spec: AlternativeSpec, n: int, rng: RngStream) -> np.ndarray:
         w = g.chisquare(spec.param("dof"), size=n)
         return z / np.sqrt(w / spec.param("dof"))[:, None]
     if kind == "asym_laplace":
-        sigma = equicorrelation(p, spec.param("corr"))
-        chol = np.linalg.cholesky(sigma)
+        chol = _mixing_factor(p, spec.param("corr"))
         w = g.standard_exponential(n)
         z = g.standard_normal((n, p))
         return w[:, None] * spec.param("shift") + np.sqrt(w)[:, None] * (z @ chol.T)
     if kind == "normal_mixture":
-        sigma = equicorrelation(p, spec.param("corr"))
-        chol = np.linalg.cholesky(sigma)
+        chol = _mixing_factor(p, spec.param("corr"))
         pick = g.random(n) < spec.param("weight")
         z = g.standard_normal((n, p))
         contaminated = spec.param("shift") + z @ chol.T

@@ -155,6 +155,7 @@ def _load_tables(null_dir, statistics, n, p):
 
 def cmd_calibrate(ns) -> int:
     statistics = _parse_statistics(ns.statistics)
+    rng = RngStream(ns.seed)
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(
@@ -162,9 +163,7 @@ def cmd_calibrate(ns) -> int:
         f"with {ns.reps} replications (seed {ns.seed})",
         file=sys.stderr,
     )
-    tables = calibrate(
-        statistics, ns.n, ns.p, ns.reps, RngStream(ns.seed), workers=ns.workers
-    )
+    tables = calibrate(statistics, ns.n, ns.p, ns.reps, rng, workers=ns.workers)
     for sid in statistics:
         path = out_dir / null_table_filename(sid, ns.n, ns.p)
         save_null(tables[sid], path)

@@ -7,13 +7,23 @@ normal serves all normal distributions of that shape.  Replications are
 split into fixed-size chunks keyed by replication index, each replication
 drawing from its own counter-derived random stream; results are therefore
 bit-identical for any worker count.
+
+A chunk computes the Philox keys of all its replications in one vectorized
+pass (``alternatives.stream_keys``) and re-keys a single generator before
+each one, drawing exactly what ``RngStream.child(context, r).generator()``
+would.  Chunks run in one process pool per process, created by the first
+parallel run and reused by every later ``calibrate`` and ``power`` call with
+the same worker count; a different count replaces it, a broken pool is
+dropped and rebuilt on the next call, and interpreter exit shuts it down.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -27,6 +37,7 @@ from .alternatives import (
     alternative,
     generate,
     population_moments,
+    stream_generators,
 )
 from .cancor import cancor_sq, functional_value
 from .covblocks import (
@@ -120,23 +131,46 @@ def timestamp() -> str:
 def _chunk_values(spec, n, rng, context, statistics, start, count):
     """Statistic values of replications start .. start + count - 1."""
     samples = np.stack(
-        [generate(spec, n, rng.child(context, start + i)) for i in range(count)]
+        [generate(spec, n, g) for g in stream_generators(rng, context, start, count)]
     )
     return evaluate_batch(samples, statistics)
 
 
+# The process's one worker pool and its worker count (see the module docstring);
+# the lock keeps a thread from replacing the pool while another one uses it.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != workers:
+        _pool.shutdown()
+        _pool = None
+    if _pool is None:
+        _pool = ProcessPoolExecutor(max_workers=workers)
+        _pool_workers = workers
+    return _pool
+
+
 def _simulate(spec, n, rng, context, reps, statistics, workers):
     """Statistic values over ``reps`` replications, chunked deterministically."""
+    global _pool
     starts = range(0, reps, CHUNK)
     counts = [min(CHUNK, reps - s) for s in starts]
     chunk = partial(_chunk_values, spec, n, rng, context, statistics)
     if any(sid.family == "z3" for sid in statistics):
-        # Built here, before the pool forks, so that every worker inherits
-        # the per-p term map instead of building its own copy.
+        # Built here, before a new pool forks, so that its workers inherit
+        # the per-p term map; workers of an older pool build it themselves.
         _z3_term_map(spec.p)
     if workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(chunk, starts, counts))
+        with _pool_lock:
+            try:
+                chunks = list(_worker_pool(workers).map(chunk, starts, counts))
+            except BrokenProcessPool:
+                _pool = None
+                raise
     else:
         chunks = list(map(chunk, starts, counts))
     return {sid: np.concatenate([c[sid] for c in chunks]) for sid in statistics}

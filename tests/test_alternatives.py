@@ -20,6 +20,8 @@ from cancornorm.alternatives import (
     equicorrelation,
     generate,
     population_moments,
+    stream_generators,
+    stream_keys,
 )
 from cancornorm.moments import sorted_multi_indices
 
@@ -57,6 +59,57 @@ def test_child_streams_differ():
     a = r.child(0, 1).generator().standard_normal(4)
     b = r.child(0, 2).generator().standard_normal(4)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**40 + 3])
+@pytest.mark.parametrize("path", [(), (3,), (2**32, 7), (2**40 + 1,)])
+def test_stream_keys_match_seed_sequence(seed, path):
+    rng = RngStream(seed, path)
+    for context, start in ((0, 0), (1, 256), (2**33, 2**32 - 4)):
+        keys = stream_keys(rng, context, start, 4)
+        expected = [
+            np.random.SeedSequence(
+                entropy=seed, spawn_key=path + (context, start + i)
+            ).generate_state(2, np.uint64)
+            for i in range(4)
+        ]
+        assert keys.dtype == np.uint64
+        assert_array_equal(keys, expected)
+
+
+def test_stream_keys_need_uint32_replication_indices():
+    with pytest.raises(ValueError, match="uint32"):
+        stream_keys(RngStream(0), 0, 2**32 - 1, 2)
+    with pytest.raises(ValueError, match="uint32"):
+        stream_keys(RngStream(0), 0, -1, 2)
+
+
+def test_stream_generators_reproduce_child_streams():
+    specs = {}
+    for name in available_alternatives():
+        spec = alternative(name, 3)
+        specs.setdefault(spec.kind, spec)
+    assert len(specs) == 9
+    rng = RngStream(11, (1, 20))
+    for spec in specs.values():
+        for start in (0, 256):
+            chunk = [generate(spec, 20, g) for g in stream_generators(rng, 1, start, 16)]
+            for i, x in enumerate(chunk):
+                assert_array_equal(x, generate(spec, 20, rng.child(1, start + i)), err_msg=spec.kind)
+
+
+@pytest.mark.parametrize("seed, path", [(-1, ()), (0, (2, -1)), (1.5, ()), (0, (1.0,)), ("3", ())])
+def test_stream_rejects_negative_or_non_integer_entries(seed, path):
+    with pytest.raises(ValueError, match="seed and stream path"):
+        RngStream(seed, path)
+
+
+def test_stream_normalizes_integer_types():
+    rng = RngStream(np.int64(4), [np.uint8(1)]).child(np.int32(2))
+    assert rng == RngStream(4, (1, 2))
+    assert type(rng.seed) is int and all(type(i) is int for i in rng.path)
+    with pytest.raises(ValueError):
+        rng.child(-3)
 
 
 def test_generated_shapes():

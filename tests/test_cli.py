@@ -309,6 +309,20 @@ def test_exit_code_usage():
         assert exc.value.code == 2
 
 
+def test_calibrate_subprocess_exits_with_pool_alive(tmp_path):
+    # the shared worker pool is left for interpreter exit to shut down
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    base = [sys.executable, "-m", "cancornorm.cli", "calibrate", "--n", "20", "--p", "2",
+            "--reps", "1000", "--workers", "2", "--out-dir", str(tmp_path / "nulls")]
+    proc = subprocess.run(base, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list((tmp_path / "nulls").iterdir())) == 12
+    proc = subprocess.run(base + ["--seed", "-1"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "non-negative" in proc.stderr and "calibrating" not in proc.stderr
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported lazily, by the paths that need it, not by start-up
     code = "import sys, cancornorm.cli; print([m for m in sys.modules if m.startswith('scipy')])"

@@ -1,8 +1,14 @@
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from cancornorm import montecarlo
 from cancornorm.alternatives import RngStream, alternative, generate
+from cancornorm.engine import _z3_term_map
 from cancornorm.errors import SampleSizeError
 from cancornorm.montecarlo import (
     MissingTableError,
@@ -139,6 +145,76 @@ def test_power_deterministic_across_workers(small_tables):
               small_tables, RngStream(13), workers=4)
     for ca, cb in zip(a.cells, b.cells):
         assert ca == cb
+
+
+@pytest.fixture()
+def fresh_pool(monkeypatch):
+    """No worker pool before the test; the test's pool is shut down after it.
+    Yields the worker counts of the pools built meanwhile."""
+
+    def drop():
+        if montecarlo._pool is not None:
+            montecarlo._pool.shutdown()
+        montecarlo._pool = None
+
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    drop()
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    yield built
+    drop()
+
+
+def test_one_pool_serves_successive_runs(fresh_pool, small_tables):
+    calibrate((Z2HL,), 20, 2, 1000, RngStream(3), workers=2)
+    for seed in (4, 5):
+        power(alternative("chisq2", 2), (Z2HL,), 20, 2, 0.05, 600,
+              small_tables, RngStream(seed), workers=2)
+    assert fresh_pool == [2]
+    # another worker count replaces the pool
+    calibrate((Z2HL,), 20, 2, 1000, RngStream(3), workers=3)
+    assert fresh_pool == [2, 3]
+
+
+def test_shared_pool_bit_identical_across_dimensions(fresh_pool):
+    # The pool forks at p = 2; at p = 3 its workers build the z3 term map
+    # themselves rather than inheriting it.
+    _z3_term_map.cache_clear()
+    for p in (2, 3):
+        one = calibrate(ALL_STATISTICS, 20, p, 1000, RngStream(21), workers=1)
+        two = calibrate(ALL_STATISTICS, 20, p, 1000, RngStream(21), workers=2)
+        for sid in ALL_STATISTICS:
+            assert_array_equal(one[sid].values, two[sid].values)
+    assert fresh_pool == [2]
+
+
+def test_threads_share_the_pool_safely(fresh_pool):
+    # threads asking for different worker counts take turns with the pool
+    expected = calibrate((Z2HL,), 20, 2, 1000, RngStream(9), workers=1)[Z2HL].values
+    with ThreadPoolExecutor(4) as threads:
+        runs = [threads.submit(calibrate, (Z2HL,), 20, 2, 1000, RngStream(9), workers=w)
+                for w in (2, 3, 2, 3)]
+        for run in runs:
+            assert_array_equal(run.result(timeout=120)[Z2HL].values, expected)
+    assert 1 <= len(fresh_pool) <= 4
+
+
+def test_broken_pool_is_rebuilt(fresh_pool, monkeypatch):
+    expected = calibrate((Z2HL,), 20, 2, 1000, RngStream(8), workers=1)[Z2HL].values
+    with monkeypatch.context() as m:
+        # the pool forks after this patch, so its workers die on their first chunk
+        m.setattr(montecarlo, "evaluate_batch", lambda *args: os._exit(1))
+        with pytest.raises(BrokenProcessPool):
+            calibrate((Z2HL,), 20, 2, 1000, RngStream(8), workers=2)
+    assert montecarlo._pool is None
+    again = calibrate((Z2HL,), 20, 2, 1000, RngStream(8), workers=2)[Z2HL].values
+    assert_array_equal(again, expected)
+    assert fresh_pool == [2, 2]
 
 
 def test_power_missing_table(small_tables):
