@@ -42,37 +42,90 @@ class CanCorSq:
         object.__setattr__(self, "values", v)
 
 
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of each lower-triangular matrix of a (B, k, k) stack, by
+    forward substitution one row at a time."""
+    inv = np.zeros_like(chol)
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    for i in range(chol.shape[-1]):
+        inv[:, i, :i] = -(chol[:, i, None, :i] @ inv[:, :i, :i])[:, 0] / diag[:, i, None]
+        inv[:, i, i] = 1.0 / diag[:, i]
+    return inv
+
+
+def whitening_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse Cholesky factors of a (B, k, k) stack and a condition figure
+    per item that decides singularity as the exact condition number would.
+
+    With a = L L^T, L^-1 a L^-T = I, and cond_2(a) = (|L|_2 |L^-1|_2)^2 is at
+    most the certified bound (|L|_F |L^-1|_F)^2, itself at most k^2 cond_2(a).
+    The figure is that bound where it is <= CONDITION_LIMIT; where it is
+    larger, the exact ``np.linalg.cond`` of those items only is computed
+    instead, so ``figure <= CONDITION_LIMIT`` accepts exactly the items the
+    exact condition number accepts, and a well-conditioned stack costs no
+    SVD.  An item with no Cholesky factor (not positive definite, or not
+    finite) has figure inf.  Only the lower triangle of ``a`` is factored.
+    Returns (L^-1, figure).
+    """
+    try:
+        chol = np.linalg.cholesky(a)
+        factored = np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        # One failure fails the whole stack; factor item by item to find it.
+        chol = np.full_like(a, np.nan)
+        factored = np.zeros(len(a), dtype=bool)
+        for b, item in enumerate(a):
+            try:
+                chol[b] = np.linalg.cholesky(item)
+                factored[b] = True
+            except np.linalg.LinAlgError:
+                pass
+    inv = _lower_inverse(chol)
+    bound = np.einsum("bij,bij->b", chol, chol) * np.einsum("bij,bij->b", inv, inv)
+    figure = np.where(factored, bound, np.inf)
+    suspect = np.flatnonzero(factored & ~(figure <= CONDITION_LIMIT))
+    if suspect.size:
+        figure[suspect] = np.linalg.cond(a[suspect])
+    return inv, figure
+
+
 def cancor_eigs(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared canonical correlations of a (B, ...) stack of block triples.
 
-    The p x p eigenproblem b11^-1 b12 b22^-1 b21 is solved without forming
-    inverses: the middle product is built from a linear solve and then
-    whitened with the Cholesky factor of b11, giving a symmetric matrix whose
-    eigenvalues are real by construction.  Returns the (B, p) eigenvalues,
-    sorted descending and clipped to [0, 1], and the (B,) count of raw
-    eigenvalues each item had outside [0, 1] within the 1e-8 tolerance.
+    b11 and b22 are each checked and factored by ``whitening_factor``: an
+    item is accepted when the certified bound on its condition number is
+    within CONDITION_LIMIT, and only an item whose bound exceeds the limit
+    pays for the exact ``np.linalg.cond``.  A block that fails, or that has
+    no Cholesky factor, raises ``SingularBlockError`` naming the block and
+    the first failing item.  The eigenproblem b11^-1 b12 b22^-1 b21 then
+    becomes W^T W with W = L22^-1 b21 L11^-T, symmetric positive
+    semidefinite by construction, so no inverse or general solve is formed.
+    Returns the (B, p) eigenvalues, sorted descending and clipped to [0, 1],
+    and the (B,) count of raw eigenvalues each item had outside [0, 1]
+    within the 1e-8 tolerance.
     """
+    factors = []
     for name, block in (("b11 (mean)", b11), ("b22 (moment)", b22)):
-        cond = np.linalg.cond(block)
-        if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
+        inv, figure = whitening_factor(block)
+        bad = np.flatnonzero(~(figure <= CONDITION_LIMIT))
+        if bad.size:
             raise SingularBlockError(
-                f"{name} block is numerically singular in {int(np.sum(cond > CONDITION_LIMIT))} "
-                "batch item(s)"
+                f"{name} block is numerically singular or not positive definite in "
+                f"{bad.size} batch item(s), first item {bad[0]}",
+                item=int(bad[0]),
             )
-    middle = b12 @ np.linalg.solve(b22, np.swapaxes(b12, 1, 2))
-    try:
-        chol = np.linalg.cholesky(b11)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"b11 (mean) block is not positive definite: {exc}") from exc
-    half = np.linalg.solve(chol, middle)
-    sym = np.linalg.solve(chol, np.swapaxes(half, 1, 2))
-    sym = 0.5 * (sym + np.swapaxes(sym, 1, 2))
-    eigs = np.linalg.eigvalsh(sym)[:, ::-1]
-    if np.any(eigs < -EIGENVALUE_TOL) or np.any(eigs > 1.0 + EIGENVALUE_TOL):
-        bad = eigs[(eigs < -EIGENVALUE_TOL) | (eigs > 1.0 + EIGENVALUE_TOL)]
+        factors.append(inv)
+    inv11, inv22 = factors
+    w = inv22 @ np.swapaxes(b12, 1, 2) @ np.swapaxes(inv11, 1, 2)
+    eigs = np.linalg.eigvalsh(np.swapaxes(w, 1, 2) @ w)[:, ::-1]
+    outside = (eigs < -EIGENVALUE_TOL) | (eigs > 1.0 + EIGENVALUE_TOL)
+    if np.any(outside):
+        item = int(np.flatnonzero(outside.any(axis=1))[0])
         raise EigenvalueRangeError(
-            f"squared canonical correlation {bad.flat[0]:.6g} outside [0, 1] beyond "
-            f"tolerance {EIGENVALUE_TOL:g}; the covariance blocks are inconsistent"
+            f"squared canonical correlation {eigs[outside][0]:.6g} outside [0, 1] beyond "
+            f"tolerance {EIGENVALUE_TOL:g} in batch item {item}; the covariance blocks "
+            "are inconsistent",
+            item=item,
         )
     clamped = np.sum((eigs < 0.0) | (eigs > 1.0), axis=1)
     return np.clip(eigs, 0.0, 1.0), clamped
@@ -85,9 +138,12 @@ def cancor_sq(blocks: CovBlocks) -> CanCorSq:
 
 
 def _ratio_trace(eigs: np.ndarray) -> np.ndarray:
-    if np.any(eigs >= 1.0 - UNIT_ROOT_TOL):
+    at_one = np.any(eigs >= 1.0 - UNIT_ROOT_TOL, axis=1)
+    if np.any(at_one):
+        item = int(np.flatnonzero(at_one)[0])
         raise FunctionalDomainError(
-            "ratio trace undefined: a squared canonical correlation is at 1"
+            f"ratio trace undefined: a squared canonical correlation is at 1 in batch item {item}",
+            item=item,
         )
     return np.sum(eigs / (1.0 - eigs), axis=1)
 

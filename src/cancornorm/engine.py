@@ -6,16 +6,20 @@ per-sample functions in ``stats`` call it on a stack of one.  All moment
 tensors and covariance blocks are built as batched array operations, and
 the squared canonical correlations come from the kernel in ``cancor``.
 
-Every sample is centered and whitened by the Cholesky factor of its own
-covariance before any moment is formed, so its second moments m2 are the
-identity up to roundoff (L^-1 m2 L^-T = I).  The third-order block relies
-on this: every m2 factor in its permutation sums is a Kronecker delta, so
-those sums are fixed linear combinations of the fourth cumulants, of
-products of two third moments and of constants.  They are precompiled, per
-dimension p, into one sparse map derived from the very same term lists that
-``covblocks`` uses, so there is a single source of truth for the
-combinatorics; the 1/n, 1/(n-1) and n/((n-1)(n-2)) weights are folded into
-the map before it is applied.  The sixth moments enter only on pairs of
+Every sample is centered and whitened before any moment is formed: its
+covariance is equilibrated to a correlation matrix D^-1/2 cov D^-1/2 = L L^T,
+and the data are multiplied by L^-1 D^-1/2, so its second moments m2 are the
+identity up to roundoff.  The same Cholesky factor certifies that the
+sample is not degenerate (see ``equilibrated_condition``).  The third-order
+block relies on m2 = I: every m2 factor in its permutation sums is a
+Kronecker delta, so those sums are fixed linear combinations of the fourth
+cumulants, of products of two third moments and of constants.  They are
+precompiled, per dimension p, into one term map derived from the very same
+term lists that ``covblocks`` uses, so there is a single source of truth
+for the combinatorics: each entry of b22 is a short weighted sum of at most
+eleven inputs (p <= 6), applied with numpy gathers, slot by slot; the 1/n,
+1/(n-1) and n/((n-1)(n-2)) weights are folded into the map before it is
+applied.  The sixth moments enter only on pairs of
 distinct index triples, as the Gram matrix of the distinct triple products,
 so no p^6 tensor is formed.  Every other block is a sub-array of a moment
 tensor, read with the distinct pairs or triples as indices: the
@@ -27,11 +31,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cancor import CONDITION_LIMIT, FUNCTIONAL_NAMES, batch_functionals, cancor_eigs
+from .cancor import (
+    CONDITION_LIMIT,
+    FUNCTIONAL_NAMES,
+    batch_functionals,
+    cancor_eigs,
+    whitening_factor,
+)
 from .covblocks import (
     permutation_scheme,
     second_order_threshold,
@@ -39,10 +48,6 @@ from .covblocks import (
 )
 from .errors import DegenerateSampleError, SampleSizeError
 from .moments import triple_indices
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
-
 
 FAMILIES = ("z2", "z3", "mardia_skew", "mardia_kurt")
 
@@ -101,40 +106,51 @@ ALL_STATISTICS: tuple[StatisticId, ...] = (
 )
 
 
-def equilibrated_condition(cov: np.ndarray) -> np.ndarray:
-    """Condition number of D^-1/2 cov D^-1/2, D = diag(cov), per matrix of a stack.
+def equilibrated_condition(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition figure of D^-1/2 cov D^-1/2, D = diag(cov), per matrix of a
+    (B, p, p) stack, and the whitening matrix L^-1 D^-1/2 that comes with it.
 
     Every statistic is invariant to rescaling a coordinate, so rank
     deficiency is judged on this equilibrated (correlation) matrix rather
     than in raw units (Higham, Accuracy and Stability of Numerical
-    Algorithms, section 7.3).  A zero variance gives inf.
+    Algorithms, section 7.3).  The figure is the certified upper bound
+    (|L|_F |L^-1|_F)^2 on its condition number from its Cholesky factor L,
+    with the exact ``np.linalg.cond`` computed instead for the items whose
+    bound exceeds CONDITION_LIMIT (``cancor.whitening_factor``), so comparing
+    it with the limit decides as the exact condition number does.  A zero
+    variance, or a matrix with no Cholesky factor, gives inf.
     """
     var = np.diagonal(cov, axis1=-2, axis2=-1)
     live = np.all(var > 0.0, axis=-1)
     d = np.sqrt(np.where(live[..., None], var, 1.0))
-    cond = np.linalg.cond(cov / (d[..., :, None] * d[..., None, :]))
-    return np.where(live, cond, np.inf)
+    inv, figure = whitening_factor(cov / (d[..., :, None] * d[..., None, :]))
+    return np.where(live, figure, np.inf), inv / d[..., None, :]
 
 
 @lru_cache(maxsize=None)
-def _z3_term_map(p: int) -> tuple[csr_array, np.ndarray]:
-    """The permutation sums of the third-order b22 block as one sparse map.
+def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation sums of the third-order b22 block as one term map.
 
-    Row a * q3 + b stands for entry (a, b) of the distinct triples
-    (``triple_indices`` order), whose six coordinates are
+    The rows stand for the entries (a, b) of the lower triangle of b22,
+    a >= b in ``np.tril_indices(q3)`` order (b22 is symmetric, and only its
+    lower triangle is factored), a and b indexing the distinct triples
+    (``triple_indices`` order); the six coordinates of a row are
     c = triples[a] + triples[b].  Columns index the inputs [k4 (p^4, flattened),
     m3 (x) m3 over distinct triples (q3^2 flat), 1].  Since m2 = I, a factor
     m2[c_x, c_y] is 1 when c_x == c_y and 0 otherwise: a pair term selects
     one k4 entry or vanishes, and a matching is a constant on the unit
     input.  Each term of each ``covblocks`` list adds 1 to coef[w] at its
     (row, column), w being the weight of its sum in b22: 0 for -1/n, 1 for
-    1/(n-1), 2 for n/((n-1)(n-2)).  Returns the CSR pattern and coef; this
-    is the engine's only per-p state.
+    1/(n-1), 2 for n/((n-1)(n-2)).  Returns the (rows, K) input columns of
+    each row, ascending and padded to the longest row with the unit input,
+    and the (3, rows, K) coef, 0 on the padding; this is the engine's only
+    per-p state.
     """
     triples = np.array(triple_indices(p))
     q3 = len(triples)
-    c = np.concatenate(np.broadcast_arrays(triples[:, None], triples[None, :]), axis=-1)
-    row = np.arange(q3 * q3).reshape(q3, q3)
+    a, b = np.tril_indices(q3)
+    c = np.concatenate([triples[a], triples[b]], axis=-1)
+    row = np.arange(len(c))
     everywhere = np.ones(row.shape, dtype=bool)
     tri_index = np.zeros(p**3, dtype=np.intp)
     tri_index[np.ravel_multi_index(triples.T, (p,) * 3)] = np.arange(q3)
@@ -170,12 +186,47 @@ def _z3_term_map(p: int) -> tuple[csr_array, np.ndarray]:
     coef = np.zeros((3, len(keys)))
     np.add.at(coef, (np.concatenate(classes), inverse), 1.0)
     key_rows, key_cols = np.divmod(keys, unit + 1)
-    indptr = np.searchsorted(key_rows, np.arange(q3 * q3 + 1))
-    # Imported here, not at module level, so that only a z3 evaluation pays
-    # for it; a pool forked after this call inherits the import.
-    from scipy.sparse import csr_array
+    slot = np.arange(len(keys)) - np.searchsorted(key_rows, key_rows)
+    cols = np.full((len(c), slot.max() + 1), unit)
+    cols[key_rows, slot] = key_cols
+    padded = np.zeros((3,) + cols.shape)
+    padded[:, key_rows, slot] = coef
+    return cols, padded
 
-    return csr_array((coef[0], key_cols, indptr), shape=(q3 * q3, unit + 1)), coef
+
+def _z3_b22(y: np.ndarray, t2: np.ndarray, m3: np.ndarray, k4: np.ndarray) -> np.ndarray:
+    """The third-order b22 block of a batch of whitened samples.
+
+    It is the Gram matrix of the distinct triple products plus the
+    permutation sums of ``_z3_term_map``, gathered input by input over the
+    lower triangle and mirrored.  A function of its own so that its
+    temporaries are freed before the eigen step.
+    """
+    nb, n, p = y.shape
+    i, j, k = np.array(triple_indices(p)).T
+    q3 = len(i)
+    t3 = np.take(t2, i * p + j, axis=2)
+    t3 *= np.take(y, k, axis=2)
+    b22 = (np.swapaxes(t3, 1, 2) @ t3) / (n * n)
+    del t3  # the largest temporary, (B, n, q3); the term sums do not need it
+    m3d = m3[:, i, j, k].T
+    inputs = np.concatenate(
+        [k4.reshape(nb, p**4).T, (m3d[:, None] * m3d[None, :]).reshape(q3 * q3, nb),
+         np.ones((1, nb))]
+    )
+    cols, coef = _z3_term_map(p)
+    weights = np.tensordot([-1.0 / n, 1.0 / (n - 1), n / ((n - 1) * (n - 2))], coef, 1)
+    terms = np.zeros((len(cols), nb))
+    gathered = np.empty_like(terms)
+    for slot in range(cols.shape[1]):
+        np.take(inputs, cols[:, slot], axis=0, out=gathered)
+        gathered *= weights[:, slot, None]
+        terms += gathered
+    sums = np.empty((nb, q3, q3))
+    a, b = np.tril_indices(q3)
+    sums[:, a, b] = sums[:, b, a] = terms.T
+    b22 += sums
+    return b22
 
 
 def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:
@@ -203,17 +254,15 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
 
     xc = data - data.mean(axis=1, keepdims=True)
     cov = np.swapaxes(xc, 1, 2) @ xc / n
-    cond = equilibrated_condition(cov)
-    if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
+    cond, whitening = equilibrated_condition(cov)
+    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
+    if bad.size:
         raise DegenerateSampleError(
-            f"rank-deficient sample covariance in {int(np.sum(~(cond <= CONDITION_LIMIT)))} "
-            "batch item(s)"
+            f"rank-deficient sample covariance in {bad.size} batch item(s), "
+            f"first item {bad[0]}",
+            item=int(bad[0]),
         )
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSampleError(f"rank-deficient sample in batch: {exc}") from exc
-    y = np.swapaxes(np.linalg.solve(chol, np.swapaxes(xc, 1, 2)), 1, 2)
+    y = xc @ np.swapaxes(whitening, 1, 2)
 
     out: dict[StatisticId, np.ndarray] = {}
 
@@ -256,18 +305,7 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
 
     if need_z3:
         i, j, k = np.array(triple_indices(p)).T
-        q3 = len(i)
-        t3 = t2.reshape(nb, n, p, p)[:, :, i, j] * y[:, :, k]
-        m3d = m3[:, i, j, k].T
-        inputs = np.concatenate(
-            [k4.reshape(nb, p**4).T, (m3d[:, None] * m3d[None, :]).reshape(q3 * q3, nb),
-             np.ones((1, nb))]
-        )
-        pattern, coef = _z3_term_map(p)
-        term_map = pattern.copy()
-        term_map.data = np.array([-1.0 / n, 1.0 / (n - 1), n / ((n - 1) * (n - 2))]) @ coef
-        b22 = (np.swapaxes(t3, 1, 2) @ t3) / (n * n) + (term_map @ inputs).T.reshape(nb, q3, q3)
-        blocks["z3"] = (k4[:, rows, i, j, k] / n, b22)
+        blocks["z3"] = (k4[:, rows, i, j, k] / n, _z3_b22(y, t2, m3, k4))
 
     for family, (b12, b22) in blocks.items():
         vals = batch_functionals(cancor_eigs(m2 / n, b12, b22)[0])

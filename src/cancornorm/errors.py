@@ -1,24 +1,38 @@
 """Exception types raised by the numerical core."""
 
+from __future__ import annotations
+
 
 class SampleSizeError(ValueError):
     """Sample size below the threshold required by a statistic or block family."""
 
 
-class DegenerateSampleError(ValueError):
+class BatchItemError(ValueError):
+    """A numerical check failed on a stack of matrices or samples.
+
+    ``item`` is the index, within the stack that was checked, of the first
+    item that failed, or None when the error does not point at one item.
+    """
+
+    def __init__(self, message: str, item: int | None = None):
+        super().__init__(message)
+        self.item = item
+
+
+class DegenerateSampleError(BatchItemError):
     """Sample covariance (or another required matrix) is rank deficient."""
 
 
-class SingularBlockError(ValueError):
+class SingularBlockError(BatchItemError):
     """A covariance block is numerically singular; the message names the block."""
 
 
-class EigenvalueRangeError(ValueError):
+class EigenvalueRangeError(BatchItemError):
     """A squared canonical correlation fell outside [0, 1] by more than the
     floating-point tolerance.  This signals a broken block construction, not
     unusual data, so it is an error rather than a clamp."""
 
 
-class FunctionalDomainError(ValueError):
+class FunctionalDomainError(BatchItemError):
     """A functional of the squared canonical correlations is undefined
     (eigenvalue at 1 makes the ratio trace blow up)."""

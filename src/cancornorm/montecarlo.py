@@ -47,7 +47,7 @@ from .covblocks import (
     third_order_threshold,
 )
 from .engine import ALL_STATISTICS, _z3_term_map, evaluate_batch
-from .errors import SampleSizeError
+from .errors import BatchItemError, SampleSizeError
 from .moments import as_sample
 from .stats import StatisticId, TestResult, compute_statistic
 
@@ -129,11 +129,25 @@ def timestamp() -> str:
 
 
 def _chunk_values(spec, n, rng, context, statistics, start, count):
-    """Statistic values of replications start .. start + count - 1."""
+    """Statistic values of replications start .. start + count - 1.
+
+    A numerical check that fails on one replication is re-raised with the
+    stream coordinates that reproduce its sample.
+    """
     samples = np.stack(
         [generate(spec, n, g) for g in stream_generators(rng, context, start, count)]
     )
-    return evaluate_batch(samples, statistics)
+    try:
+        return evaluate_batch(samples, statistics)
+    except BatchItemError as exc:
+        if exc.item is None:
+            raise
+        r = start + exc.item
+        raise type(exc)(
+            f"{exc}: replication r={r} of seed={rng.seed}, path={rng.path}, "
+            f"context={context}; RngStream({rng.seed}, {rng.path}).child({context}, {r}) "
+            "replays it"
+        ) from exc
 
 
 # The process's one worker pool and its worker count (see the module docstring);
@@ -258,7 +272,14 @@ def _test_result(
 
 
 def run_test(x, statistic: StatisticId, table: NullTable, alpha: float = 0.05) -> TestResult:
-    """Test one dataset against a calibrated null table."""
+    """Test one dataset against a calibrated null table.
+
+    Each call evaluates the statistic's whole family, so looping over the
+    twelve statistics re-evaluates each family (about 7x the work of one
+    evaluation, the traced ``run_test_redundancy``).  To test several
+    statistics on one dataset, evaluate them with one ``compute_statistics``
+    call and take each p-value from ``empirical_pvalues`` instead.
+    """
     s = as_sample(x)
     return _test_result(statistic, compute_statistic(s, statistic), table, (s.n, s.p), alpha)
 

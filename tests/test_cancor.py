@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cancornorm.cancor import CanCorSq, cancor_sq, functional_value, functionals
+from cancornorm.cancor import (
+    CONDITION_LIMIT,
+    CanCorSq,
+    cancor_sq,
+    functional_value,
+    functionals,
+)
 from cancornorm.covblocks import CovBlocks, lambda_blocks
 from cancornorm.errors import (
     EigenvalueRangeError,
@@ -76,6 +82,33 @@ def test_singular_blocks_are_named():
         cancor_sq(make_blocks(np.zeros((2, 2)), np.zeros((2, 3)), np.eye(3)))
     with pytest.raises(SingularBlockError, match="b22"):
         cancor_sq(make_blocks(np.eye(2), np.zeros((2, 3)), np.zeros((3, 3))))
+
+
+def rotated_b22(eigenvalues, seed=0):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return q @ np.diag(eigenvalues) @ q.T
+
+
+def test_b22_decision_at_condition_limit():
+    # the certified bound exceeds the limit in the first case, so it is the
+    # exact condition number that accepts it
+    under = rotated_b22([1.0, 0.5, 1.0 / 9.9e11])
+    chol = np.linalg.cholesky(under)
+    assert (np.linalg.norm(chol) * np.linalg.norm(np.linalg.inv(chol))) ** 2 > CONDITION_LIMIT
+    assert np.linalg.cond(under) < CONDITION_LIMIT
+    c = cancor_sq(make_blocks(np.eye(2), np.full((2, 3), 1e-7), under))
+    assert np.all((c.values >= 0.0) & (c.values < 1.0))
+    over = rotated_b22([1.0, 0.5, 1.0 / 1.1e12])
+    assert np.linalg.cond(over) > CONDITION_LIMIT
+    with pytest.raises(SingularBlockError, match="b22"):
+        cancor_sq(make_blocks(np.eye(2), np.zeros((2, 3)), over))
+
+
+def test_indefinite_b22_is_singular_block():
+    indefinite = rotated_b22([1.0, -0.5, 1.0])
+    with pytest.raises(SingularBlockError, match="b22") as info:
+        cancor_sq(make_blocks(np.eye(2), np.zeros((2, 3)), indefinite))
+    assert info.value.item == 0
 
 
 def test_out_of_range_eigenvalue_is_error():

@@ -1,14 +1,18 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cancornorm.cancor import cancor_sq, functionals
-from cancornorm.covblocks import lambda_blocks, psi_blocks
-from cancornorm.engine import evaluate_batch
+from cancornorm.cancor import CONDITION_LIMIT, cancor_sq, functionals
+from cancornorm.covblocks import lambda_blocks, permutation_scheme, psi_blocks
+from cancornorm.engine import _z3_term_map, evaluate_batch
 from cancornorm.errors import DegenerateSampleError, SampleSizeError
-from cancornorm.moments import central_moments
+from cancornorm.moments import central_moments, triple_indices
 from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
 
 
@@ -97,8 +101,134 @@ def test_engine_threshold_errors():
 def test_engine_degenerate_batch_errors():
     good = np.random.default_rng(5).standard_normal((20, 2))
     flat = np.column_stack([np.arange(20.0), np.arange(20.0)])
-    with pytest.raises(DegenerateSampleError):
-        evaluate_batch(np.stack([good, flat]))
+    with pytest.raises(DegenerateSampleError, match="first item 1") as info:
+        evaluate_batch(np.stack([good, flat, good, flat]))
+    assert info.value.item == 1
+    constant = good.copy()
+    constant[:, 0] = 3.0
+    with pytest.raises(DegenerateSampleError, match="first item 2") as info:
+        evaluate_batch(np.stack([good, good, constant]))
+    assert info.value.item == 2
+
+
+def equilibrated_condition_exact(x):
+    xc = x - x.mean(axis=0)
+    cov = xc.T @ xc / len(x)
+    d = np.sqrt(np.diag(cov))
+    return np.linalg.cond(cov / np.outer(d, d))
+
+
+def near_singular_sample(cond, n=40, seed=0):
+    """A (n, 3) sample whose equilibrated covariance has condition number
+    ``cond``: its third column is the first plus eps times noise, and
+    cond grows as eps^-2, so two rescalings of eps hit the target."""
+    z = np.random.default_rng(seed).standard_normal((n, 3))
+
+    def sample(eps):
+        return np.column_stack([z[:, 0], z[:, 1], z[:, 0] + eps * z[:, 2]])
+
+    eps = 1e-4
+    for _ in range(2):
+        eps *= np.sqrt(equilibrated_condition_exact(sample(eps)) / cond)
+    x = sample(eps)
+    assert abs(np.log10(equilibrated_condition_exact(x) / cond)) < 0.01
+    return x
+
+
+@pytest.mark.parametrize("cond, accepted", [(1e11, True), (8e11, True), (2e12, False), (1e13, False)])
+def test_degeneracy_decision_at_condition_limit(cond, accepted):
+    # Decided as the exact condition number decides, on both sides of the
+    # limit and under column scales 1e14 apart.  At 8e11 the certified
+    # bound exceeds the limit, so the acceptance comes from the exact
+    # fallback.
+    x = near_singular_sample(cond)
+    chol = np.linalg.cholesky(np.corrcoef(x, rowvar=False))
+    bound = (np.linalg.norm(chol) * np.linalg.norm(np.linalg.inv(chol))) ** 2
+    assert (bound > CONDITION_LIMIT) == (cond > 6.7e11)
+    for scale in ([1.0, 1.0, 1.0], [1.0, 1e7, 1e-7]):
+        data = np.stack([np.random.default_rng(1).standard_normal((40, 3)), x * scale])
+        if accepted:
+            out = evaluate_batch(data)
+            assert all(np.all(np.isfinite(v)) for v in out.values())
+        else:
+            with pytest.raises(DegenerateSampleError, match="first item 1"):
+                evaluate_batch(data)
+
+
+def test_well_conditioned_batch_needs_no_svd_or_general_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD or general solve on well-conditioned data")
+
+    for name in ("cond", "svd", "solve", "inv", "pinv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    rng = np.random.default_rng(8)
+    for n, p in [(20, 2), (40, 4)]:
+        evaluate_batch(rng.standard_normal((3, n, p)) + rng.standard_exponential((3, n, p)))
+
+
+def dense_term_map(p):
+    """Reference for the z3 term map: every term of the covblocks lists, row
+    by row over the lower triangle of b22, added with np.add.at into a dense
+    (weight class, row, input) array."""
+    triples = triple_indices(p)
+    q3 = len(triples)
+    position = {t: a for a, t in enumerate(triples)}
+    n_k4, unit = p**4, p**4 + q3 * q3
+    classes = {"sum15_pair": 0, "sum9_pair": 1, "sum10_triple": 0, "sum9_triple": 1,
+               "sum15_matching": 0, "sum6_matching": 2}
+    entries = []
+    for row, (a, b) in enumerate(zip(*np.tril_indices(q3))):
+        c = triples[a] + triples[b]
+
+        def sort(slots):
+            return tuple(sorted(c[s] for s in slots))
+
+        for label, w in classes.items():
+            for term in permutation_scheme(label).terms:
+                if label.endswith("_pair"):
+                    (x, y), rest = term
+                    if c[x] == c[y]:
+                        entries.append((w, row, int(np.ravel_multi_index(sort(rest), (p,) * 4))))
+                elif label.endswith("_triple"):
+                    t1, t2 = term
+                    entries.append((w, row, n_k4 + position[sort(t1)] * q3 + position[sort(t2)]))
+                elif all(c[x] == c[y] for x, y in term):
+                    entries.append((w, row, unit))
+    dense = np.zeros((3, q3 * (q3 + 1) // 2, unit + 1))
+    np.add.at(dense, tuple(np.array(entries).T), 1.0)
+    return dense
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_z3_term_map_matches_term_lists(p):
+    cols, coef = _z3_term_map(p)
+    reference = dense_term_map(p)
+    unit = reference.shape[2] - 1
+    assert cols.shape == coef.shape[1:] == (reference.shape[1], cols.shape[1])
+    # each row lists its inputs in ascending order, then pads with the unit input
+    padding = coef.sum(axis=0) == 0
+    assert_array_equal(padding, np.arange(cols.shape[1]) >= (~padding).sum(axis=1)[:, None])
+    assert np.all(cols[padding] == unit)
+    assert np.all(np.diff(cols, axis=1)[~padding[:, 1:]] > 0)
+    dense = np.zeros_like(reference)
+    rows = np.broadcast_to(np.arange(len(cols))[:, None], cols.shape)
+    for w in range(3):
+        np.add.at(dense[w], (rows, cols), coef[w])
+    assert_array_equal(dense, reference)
+
+
+def test_compute_statistics_loads_no_scipy():
+    code = (
+        "import sys, numpy as np; from cancornorm.stats import compute_statistics; "
+        "x = np.random.default_rng(3).standard_exponential((60, 4)); "
+        "assert len(compute_statistics(x)) == 12; "
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_mixed_units_are_not_degenerate():

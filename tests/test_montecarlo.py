@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from cancornorm import montecarlo
 from cancornorm.alternatives import RngStream, alternative, generate
 from cancornorm.engine import _z3_term_map
-from cancornorm.errors import SampleSizeError
+from cancornorm.errors import DegenerateSampleError, SampleSizeError
 from cancornorm.montecarlo import (
     MissingTableError,
     NullTable,
@@ -20,7 +20,7 @@ from cancornorm.montecarlo import (
     power,
     run_test,
 )
-from cancornorm.stats import ALL_STATISTICS, StatisticId
+from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
 
 Z2HL = StatisticId.parse("z2_hl")
 Z2W = StatisticId.parse("z2_w")
@@ -215,6 +215,38 @@ def test_broken_pool_is_rebuilt(fresh_pool, monkeypatch):
     again = calibrate((Z2HL,), 20, 2, 1000, RngStream(8), workers=2)[Z2HL].values
     assert_array_equal(again, expected)
     assert fresh_pool == [2, 2]
+
+
+def test_failing_replication_is_named_by_its_stream(monkeypatch):
+    # One replication of the second chunk gets a constant column; the run
+    # still aborts, with the coordinates that replay that replication.
+    rng, bad = RngStream(5, (2,)), 300
+    target = rng.child(montecarlo.CALIBRATION_CONTEXT, bad).generator()
+    target_key = target.bit_generator.state["state"]["key"]
+    failing = []
+
+    def generate_with_constant_column(spec, n, g):
+        g = g if isinstance(g, np.random.Generator) else g.generator()
+        hit = np.array_equal(g.bit_generator.state["state"]["key"], target_key)
+        x = generate(spec, n, g)
+        if hit:
+            x[:, 1] = 2.0
+            failing.append(x)
+        return x
+
+    monkeypatch.setattr(montecarlo, "generate", generate_with_constant_column)
+    with pytest.raises(DegenerateSampleError) as info:
+        calibrate((Z2HL, KURT), 20, 2, 1000, rng)
+    message = str(info.value)
+    assert f"r={bad} of seed=5, path=(2,), context={montecarlo.CALIBRATION_CONTEXT}" in message
+    assert info.value.__cause__.item == bad - montecarlo.CHUNK
+    replay = generate_with_constant_column(
+        alternative("normal", 2), 20, RngStream(5, (2,)).child(montecarlo.CALIBRATION_CONTEXT, bad)
+    )
+    assert len(failing) == 2
+    assert_array_equal(replay, failing[0])
+    with pytest.raises(DegenerateSampleError):
+        compute_statistics(replay)
 
 
 def test_power_missing_table(small_tables):
