@@ -19,6 +19,10 @@ enumeration.
 Passing ``n=None`` builds the large-n limit of the blocks: the common 1/n
 scale (which cancels in the canonical-correlation eigenproblem) is dropped
 and the O(1/n) corrections vanish.
+
+The statistics and population values themselves are computed by ``engine``
+from the term lists; the scalar block builders here (``lambda_blocks``,
+``psi_blocks``) are the reference its tests compare against.
 """
 
 from __future__ import annotations

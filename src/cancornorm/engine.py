@@ -1,30 +1,37 @@
-"""Evaluation of the twelve statistics over batches of samples.
+"""Evaluation of the twelve statistics over batches of samples, and of
+their large-n limits from population moments.
 
-This is the one numerical path from data to statistic values: null
-calibration and power studies call it on (B, n, p) stacks, and the
-per-sample functions in ``stats`` call it on a stack of one.  All moment
-tensors and covariance blocks are built as batched array operations, and
-the squared canonical correlations come from the kernel in ``cancor``.
+This is the one numerical path from moments to statistic values: null
+calibration and power studies call ``evaluate_batch`` on (B, n, p) stacks,
+the per-sample functions in ``stats`` call it on a stack of one, and the
+population values call ``evaluate_population``.  All moment tensors and
+covariance blocks are built as batched array operations, and the squared
+canonical correlations come from the kernel in ``cancor``.
 
-Every sample is centered and whitened before any moment is formed: its
-covariance is equilibrated to a correlation matrix D^-1/2 cov D^-1/2 = L L^T,
-and the data are multiplied by L^-1 D^-1/2, so its second moments m2 are the
+There are two steps.  The first makes whitened moment tensors.  Every
+sample is centered and whitened before any moment is formed: its covariance
+is equilibrated to a correlation matrix D^-1/2 cov D^-1/2 = L L^T, and the
+data are multiplied by L^-1 D^-1/2, so its second moments m2 are the
 identity up to roundoff.  The same Cholesky factor certifies that the
-sample is not degenerate (see ``equilibrated_condition``).  The third-order
-block relies on m2 = I: every m2 factor in its permutation sums is a
-Kronecker delta, so those sums are fixed linear combinations of the fourth
-cumulants, of products of two third moments and of constants.  They are
-precompiled, per dimension p, into one term map derived from the very same
-term lists that ``covblocks`` uses, so there is a single source of truth
-for the combinatorics: each entry of b22 is a short weighted sum of at most
-eleven inputs (p <= 6), applied with numpy gathers, slot by slot; the 1/n,
-1/(n-1) and n/((n-1)(n-2)) weights are folded into the map before it is
-applied.  The sixth moments enter only on pairs of
-distinct index triples, as the Gram matrix of the distinct triple products,
-so no p^6 tensor is formed.  Every other block is a sub-array of a moment
-tensor, read with the distinct pairs or triples as indices: the
-second-order b12 is m3 over the distinct pairs and the third-order b12 is
-k4 over the distinct triples.
+sample is not degenerate (see ``equilibrated_condition``).  A population's
+moment tensors are whitened by the same factor of its covariance.  The
+second step builds the covariance blocks of both families from the
+whitened tensors, under the weights of a sample size n or of the large-n
+limit.  The third-order block relies on m2 = I: every m2 factor in its
+permutation sums is a Kronecker delta, so those sums are fixed linear
+combinations of the fourth cumulants, of products of two third moments and
+of constants.  They are precompiled, per dimension p, into one term map
+derived from the very same term lists that ``covblocks`` uses, so there is
+a single source of truth for the combinatorics: each entry of b22 is a
+short weighted sum of at most eleven inputs (p <= 6), applied with numpy
+gathers, slot by slot; the 1/n, 1/(n-1) and n/((n-1)(n-2)) weights (all 1
+in magnitude in the limit) are folded into the map before it is applied.
+The sixth moments enter only on pairs of distinct index triples: for a
+sample as the Gram matrix of the distinct triple products, so no p^6
+tensor is formed.  Every other block is a sub-array of a moment tensor,
+read with the distinct pairs or triples as indices: the second-order b12 is
+m3 over the distinct pairs and the third-order b12 is k4 over the distinct
+triples.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from .covblocks import (
     second_order_threshold,
     third_order_threshold,
 )
-from .errors import DegenerateSampleError, SampleSizeError
+from .errors import DegenerateSampleError, SampleSizeError, SingularBlockError
 from .moments import triple_indices
 
 FAMILIES = ("z2", "z3", "mardia_skew", "mardia_kurt")
@@ -141,10 +148,10 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     one k4 entry or vanishes, and a matching is a constant on the unit
     input.  Each term of each ``covblocks`` list adds 1 to coef[w] at its
     (row, column), w being the weight of its sum in b22: 0 for -1/n, 1 for
-    1/(n-1), 2 for n/((n-1)(n-2)).  Returns the (rows, K) input columns of
-    each row, ascending and padded to the longest row with the unit input,
-    and the (3, rows, K) coef, 0 on the padding; this is the engine's only
-    per-p state.
+    1/(n-1), 2 for n/((n-1)(n-2)) (-1, 1 and 1 in the large-n limit).
+    Returns the (rows, K) input columns of each row, ascending and padded to
+    the longest row with the unit input, and the (3, rows, K) coef, 0 on the
+    padding; this is the engine's only per-p state.
     """
     triples = np.array(triple_indices(p))
     q3 = len(triples)
@@ -194,39 +201,98 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, padded
 
 
-def _z3_b22(y: np.ndarray, t2: np.ndarray, m3: np.ndarray, k4: np.ndarray) -> np.ndarray:
-    """The third-order b22 block of a batch of whitened samples.
-
-    It is the Gram matrix of the distinct triple products plus the
-    permutation sums of ``_z3_term_map``, gathered input by input over the
-    lower triangle and mirrored.  A function of its own so that its
-    temporaries are freed before the eigen step.
-    """
+def _z3_gram(y: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """The sixth moments of a batch of whitened samples on pairs of distinct
+    triples, times 1/n: the Gram matrix of the distinct triple products over
+    n^2.  A function of its own so that the (B, n, q3) triple products, the
+    largest temporary, are freed on return."""
     nb, n, p = y.shape
     i, j, k = np.array(triple_indices(p)).T
-    q3 = len(i)
     t3 = np.take(t2, i * p + j, axis=2)
     t3 *= np.take(y, k, axis=2)
-    b22 = (np.swapaxes(t3, 1, 2) @ t3) / (n * n)
-    del t3  # the largest temporary, (B, n, q3); the term sums do not need it
+    return (np.swapaxes(t3, 1, 2) @ t3) / (n * n)
+
+
+def _z3_b22(sixth: np.ndarray, m3: np.ndarray, k4: np.ndarray, weights) -> np.ndarray:
+    """The third-order b22 block: ``sixth`` plus the permutation sums of
+    ``_z3_term_map``, each sum class weighted by its entry of ``weights``.
+
+    The sums are gathered input by input over the lower triangle and
+    mirrored.
+    """
+    nb, p = m3.shape[:2]
+    i, j, k = np.array(triple_indices(p)).T
+    q3 = len(i)
     m3d = m3[:, i, j, k].T
     inputs = np.concatenate(
         [k4.reshape(nb, p**4).T, (m3d[:, None] * m3d[None, :]).reshape(q3 * q3, nb),
          np.ones((1, nb))]
     )
     cols, coef = _z3_term_map(p)
-    weights = np.tensordot([-1.0 / n, 1.0 / (n - 1), n / ((n - 1) * (n - 2))], coef, 1)
+    weights = np.tensordot(weights, coef, 1)
     terms = np.zeros((len(cols), nb))
     gathered = np.empty_like(terms)
     for slot in range(cols.shape[1]):
         np.take(inputs, cols[:, slot], axis=0, out=gathered)
         gathered *= weights[:, slot, None]
         terms += gathered
-    sums = np.empty((nb, q3, q3))
+    b22 = np.empty((nb, q3, q3))
     a, b = np.tril_indices(q3)
-    sums[:, a, b] = sums[:, b, a] = terms.T
-    b22 += sums
+    b22[:, a, b] = b22[:, b, a] = terms.T
+    b22 += sixth
     return b22
+
+
+def _cancor_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[StatisticId, np.ndarray]:
+    """The z2 and z3 statistics among ``statistics`` from (B, p, ...) stacks
+    of whitened moment tensors.
+
+    ``sixth`` is the z3 family's sixth-order term on pairs of distinct
+    triples (None when no z3 statistic is asked for).  ``n`` is the sample
+    size, which sets the weights of the blocks: 1/n on every block and the
+    small-sample corrections of the z2 b22 and of the three z3 permutation
+    sum classes, (-1/n, 1/(n-1), n/((n-1)(n-2))).  ``n=None`` gives the
+    large-n limit: the common scale, which cancels in the eigenproblem, is
+    1, the z2 correction vanishes and the z3 weights are (-1, 1, 1).
+    """
+    scale = 1 if n is None else n
+    p = m2.shape[1]
+    k4 = m4 - (
+        m2[:, :, :, None, None] * m2[:, None, None, :, :]
+        + m2[:, :, None, :, None] * m2[:, None, :, None, :]
+        + m2[:, :, None, None, :] * m2[:, None, :, :, None]
+    )
+    # Each block is gathered with advanced indices only, the row coordinate
+    # included, so that the batch axis stays fastest in memory: the eigen
+    # step's matrix products round differently on another layout.
+    rows = np.arange(p)[:, None]
+    blocks = {}
+
+    if any(s.family == "z2" for s in statistics):
+        u, v = np.triu_indices(p)
+        # entry (a, b) of b22 belongs to the pairs (i, j) = (u[a], v[a]) and (k, l) = (u[b], v[b])
+        i, k = np.meshgrid(u, u, indexing="ij")
+        j, l = np.meshgrid(v, v, indexing="ij")
+        b22 = (m4[:, i, j, k, l] - m2[:, i, j] * m2[:, k, l]) / scale
+        if n is not None:
+            b22 += (m2[:, i, k] * m2[:, j, l] + m2[:, i, l] * m2[:, j, k]) / (n * (n - 1))
+        blocks["z2"] = (m3[:, rows, u, v] / scale, b22)
+
+    if any(s.family == "z3" for s in statistics):
+        i, j, k = np.array(triple_indices(p)).T
+        if n is None:
+            weights = (-1.0, 1.0, 1.0)
+        else:
+            weights = (-1.0 / n, 1.0 / (n - 1), n / ((n - 1) * (n - 2)))
+        blocks["z3"] = (k4[:, rows, i, j, k] / scale, _z3_b22(sixth, m3, k4, weights))
+
+    out = {}
+    for family, (b12, b22) in blocks.items():
+        vals = batch_functionals(cancor_eigs(m2 / scale, b12, b22)[0])
+        for sid in statistics:
+            if sid.family == family:
+                out[sid] = vals[sid.functional]
+    return out
 
 
 def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:
@@ -278,39 +344,52 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     if StatisticId("mardia_skew") in statistics:
         out[StatisticId("mardia_skew")] = ((n - 1) / n) ** 3 * np.sum(m3 * m3, axis=(1, 2, 3))
 
-    if not (need_z2 or need_z3):
-        return out
+    if need_z2 or need_z3:
+        m4 = (np.swapaxes(t2, 1, 2) @ t2).reshape(nb, p, p, p, p) / n
+        sixth = _z3_gram(y, t2) if need_z3 else None
+        out.update(_cancor_values(m2, m3, m4, sixth, n, statistics))
+    return out
 
-    m4 = (np.swapaxes(t2, 1, 2) @ t2).reshape(nb, p, p, p, p) / n
-    k4 = m4 - (
-        m2[:, :, :, None, None] * m2[:, None, None, :, :]
-        + m2[:, :, None, :, None] * m2[:, None, :, None, :]
-        + m2[:, :, None, None, :] * m2[:, None, :, :, None]
+
+def _along_every_axis(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The tensor with ``matrix`` applied to each of its indices."""
+    for _ in range(tensor.ndim):
+        # contracts the leading index and appends the new one last
+        tensor = np.tensordot(tensor, matrix, axes=(0, 1))
+    return tensor
+
+
+def evaluate_population(m2, m3, m4, m6=None, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:
+    """Large-n limits of statistics from the dense (p, ..., p) central moment
+    tensors of a population; ``m6`` is needed only for z3 statistics.
+
+    The tensors are whitened by the Cholesky factor of the covariance m2,
+    found as ``evaluate_batch`` finds a sample's, so that the whitened m2
+    is the identity up to roundoff.  The two Mardia values are then the sum
+    of the squared whitened third moments and the trace of the whitened
+    fourth moments, and the z2 and z3 families go through the sample path's
+    block builder at ``n=None``, with the whitened m6 on pairs of distinct
+    triples as the sixth-order term.
+    """
+    statistics = tuple(statistics)
+    cond, whitening = equilibrated_condition(np.asarray(m2, dtype=float)[None])
+    if not cond[0] <= CONDITION_LIMIT:
+        raise SingularBlockError("population covariance is numerically singular")
+    m2, m3, m4 = (
+        _along_every_axis(np.asarray(m, dtype=float), whitening[0])[None] for m in (m2, m3, m4)
     )
-    # Each block is gathered with advanced indices only, the row coordinate
-    # included, so that the batch axis stays fastest in memory: the eigen
-    # step's matrix products round differently on another layout.
-    rows = np.arange(p)[:, None]
-    blocks = {}
-
-    if need_z2:
-        u, v = np.triu_indices(p)
-        # entry (a, b) of b22 belongs to the pairs (i, j) = (u[a], v[a]) and (k, l) = (u[b], v[b])
-        i, k = np.meshgrid(u, u, indexing="ij")
-        j, l = np.meshgrid(v, v, indexing="ij")
-        b22 = (m4[:, i, j, k, l] - m2[:, i, j] * m2[:, k, l]) / n + (
-            m2[:, i, k] * m2[:, j, l] + m2[:, i, l] * m2[:, j, k]
-        ) / (n * (n - 1))
-        blocks["z2"] = (m3[:, rows, u, v] / n, b22)
-
-    if need_z3:
-        i, j, k = np.array(triple_indices(p)).T
-        blocks["z3"] = (k4[:, rows, i, j, k] / n, _z3_b22(y, t2, m3, k4))
-
-    for family, (b12, b22) in blocks.items():
-        vals = batch_functionals(cancor_eigs(m2 / n, b12, b22)[0])
-        for sid in statistics:
-            if sid.family == family:
-                out[sid] = vals[sid.functional]
-
+    out = {}
+    if StatisticId("mardia_skew") in statistics:
+        out[StatisticId("mardia_skew")] = float(np.sum(m3 * m3))
+    if StatisticId("mardia_kurt") in statistics:
+        out[StatisticId("mardia_kurt")] = float(np.einsum("biijj->", m4))
+    sixth = None
+    if any(s.family == "z3" for s in statistics):
+        if m6 is None:
+            raise ValueError("z3 statistics need the sixth moments m6")
+        i, j, k = np.array(triple_indices(m2.shape[1])).T
+        m6 = _along_every_axis(np.asarray(m6, dtype=float), whitening[0])
+        sixth = m6[i[:, None], j[:, None], k[:, None], i, j, k][None]
+    values = _cancor_values(m2, m3, m4, sixth, None, statistics)
+    out.update({sid: float(v[0]) for sid, v in values.items()})
     return out

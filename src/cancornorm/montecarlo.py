@@ -39,14 +39,8 @@ from .alternatives import (
     population_moments,
     stream_generators,
 )
-from .cancor import cancor_sq, functional_value
-from .covblocks import (
-    lambda_blocks,
-    psi_blocks,
-    second_order_threshold,
-    third_order_threshold,
-)
-from .engine import ALL_STATISTICS, _z3_term_map, evaluate_batch
+from .covblocks import second_order_threshold, third_order_threshold
+from .engine import ALL_STATISTICS, _z3_term_map, evaluate_batch, evaluate_population
 from .errors import BatchItemError, SampleSizeError
 from .moments import as_sample
 from .stats import StatisticId, TestResult, compute_statistic
@@ -331,38 +325,22 @@ def power(
 def population_values(alt: AlternativeSpec, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:
     """Large-n limits of a set of statistics under one alternative.
 
-    One population moment table serves every family.  For the
-    canonical-correlation families it gives the population covariance
-    blocks in their n -> infinity form (the common 1/n scale cancels in the
-    eigenproblem and the O(1/n) corrections vanish), each family's blocks
-    are built and solved once; for the classical statistics the moment
-    tensors are contracted with the inverse covariance.
+    One population moment table serves every family: it is expanded into
+    dense moment tensors (orders 2, 3, 4, and 6 when a z3 statistic is
+    asked for), and ``engine.evaluate_population`` whitens them by the
+    Cholesky factor of the covariance and evaluates every family once, the
+    canonical-correlation families through the same block builder as
+    samples, in its n -> infinity form (the common 1/n scale cancels in the
+    eigenproblem and the O(1/n) corrections vanish).
     """
     statistics = tuple(statistics)
-    families = {sid.family for sid in statistics}
-    m = population_moments(alt, 6 if "z3" in families else 4)
-    cancor = {
-        family: cancor_sq(build(m, None))
-        for family, build in (("z2", lambda_blocks), ("z3", psi_blocks))
-        if family in families
-    }
-
-    def tensor(order):
-        idx = product(range(alt.p), repeat=order)
-        return np.array([m.mu(*i) for i in idx]).reshape((alt.p,) * order)
-
-    out = {}
-    for sid in statistics:
-        if sid.family in cancor:
-            out[sid] = functional_value(cancor[sid.family], sid.functional)
-            continue
-        w = np.linalg.inv(tensor(2))
-        if sid.family == "mardia_skew":
-            m3 = tensor(3)
-            out[sid] = float(np.einsum("ijk,ir,js,kt,rst->", m3, w, w, w, m3))
-        else:
-            out[sid] = float(np.einsum("ijkl,ij,kl->", tensor(4), w, w))
-    return out
+    orders = (2, 3, 4, 6) if any(sid.family == "z3" for sid in statistics) else (2, 3, 4)
+    m = population_moments(alt, orders[-1])
+    tensors = [
+        np.array([m.mu(*i) for i in product(range(alt.p), repeat=order)]).reshape((alt.p,) * order)
+        for order in orders
+    ]
+    return evaluate_population(*tensors, statistics=statistics)
 
 
 def population_value(alt: AlternativeSpec, statistic: StatisticId) -> float:

@@ -5,6 +5,8 @@ estimates of the same constructions; dependence structure is checked against
 correlations derived by hand from the shared-factor representations.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from math import comb, exp, sqrt
 
 import numpy as np
@@ -22,6 +24,7 @@ from cancornorm.alternatives import (
     population_moments,
     stream_generators,
     stream_keys,
+    _ratio_moment,
 )
 from cancornorm.moments import sorted_multi_indices
 
@@ -278,15 +281,59 @@ def test_population_moments_match_monte_carlo(name):
 
 
 def test_beta_population_moments_exact_marginals():
-    import scipy.special as sp
-
+    # every coordinate of the gamma-ratio rows is Beta(alpha, beta); its raw
+    # moments are the products of (alpha + i) / (alpha + beta + i)
     for name, a, b in [("beta11", 1, 1), ("beta12", 1, 2), ("beta22", 2, 2)]:
         m = population_moments(alternative(name, 2), 6)
-        raw = [sp.beta(a + k, b) / sp.beta(a, b) for k in range(7)]
+        raw = [Fraction(1)]
+        for i in range(6):
+            raw.append(raw[-1] * Fraction(a + i, a + b + i))
         mean = raw[1]
         for s in range(2, 7):
             exact = sum(comb(s, k) * raw[k] * (-mean) ** (s - k) for k in range(s + 1))
-            assert_allclose(m.mu(*([0] * s)), exact, rtol=1e-9, atol=1e-10)
+            assert_allclose(m.mu(*([0] * s)), float(exact), rtol=1e-12, atol=1e-15,
+                            err_msg=f"{name} order {s}")
+
+
+def test_beta_population_moments_match_mpmath_oracle():
+    # The same one-dimensional integral over the shared factor t, at 20
+    # digits: the conditional powers E[(X/(X+t))^k] from J_1 = e^t E_1(t),
+    # the recurrence J_{j+1} = (t^-j - J_j)/j and, for alpha = 2, the lift
+    # J_j <- J_{j-1} - t J_j.
+    import mpmath as mp
+
+    cases = {(0, 1, 1, 1, 1, 1): (1, 5), (0, 0, 0, 1, 1, 1): (3, 3), (0, 0, 1, 1, 2, 2): (2, 2, 2)}
+    with mp.workdps(20):
+        for name, a, b in [("beta11", 1, 1), ("beta12", 1, 2), ("beta22", 2, 2)]:
+            mean = mp.mpf(a) / (a + b)
+
+            @lru_cache(maxsize=None)
+            def central(t):
+                jm = [mp.mpf(1), mp.exp(t) * mp.e1(t)]
+                for j in range(1, 5):
+                    jm.append((t**-j - jm[j]) / j)
+                if a == 2:
+                    jm = [jm[0]] + [jm[j - 1] - t * jm[j] for j in range(1, 6)]
+                power = [sum(comb(k, j) * (-t) ** j * jm[j] for j in range(k + 1))
+                         for k in range(6)]
+                return [sum(comb(c, j) * (-mean) ** (c - j) * power[j] for j in range(c + 1))
+                        for c in range(6)]
+
+            def integrand(t, counts):
+                out = t ** (b - 1) * mp.exp(-t) / mp.gamma(b)
+                for c in counts:
+                    out *= central(t)[c]
+                return out
+
+            m = population_moments(alternative(name, 3), 6)
+            for idx, counts in cases.items():
+                exact = mp.quad(lambda t: integrand(t, counts), [0, 1, mp.inf])
+                assert abs(m.mu(*idx) - float(exact)) <= 1e-13, (name, counts)
+
+
+def test_ratio_moments_need_integer_alpha():
+    with pytest.raises(ValueError, match="integer alpha"):
+        _ratio_moment(1.5, 2.0, (2,))
 
 
 def test_shared_sum_population_moments_exact_oracle():

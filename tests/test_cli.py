@@ -324,7 +324,7 @@ def test_calibrate_subprocess_exits_with_pool_alive(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported lazily, by the paths that need it, not by start-up
+    # no module of the package imports scipy
     code = "import sys, cancornorm.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from cancornorm.cancor import CONDITION_LIMIT, cancor_sq, functionals
 from cancornorm.covblocks import lambda_blocks, permutation_scheme, psi_blocks
-from cancornorm.engine import _z3_term_map, evaluate_batch
-from cancornorm.errors import DegenerateSampleError, SampleSizeError
+from cancornorm.engine import _z3_term_map, evaluate_batch, evaluate_population
+from cancornorm.errors import DegenerateSampleError, SampleSizeError, SingularBlockError
 from cancornorm.moments import central_moments, triple_indices
 from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
 
@@ -261,6 +261,13 @@ def test_diagonal_scaling_leaves_values_unchanged():
 def test_engine_rejects_wrong_shape():
     with pytest.raises(ValueError):
         evaluate_batch(np.zeros((10, 2)))
+
+
+def test_population_path_rejects_singular_covariance():
+    with pytest.raises(SingularBlockError, match="population covariance"):
+        evaluate_population(np.ones((2, 2)), np.zeros((2,) * 3), np.zeros((2,) * 4))
+    with pytest.raises(ValueError, match="m6"):
+        evaluate_population(np.eye(2), np.zeros((2,) * 3), np.zeros((2,) * 4))
 
 
 def test_large_gaussian_sample_statistics_vanish():

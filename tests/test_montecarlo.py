@@ -1,13 +1,25 @@
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cancornorm import montecarlo
-from cancornorm.alternatives import RngStream, alternative, generate
+from cancornorm.alternatives import (
+    RngStream,
+    alternative,
+    available_alternatives,
+    generate,
+    population_moments,
+)
+from cancornorm.cancor import cancor_sq, functional_value
+from cancornorm.covblocks import lambda_blocks, psi_blocks
 from cancornorm.engine import _z3_term_map
 from cancornorm.errors import DegenerateSampleError, SampleSizeError
 from cancornorm.montecarlo import (
@@ -17,6 +29,7 @@ from cancornorm.montecarlo import (
     calibrate,
     empirical_pvalues,
     population_value,
+    population_values,
     power,
     run_test,
 )
@@ -289,6 +302,50 @@ def test_population_value_normal_baseline():
     assert_allclose(
         population_value(alternative("normal", 3), KURT), 15.0, rtol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in available_alternatives() if name != "t2"]
+)
+def test_population_values_match_scalar_oracle(name):
+    # the scalar covblocks loops on the same moment table, and the Mardia
+    # values as contractions with the inverse covariance
+    for p in (2, 3):
+        spec = alternative(name, p)
+        m = population_moments(spec, 6)
+
+        def tensor(order):
+            idx = product(range(p), repeat=order)
+            return np.array([m.mu(*i) for i in idx]).reshape((p,) * order)
+
+        w = np.linalg.inv(tensor(2))
+        cancor = {"z2": cancor_sq(lambda_blocks(m, None)), "z3": cancor_sq(psi_blocks(m, None))}
+        expected = {
+            StatisticId.parse("mardia_skew"):
+                np.einsum("ijk,ir,js,kt,rst->", tensor(3), w, w, w, tensor(3)),
+            KURT: np.einsum("ijkl,ij,kl->", tensor(4), w, w),
+        }
+        for sid in ALL_STATISTICS:
+            if sid.family in cancor:
+                expected[sid] = functional_value(cancor[sid.family], sid.functional)
+        got = population_values(spec)
+        for sid in ALL_STATISTICS:
+            assert abs(got[sid] - expected[sid]) <= 1e-10, (name, p, sid.name)
+
+
+def test_population_values_load_no_scipy():
+    code = (
+        "import sys; from cancornorm.alternatives import alternative; "
+        "from cancornorm.montecarlo import population_values; "
+        "assert all(len(population_values(alternative(name, 3))) == 12 "
+        "for name in ('beta22', 'mix75_m2_r05')); "
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_population_value_reference_spot_checks():
