@@ -7,6 +7,11 @@ construction with Laplace marginals.  The second group is purely
 multivariate: the t distribution with 2 degrees of freedom, the asymmetric
 multivariate Laplace family, and contaminated normal mixtures.
 
+Samples are drawn a chunk at a time (``generate_chunk``): every replication
+draws its raw standard variates from its own generator into buffers shared
+by the chunk, and the construction's transform then runs once over the
+chunk.  ``generate`` is the one-sample case.
+
 Population central moments up to order six are computed in closed form
 wherever the construction is polynomial in independent factors (conditioning
 on the shared factor makes the coordinates independent).  The gamma-ratio
@@ -284,51 +289,101 @@ def generate(spec: AlternativeSpec, n: int, rng: RngStream | np.random.Generator
     """Draw n i.i.d. p-vectors; a fixed draw sequence per (spec, n, stream).
 
     ``rng`` is a stream, or a Generator already in the stream's starting
-    state (see ``stream_generators``).
+    state (see ``stream_generators``).  This is the one-sample case of
+    ``generate_chunk``.
+    """
+    g = rng if isinstance(rng, np.random.Generator) else rng.generator()
+    return generate_chunk(spec, n, (g,), 1)[0]
+
+
+def _raw_draws(generators, count: int, *plan) -> list[np.ndarray]:
+    """Raw variates of ``count`` samples, one (count, *shape) buffer per plan
+    entry (Generator method, shape, *args).
+
+    Each generator in turn fills its slice of every buffer, in plan order, so
+    sample i holds what the plan's calls, made in that order on the i-th
+    generator with ``size=shape``, would return.
+    """
+    bufs = [np.empty((count, *shape)) for _, shape, *_ in plan]
+    calls = [
+        (getattr(np.random.Generator, method), buf, args)
+        for (method, _, *args), buf in zip(plan, bufs)
+    ]
+    drawn = 0
+    for i, g in zip(range(count), generators):
+        for method, buf, args in calls:
+            method(g, *args, out=buf[i])
+        drawn += 1
+    if drawn != count:
+        raise ValueError(f"{count} samples requested but only {drawn} generators given")
+    return bufs
+
+
+def generate_chunk(spec: AlternativeSpec, n: int, generators, count: int) -> np.ndarray:
+    """Draw ``count`` samples of n i.i.d. p-vectors, shape (count, n, p);
+    sample i comes from the i-th of ``generators``.
+
+    The generators may be one Generator re-keyed in place between samples,
+    as ``stream_generators`` yields them.  Each draws its sample's raw
+    variates (standard normal, exponential, gamma and uniform) into
+    preallocated buffers; the kind's transform then runs once over the whole
+    chunk.  Sample i is bit-identical to drawing it alone from the i-th
+    generator: ``normal(0, s)`` is ``s * standard_normal``, ``gamma(k, t)``
+    is ``t * standard_gamma(k)`` and ``chisquare(d)`` is
+    ``2 * standard_gamma(d / 2)``, computed by numpy in the same order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = rng if isinstance(rng, np.random.Generator) else rng.generator()
     p = spec.p
     kind = spec.kind
+    prm = dict(spec.params)
+    vec, mat = (n,), (n, p)
     if kind == "normal":
-        return g.standard_normal((n, p))
+        (z,) = _raw_draws(generators, count, ("standard_normal", mat))
+        return z
     if kind == "iid_exp":
-        return g.standard_exponential((n, p))
+        (e,) = _raw_draws(generators, count, ("standard_exponential", mat))
+        return e
     if kind == "shared_product":
-        sd = sqrt(spec.param("factor_logvar"))
-        x0 = np.exp(g.normal(0.0, sd, size=n))
-        x = np.exp(g.normal(0.0, sd, size=(n, p)))
-        return x0[:, None] * x
+        sd = sqrt(prm["factor_logvar"])
+        z0, z = _raw_draws(
+            generators, count, ("standard_normal", vec), ("standard_normal", mat)
+        )
+        return np.exp(sd * z0)[..., None] * np.exp(sd * z)
     if kind == "shared_add":
-        x0 = g.gamma(spec.param("shape0"), spec.param("scale0"), size=n)
-        x = g.gamma(spec.param("shape"), spec.param("scale"), size=(n, p))
-        return x + spec.param("sign") * x0[:, None]
+        g0, g = _raw_draws(
+            generators, count,
+            ("standard_gamma", vec, prm["shape0"]), ("standard_gamma", mat, prm["shape"]),
+        )
+        return prm["scale"] * g + prm["sign"] * (prm["scale0"] * g0)[..., None]
     if kind == "laplace_product":
-        x0 = g.standard_normal(n)
-        z1 = g.standard_normal((n, p))
-        z2 = g.standard_normal((n, p))
-        z3 = g.standard_normal((n, p))
-        return x0[:, None] * z1 + z2 * z3
+        x0, z1, z2, z3 = _raw_draws(
+            generators, count, ("standard_normal", vec), *[("standard_normal", mat)] * 3
+        )
+        return x0[..., None] * z1 + z2 * z3
     if kind == "gamma_ratio":
-        x = g.gamma(spec.param("alpha"), 1.0, size=(n, p))
-        x0 = g.gamma(spec.param("beta"), 1.0, size=n)
-        return x / (x + x0[:, None])
+        x, x0 = _raw_draws(
+            generators, count,
+            ("standard_gamma", mat, prm["alpha"]), ("standard_gamma", vec, prm["beta"]),
+        )
+        return x / (x + x0[..., None])
     if kind == "student_t":
-        z = g.standard_normal((n, p))
-        w = g.chisquare(spec.param("dof"), size=n)
-        return z / np.sqrt(w / spec.param("dof"))[:, None]
+        dof = prm["dof"]
+        z, g = _raw_draws(
+            generators, count, ("standard_normal", mat), ("standard_gamma", vec, dof / 2.0)
+        )
+        return z / np.sqrt(2.0 * g / dof)[..., None]
     if kind == "asym_laplace":
-        chol = _mixing_factor(p, spec.param("corr"))
-        w = g.standard_exponential(n)
-        z = g.standard_normal((n, p))
-        return w[:, None] * spec.param("shift") + np.sqrt(w)[:, None] * (z @ chol.T)
+        chol = _mixing_factor(p, prm["corr"])
+        w, z = _raw_draws(
+            generators, count, ("standard_exponential", vec), ("standard_normal", mat)
+        )
+        return w[..., None] * prm["shift"] + np.sqrt(w)[..., None] * (z @ chol.T)
     if kind == "normal_mixture":
-        chol = _mixing_factor(p, spec.param("corr"))
-        pick = g.random(n) < spec.param("weight")
-        z = g.standard_normal((n, p))
-        contaminated = spec.param("shift") + z @ chol.T
-        return np.where(pick[:, None], z, contaminated)
+        chol = _mixing_factor(p, prm["corr"])
+        u, z = _raw_draws(generators, count, ("random", vec), ("standard_normal", mat))
+        contaminated = prm["shift"] + z @ chol.T
+        return np.where((u < prm["weight"])[..., None], z, contaminated)
     raise ValueError(f"unknown alternative kind {kind!r}")
 
 

@@ -41,6 +41,7 @@ from .montecarlo import (
     calibrate,
     population_values,
     power,
+    power_study,
 )
 from .stats import ALL_STATISTICS, StatisticId, compute_statistics
 from .store import (
@@ -278,28 +279,23 @@ def cmd_tables(ns) -> int:
     else:
         p = 2 if ns.which == "2" else 3
         rows = []
-        rng = RngStream(ns.seed)
-        for n in (20, 50):
-            tables = calibrate(
-                ALL_STATISTICS, n, p, ns.calib_reps, rng.child(0, n), workers=ns.workers
+        reports = power_study(
+            [alternative(name, p) for name in ALL_ALTERNATIVE_NAMES], ALL_STATISTICS,
+            (20, 50), p, ns.alpha, ns.reps, ns.calib_reps, RngStream(ns.seed),
+            workers=ns.workers,
+        )
+        for report in reports:
+            for row in report_rows(report):
+                row["power"] = repr(row["power"])
+                row["se"] = repr(row["se"])
+                rows.append(row)
+            rows.append(
+                {
+                    "alternative": report.alternative, "n": report.n, "p": p,
+                    "statistic": "t_omnibus", "power": "not implemented", "se": "", "reps": "",
+                }
             )
-            for name in ALL_ALTERNATIVE_NAMES:
-                spec = alternative(name, p)
-                report = power(
-                    spec, ALL_STATISTICS, n, p, ns.alpha, ns.reps, tables,
-                    rng.child(1, n), workers=ns.workers,
-                )
-                for row in report_rows(report):
-                    row["power"] = repr(row["power"])
-                    row["se"] = repr(row["se"])
-                    rows.append(row)
-                rows.append(
-                    {
-                        "alternative": name, "n": n, "p": p, "statistic": "t_omnibus",
-                        "power": "not implemented", "se": "", "reps": "",
-                    }
-                )
-                print(f"done: {name} (n={n}, p={p})", file=sys.stderr)
+            print(f"done: {report.alternative} (n={report.n}, p={p})", file=sys.stderr)
         fieldnames = ["alternative", "n", "p", "statistic", "power", "se", "reps"]
     out = ns.out or f"table_{ns.which}.csv"
     with open(out, "w", newline="") as fh:

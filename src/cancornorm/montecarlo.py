@@ -11,10 +11,19 @@ bit-identical for any worker count.
 A chunk computes the Philox keys of all its replications in one vectorized
 pass (``alternatives.stream_keys``) and re-keys a single generator before
 each one, drawing exactly what ``RngStream.child(context, r).generator()``
-would.  Chunks run in one process pool per process, created by the first
-parallel run and reused by every later ``calibrate`` and ``power`` call with
+would; ``alternatives.generate_chunk`` samples the whole chunk at once.
+
+A simulation is a ``SimulationJob``: one alternative at one sample size over
+a number of replications.  ``calibrate`` and ``power`` run one job each;
+``power_study`` runs a whole power table (the calibration and every
+alternative, at each sample size) as one list of jobs.  Either way the
+chunks of all the jobs go through one map, in one process pool per process,
+so workers never wait at a barrier between jobs; each job's values are
+handed back, in job order, as soon as its last chunk is done, and the caller
+reduces them (to sorted null tables or a power report) and drops them.  The
+pool is created by the first parallel run and reused by every later run with
 the same worker count; a different count replaces it, a broken pool is
-dropped and rebuilt on the next call, and interpreter exit shuts it down.
+dropped and rebuilt on the next run, and interpreter exit shuts it down.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +45,7 @@ from .alternatives import (
     AlternativeSpec,
     RngStream,
     alternative,
-    generate,
+    generate_chunk,
     population_moments,
     stream_generators,
 )
@@ -122,15 +132,27 @@ def timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-def _chunk_values(spec, n, rng, context, statistics, start, count):
-    """Statistic values of replications start .. start + count - 1.
+class SimulationJob(NamedTuple):
+    """Replications 0 .. reps - 1 of ``spec`` at sample size n, replication r
+    drawn from ``rng.child(context, r)``."""
+
+    spec: AlternativeSpec
+    n: int
+    rng: RngStream
+    context: int
+    reps: int
+
+
+def _chunk_values(statistics, task: tuple[SimulationJob, int]):
+    """Statistic values of replications start .. start + CHUNK - 1 of a job
+    (fewer at its end), for a task (job, start).
 
     A numerical check that fails on one replication is re-raised with the
     stream coordinates that reproduce its sample.
     """
-    samples = np.stack(
-        [generate(spec, n, g) for g in stream_generators(rng, context, start, count)]
-    )
+    (spec, n, rng, context, reps), start = task
+    count = min(CHUNK, reps - start)
+    samples = generate_chunk(spec, n, stream_generators(rng, context, start, count), count)
     try:
         return evaluate_batch(samples, statistics)
     except BatchItemError as exc:
@@ -162,26 +184,69 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     return _pool
 
 
-def _simulate(spec, n, rng, context, reps, statistics, workers):
-    """Statistic values over ``reps`` replications, chunked deterministically."""
+def _simulate(jobs, statistics, workers):
+    """Yield the statistic values of each job, in job order, as soon as its
+    last chunk is done.
+
+    Every chunk of every job goes through one map, so workers go on to the
+    next job's chunks while the caller reduces the finished one.
+    """
     global _pool
-    starts = range(0, reps, CHUNK)
-    counts = [min(CHUNK, reps - s) for s in starts]
-    chunk = partial(_chunk_values, spec, n, rng, context, statistics)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = list(jobs)
+    tasks = [(job, start) for job in jobs for start in range(0, job.reps, CHUNK)]
+    chunk = partial(_chunk_values, statistics)
     if any(sid.family == "z3" for sid in statistics):
         # Built here, before a new pool forks, so that its workers inherit
-        # the per-p term map; workers of an older pool build it themselves.
-        _z3_term_map(spec.p)
-    if workers > 1 and len(starts) > 1:
+        # the per-p term maps; workers of an older pool build them themselves.
+        for p in {job.spec.p for job in jobs}:
+            _z3_term_map(p)
+    if workers > 1 and len(tasks) > 1:
         with _pool_lock:
             try:
-                chunks = list(_worker_pool(workers).map(chunk, starts, counts))
+                yield from _by_job(jobs, _worker_pool(workers).map(chunk, tasks), statistics)
             except BrokenProcessPool:
                 _pool = None
                 raise
     else:
-        chunks = list(map(chunk, starts, counts))
-    return {sid: np.concatenate([c[sid] for c in chunks]) for sid in statistics}
+        yield from _by_job(jobs, map(chunk, tasks), statistics)
+
+
+def _by_job(jobs, chunks, statistics):
+    """Regroup the chunk results of ``jobs``, in task order, into one array
+    per statistic and job."""
+    chunks = iter(chunks)
+    for job in jobs:
+        parts = list(islice(chunks, len(range(0, job.reps, CHUNK))))
+        yield {sid: np.concatenate([c[sid] for c in parts]) for sid in statistics}
+
+
+def _calibration_job(statistics, n: int, p: int, replications: int, rng: RngStream):
+    """The null simulation behind ``calibrate``, once its inputs are checked."""
+    if replications < MIN_REPLICATIONS:
+        raise ValueError(f"replications must be >= {MIN_REPLICATIONS}, got {replications}")
+    for sid in statistics:
+        need = required_sample_size(sid, p)
+        if n < need:
+            raise SampleSizeError(f"{sid.name} needs n >= {need} for p={p}, got n={n}")
+    return SimulationJob(alternative("normal", p), n, rng, CALIBRATION_CONTEXT, replications)
+
+
+def _null_tables(statistics, job: SimulationJob, values, created: str):
+    return {
+        sid: NullTable(
+            statistic=sid,
+            n=job.n,
+            p=job.spec.p,
+            replications=job.reps,
+            seed=job.rng.seed,
+            stream=job.rng.path,
+            values=np.sort(values[sid]),
+            created_at=created,
+        )
+        for sid in statistics
+    }
 
 
 def calibrate(
@@ -199,29 +264,10 @@ def calibrate(
     table per statistic.
     """
     statistics = tuple(statistics)
-    if replications < MIN_REPLICATIONS:
-        raise ValueError(f"replications must be >= {MIN_REPLICATIONS}, got {replications}")
-    for sid in statistics:
-        need = required_sample_size(sid, p)
-        if n < need:
-            raise SampleSizeError(f"{sid.name} needs n >= {need} for p={p}, got n={n}")
+    job = _calibration_job(statistics, n, p, replications, rng)
     created = timestamp()
-    values = _simulate(
-        alternative("normal", p), n, rng, CALIBRATION_CONTEXT, replications, statistics, workers
-    )
-    return {
-        sid: NullTable(
-            statistic=sid,
-            n=n,
-            p=p,
-            replications=replications,
-            seed=rng.seed,
-            stream=rng.path,
-            values=np.sort(values[sid]),
-            created_at=created,
-        )
-        for sid in statistics
-    }
+    (values,) = _simulate([job], statistics, workers)
+    return _null_tables(statistics, job, values, created)
 
 
 def empirical_pvalues(observed, table: NullTable) -> np.ndarray:
@@ -278,6 +324,35 @@ def run_test(x, statistic: StatisticId, table: NullTable, alpha: float = 0.05) -
     return _test_result(statistic, compute_statistic(s, statistic), table, (s.n, s.p), alpha)
 
 
+def _power_job(alt: AlternativeSpec, n: int, p: int, alpha: float, reps: int, rng: RngStream):
+    """The simulation behind ``power``, once its inputs are checked."""
+    if alt.p != p:
+        raise ValueError(f"alternative has p={alt.p}, requested p={p}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return SimulationJob(alt, n, rng, POWER_CONTEXT, reps)
+
+
+def _power_report(statistics, job: SimulationJob, alpha: float, tables, values) -> PowerReport:
+    cells = []
+    for sid in statistics:
+        pvals = empirical_pvalues(values[sid], tables[sid])
+        est = float(np.mean(pvals <= alpha))
+        cells.append(
+            PowerCell(
+                statistic=sid,
+                power=est,
+                se=sqrt(est * (1.0 - est) / job.reps),
+                replications=job.reps,
+            )
+        )
+    return PowerReport(
+        alternative=job.spec.name, n=job.n, p=job.spec.p, alpha=alpha, cells=tuple(cells)
+    )
+
+
 def power(
     alt: AlternativeSpec,
     statistics,
@@ -296,8 +371,7 @@ def power(
     protocol of the study this harness reproduces at desk scale.
     """
     statistics = tuple(statistics)
-    if alt.p != p:
-        raise ValueError(f"alternative has p={alt.p}, requested p={p}")
+    job = _power_job(alt, n, p, alpha, reps, rng)
     for sid in statistics:
         if sid not in tables:
             raise MissingTableError(f"no null table for {sid.name} at (n={n}, p={p})")
@@ -306,20 +380,43 @@ def power(
             raise TableMismatchError(
                 f"table for {sid.name} was calibrated for (n={t.n}, p={t.p}), need (n={n}, p={p})"
             )
-    values = _simulate(alt, n, rng, POWER_CONTEXT, reps, statistics, workers)
-    cells = []
-    for sid in statistics:
-        pvals = empirical_pvalues(values[sid], tables[sid])
-        est = float(np.mean(pvals <= alpha))
-        cells.append(
-            PowerCell(
-                statistic=sid,
-                power=est,
-                se=sqrt(est * (1.0 - est) / reps),
-                replications=reps,
-            )
-        )
-    return PowerReport(alternative=alt.name, n=n, p=p, alpha=alpha, cells=tuple(cells))
+    (values,) = _simulate([job], statistics, workers)
+    return _power_report(statistics, job, alpha, tables, values)
+
+
+def power_study(
+    alternatives,
+    statistics,
+    sizes,
+    p: int,
+    alpha: float,
+    reps: int,
+    calibration_reps: int,
+    rng: RngStream,
+    workers: int = 1,
+):
+    """Yield the power report of every alternative at every sample size, in
+    that order (n outer), from one simulation run.
+
+    At each n the null tables are calibrated on ``rng.child(0, n)`` and the
+    alternatives are simulated on ``rng.child(1, n)``, so each report equals
+    ``power(alt, statistics, n, p, alpha, reps, tables, rng.child(1, n))``
+    with the tables of ``calibrate(statistics, n, p, calibration_reps,
+    rng.child(0, n))``.  Every job is checked before the first chunk runs;
+    each is reduced, to null tables or to a report, as soon as it completes,
+    and its values are then dropped.
+    """
+    statistics = tuple(statistics)
+    jobs = []
+    for n in sizes:
+        jobs.append(_calibration_job(statistics, n, p, calibration_reps, rng.child(0, n)))
+        jobs += [_power_job(alt, n, p, alpha, reps, rng.child(1, n)) for alt in alternatives]
+    created = timestamp()
+    for job, values in zip(jobs, _simulate(jobs, statistics, workers), strict=True):
+        if job.context == CALIBRATION_CONTEXT:
+            tables = _null_tables(statistics, job, values, created)
+        else:
+            yield _power_report(statistics, job, alpha, tables, values)
 
 
 def population_values(alt: AlternativeSpec, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:

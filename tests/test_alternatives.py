@@ -7,6 +7,7 @@ correlations derived by hand from the shared-factor representations.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, exp, sqrt
 
 import numpy as np
@@ -21,12 +22,14 @@ from cancornorm.alternatives import (
     available_alternatives,
     equicorrelation,
     generate,
+    generate_chunk,
     population_moments,
     stream_generators,
     stream_keys,
     _ratio_moment,
 )
 from cancornorm.moments import sorted_multi_indices
+from sampling_oracle import generate_reference
 
 
 def test_registry_and_parsing():
@@ -99,6 +102,33 @@ def test_stream_generators_reproduce_child_streams():
             chunk = [generate(spec, 20, g) for g in stream_generators(rng, 1, start, 16)]
             for i, x in enumerate(chunk):
                 assert_array_equal(x, generate(spec, 20, rng.child(1, start + i)), err_msg=spec.kind)
+
+
+@pytest.mark.parametrize("name", available_alternatives())
+def test_chunk_sampler_matches_per_sample_oracle(name):
+    # A full chunk and a ragged one, byte for byte against the reference
+    # sampler run on each replication's generator in turn.
+    rng = RngStream(17, (1, 50))
+    for p, n in product((2, 3, 5), (20, 50, 100)):
+        spec = alternative(name, p)
+        for start, count in ((0, 256), (256, 232)):
+            chunk = generate_chunk(spec, n, stream_generators(rng, 1, start, count), count)
+            expected = np.stack(
+                [generate_reference(spec, n, g) for g in stream_generators(rng, 1, start, count)]
+            )
+            assert chunk.shape == expected.shape == (count, n, p)
+            assert chunk.tobytes() == expected.tobytes(), (p, n, start)
+        stream = rng.child(1, 7)
+        one = generate(spec, n, stream)
+        assert one.tobytes() == generate_reference(spec, n, stream.generator()).tobytes()
+
+
+def test_chunk_sampler_needs_a_generator_per_sample():
+    spec = alternative("normal", 2)
+    with pytest.raises(ValueError, match="only 3 generators"):
+        generate_chunk(spec, 20, stream_generators(RngStream(1), 0, 0, 3), 4)
+    with pytest.raises(ValueError, match="n must be"):
+        generate_chunk(spec, 0, stream_generators(RngStream(1), 0, 0, 3), 3)
 
 
 @pytest.mark.parametrize("seed, path", [(-1, ()), (0, (2, -1)), (1.5, ()), (0, (1.0,)), ("3", ())])

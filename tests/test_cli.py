@@ -10,6 +10,8 @@ import pytest
 
 from cancornorm.cli import DataFileError, _population_rows, main, read_csv_sample
 from cancornorm.alternatives import RngStream, alternative, generate
+from cancornorm.montecarlo import calibrate, power
+from cancornorm.stats import ALL_STATISTICS
 
 
 @pytest.fixture()
@@ -299,6 +301,71 @@ def test_cmd_tables_power_grid_smoke(tmp_path):
               if r["alternative"] == "indep_exp" and r["n"] == "50"
               and r["statistic"] == "z2_hl"]
     assert float(strong[0]["power"]) > 0.9
+
+
+@pytest.fixture(scope="module")
+def table2_runs(tmp_path_factory):
+    """``tables --which 2`` CSVs of one seed, by worker count."""
+    d = tmp_path_factory.mktemp("table2")
+    paths = {}
+    for workers in (1, 2):
+        paths[workers] = d / f"w{workers}.csv"
+        rc = main(["tables", "--which", "2", "--reps", "300", "--calib-reps", "1000",
+                   "--seed", "4", "--out", str(paths[workers]), "--workers", str(workers)])
+        assert rc == 0
+    return paths
+
+
+def test_cmd_tables_bit_identical_across_workers(table2_runs):
+    assert table2_runs[1].read_bytes() == table2_runs[2].read_bytes()
+
+
+def test_cmd_tables_cells_equal_standalone_power(table2_runs):
+    # one chunk queue for the whole run gives what separate calls give
+    with open(table2_runs[2], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rng = RngStream(4)
+    for n in (20, 50):
+        tables = calibrate(ALL_STATISTICS, n, 2, 1000, rng.child(0, n))
+        for name in ("indep_exp", "mix75_m2_r05"):
+            report = power(alternative(name, 2), ALL_STATISTICS, n, 2, 0.05, 300, tables,
+                           rng.child(1, n))
+            cells = {r["statistic"]: r for r in rows
+                     if (r["alternative"], r["n"]) == (name, str(n))}
+            assert len(cells) == 13
+            for cell in report.cells:
+                row = cells[cell.statistic.name]
+                assert (row["power"], row["se"], row["reps"]) == (
+                    repr(cell.power), repr(cell.se), "300"
+                )
+
+
+@pytest.mark.parametrize("args, message", [
+    (["power", "--reps", "0"], "reps must be >= 1"),
+    (["power", "--reps", "-5"], "reps must be >= 1"),
+    (["power", "--alpha", "1.5"], "alpha must be in (0, 1)"),
+    (["power", "--workers", "0"], "workers must be >= 1"),
+    (["power", "--workers", "-1"], "workers must be >= 1"),
+    (["calibrate", "--workers", "0"], "workers must be >= 1"),
+    (["calibrate", "--workers", "-1"], "workers must be >= 1"),
+    (["tables", "--alpha", "1.5"], "alpha must be in (0, 1)"),
+    (["tables", "--reps", "0"], "reps must be >= 1"),
+    (["tables", "--workers", "0"], "workers must be >= 1"),
+])
+def test_bad_simulation_inputs_are_usage_errors(null_dir, tmp_path, capsys, args, message):
+    command, *flags = args
+    common = {
+        "power": ["--alt", "indep_exp", "--n", "20", "--p", "2", "--null-dir", str(null_dir)],
+        "calibrate": ["--n", "20", "--p", "2", "--reps", "1000",
+                      "--out-dir", str(tmp_path / "calibrated")],
+        "tables": ["--which", "2", "--calib-reps", "1000", "--out", str(tmp_path / "t.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *common, *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "done:" not in err
+    assert not list(tmp_path.glob("calibrated/*")) and not (tmp_path / "t.csv").exists()
 
 
 def test_exit_code_usage():

@@ -16,6 +16,7 @@ from cancornorm.alternatives import (
     alternative,
     available_alternatives,
     generate,
+    generate_chunk,
     population_moments,
 )
 from cancornorm.cancor import cancor_sq, functional_value
@@ -31,6 +32,7 @@ from cancornorm.montecarlo import (
     population_value,
     population_values,
     power,
+    power_study,
     run_test,
 )
 from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
@@ -70,6 +72,59 @@ def test_calibrate_validates_inputs():
         calibrate((Z2HL,), 20, 2, 999, RngStream(0))
     with pytest.raises(SampleSizeError):
         calibrate((StatisticId.parse("z3_hl"),), 12, 3, 1000, RngStream(0))
+
+
+@pytest.fixture()
+def no_sampling(monkeypatch):
+    """Fails the test if any chunk is sampled."""
+
+    def sample(*args):
+        raise AssertionError("a chunk was sampled")
+
+    monkeypatch.setattr(montecarlo, "generate_chunk", sample)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_calibrate_and_power_need_a_worker(small_tables, no_sampling, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        calibrate((Z2HL,), 20, 2, 1000, RngStream(0), workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        power(alternative("normal", 2), (Z2HL,), 20, 2, 0.05, 100,
+              small_tables, RngStream(0), workers=workers)
+
+
+@pytest.mark.parametrize("reps, alpha, message", [
+    (0, 0.05, "reps must be >= 1"),
+    (-5, 0.05, "reps must be >= 1"),
+    (100, 1.5, "alpha must be in"),
+    (100, 0.0, "alpha must be in"),
+])
+def test_power_rejects_bad_reps_and_alpha(small_tables, no_sampling, reps, alpha, message):
+    with pytest.raises(ValueError, match=message):
+        power(alternative("normal", 2), (Z2HL,), 20, 2, alpha, reps,
+              small_tables, RngStream(0))
+
+
+def test_power_study_checks_every_job_before_sampling(no_sampling):
+    study = dict(
+        alternatives=[alternative("indep_exp", 2)], statistics=(Z2HL,), sizes=(20, 50),
+        p=2, alpha=0.05, reps=100, calibration_reps=1000, rng=RngStream(0),
+    )
+    bad = [
+        ({"alternatives": [alternative("indep_exp", 2), alternative("chisq2", 3)]}, "p=3"),
+        ({"alpha": 1.5}, "alpha must be in"),
+        ({"reps": 0}, "reps must be >= 1"),
+        ({"calibration_reps": 999}, "replications must be"),
+        ({"workers": 0}, "workers must be >= 1"),
+    ]
+    for change, message in bad:
+        with pytest.raises(ValueError, match=message):
+            list(power_study(**{**study, **change}))
+    # the second sample size is too small for z3 at p = 3
+    with pytest.raises(SampleSizeError):
+        list(power_study(**{**study, "alternatives": [alternative("indep_exp", 3)],
+                            "statistics": (StatisticId.parse("z3_hl"),), "p": 3,
+                            "sizes": (20, 12)}))
 
 
 def test_pvalue_extremes():
@@ -238,24 +293,31 @@ def test_failing_replication_is_named_by_its_stream(monkeypatch):
     target_key = target.bit_generator.state["state"]["key"]
     failing = []
 
-    def generate_with_constant_column(spec, n, g):
-        g = g if isinstance(g, np.random.Generator) else g.generator()
-        hit = np.array_equal(g.bit_generator.state["state"]["key"], target_key)
-        x = generate(spec, n, g)
-        if hit:
-            x[:, 1] = 2.0
-            failing.append(x)
+    def chunk_with_constant_column(spec, n, generators, count):
+        hits = []
+
+        def watched():
+            for i, g in enumerate(generators):
+                if np.array_equal(g.bit_generator.state["state"]["key"], target_key):
+                    hits.append(i)
+                yield g
+
+        x = generate_chunk(spec, n, watched(), count)
+        for i in hits:
+            x[i, :, 1] = 2.0
+            failing.append(x[i])
         return x
 
-    monkeypatch.setattr(montecarlo, "generate", generate_with_constant_column)
+    monkeypatch.setattr(montecarlo, "generate_chunk", chunk_with_constant_column)
     with pytest.raises(DegenerateSampleError) as info:
         calibrate((Z2HL, KURT), 20, 2, 1000, rng)
     message = str(info.value)
     assert f"r={bad} of seed=5, path=(2,), context={montecarlo.CALIBRATION_CONTEXT}" in message
     assert info.value.__cause__.item == bad - montecarlo.CHUNK
-    replay = generate_with_constant_column(
-        alternative("normal", 2), 20, RngStream(5, (2,)).child(montecarlo.CALIBRATION_CONTEXT, bad)
-    )
+    replay_stream = RngStream(5, (2,)).child(montecarlo.CALIBRATION_CONTEXT, bad)
+    replay = chunk_with_constant_column(
+        alternative("normal", 2), 20, [replay_stream.generator()], 1
+    )[0]
     assert len(failing) == 2
     assert_array_equal(replay, failing[0])
     with pytest.raises(DegenerateSampleError):
