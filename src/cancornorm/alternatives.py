@@ -12,23 +12,29 @@ draws its raw standard variates from its own generator into buffers shared
 by the chunk, and the construction's transform then runs once over the
 chunk.  ``generate`` is the one-sample case.
 
-Population central moments up to order six are computed in closed form
-wherever the construction is polynomial in independent factors (conditioning
-on the shared factor makes the coordinates independent).  The gamma-ratio
-rows reduce to one integral over the shared factor, taken by a fixed
-double-exponential rule whose nodes serve every moment of the row; the
-conditional moments at each node come from three-term recurrences, started
-from the exponential integral for small values of the factor.  The
-heavy-tailed t(2) has no moments of the orders needed here and population
-quantities raise ``MomentsUndefinedError``.
+Every alternative is exchangeable in its coordinates, so a population
+central moment depends only on the sorted multiplicities of its index, its
+count pattern.  Each alternative has one rule, count pattern -> moment, by
+one of two constructions.  Coordinates independent given a shared factor
+(lognormal products, gamma sums and differences, Laplace products; i.i.d.
+exponentials with a zero factor) expand binomially into powers of the factor
+and of their own parts.  The gamma ratios take that expectation over the
+factor by a fixed double-exponential rule whose nodes serve every pattern of
+the row, the conditional moments at each node coming from three-term
+recurrences.  Gaussians given a scalar (the normal, the asymmetric Laplace
+family, the normal mixtures) sum Isserlis moments over the even subsets of
+the index's slots, weighted by the scalar's moments.  The heavy-tailed t(2)
+has no moments of the orders needed here and population quantities raise
+``MomentsUndefinedError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import combinations, product
 from math import comb, exp, factorial, gamma, pi, sqrt
+from numbers import Integral
 from operator import index
 
 import numpy as np
@@ -274,7 +280,9 @@ def available_alternatives() -> tuple[str, ...]:
 
 
 def alternative(name: str, p: int) -> AlternativeSpec:
-    reg = _registry(p)
+    if not (isinstance(p, Integral) and p >= 1):
+        raise ValueError(f"p must be an integer >= 1, got {p!r}")
+    reg = _registry(int(p))
     if name not in reg:
         known = ", ".join(sorted(reg))
         raise ValueError(f"unknown alternative {name!r}; valid names: {known}")
@@ -436,17 +444,6 @@ def _isserlis(sigma: np.ndarray, indices: tuple[int, ...]) -> float:
     return total
 
 
-def _shifted_gaussian_moment(delta: float, sigma: np.ndarray, indices: tuple[int, ...]) -> float:
-    """E of a product of (delta + G_i) factors for constant scalar shift delta."""
-    slots = range(len(indices))
-    total = 0.0
-    for size in range(0, len(indices) + 1, 2):
-        for subset in combinations(slots, size):
-            gauss = _isserlis(sigma, tuple(indices[s] for s in subset))
-            total += delta ** (len(indices) - size) * gauss
-    return total
-
-
 def _exp_weight(j: int, h: int) -> float:
     """E[(W-1)^j W^h] for W standard exponential."""
     return sum(comb(j, l) * (-1.0) ** (j - l) * factorial(l + h) for l in range(j + 1))
@@ -529,7 +526,6 @@ def _ratio_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return weights, np.array(central)
 
 
-@lru_cache(maxsize=None)
 def _ratio_moment(alpha: float, beta: float, counts: tuple[int, ...]) -> float:
     """Central moment of a gamma-ratio pattern.
 
@@ -545,110 +541,104 @@ def _ratio_moment(alpha: float, beta: float, counts: tuple[int, ...]) -> float:
     return float(np.prod(central[list(counts)], axis=0) @ weights)
 
 
-def _shared_factor_moment(counts: tuple[int, ...], spec: AlternativeSpec) -> float:
-    """Central moment for one count pattern of a shared-factor construction."""
+def _factor_rule(factor, own):
+    """The rule of coordinates independent given a shared factor: the sum over
+    k <= counts of ``factor[sum(k)] * prod own(c_i, k_i)``.  A coordinate's
+    c-th power expands into k powers of its shared part, whose expectation is
+    ``factor[k]``, and c - k of its own, which ``own(c, k)`` gives times the
+    binomial coefficient.
+    """
+    table = [[own(c, k) for k in range(c + 1)] for c in range(7)]
+
+    def rule(counts):
+        total = 0.0
+        for ks in product(*(range(c + 1) for c in counts)):
+            term = factor[sum(ks)]
+            for c, k in zip(counts, ks):
+                term *= table[c][k]
+            total += term
+        return total
+
+    return rule
+
+
+def _gaussian_rule(atoms):
+    """The rule of a mixture of atoms with coordinates D + sqrt(V) G_i, where
+    G ~ N(0, sigma) is independent of the scalars (D, V): each even subset of
+    the index's slots, 2h slots given to G and j to D, adds ``coef(j, h) =
+    E[D^j V^h]`` times its Gaussian moment (Isserlis) to an atom's sum.
+    """
+
+    def rule(counts):
+        slots = [coord for coord, c in enumerate(counts) for _ in range(c)]
+        total = 0.0
+        for weight, coef, sigma in atoms:
+            part = 0.0
+            for size in range(0, len(slots) + 1, 2):
+                for subset in combinations(slots, size):
+                    part += coef(len(slots) - size, size // 2) * _isserlis(sigma, subset)
+            total += weight * part
+        return total
+
+    return rule
+
+
+def _moment_rule(spec: AlternativeSpec):
+    """The rule counts -> central moment of one alternative."""
     kind = spec.kind
+    prm = dict(spec.params)
+    if kind == "student_t":
+        raise MomentsUndefinedError(
+            f"{spec.name} has no finite moments of order >= 2 at {int(prm['dof'])} "
+            "degrees of freedom"
+        )
+    if kind == "iid_exp":  # no shared factor: its central powers are 1, 0, 0, ...
+        cent = _central_from_raw(_gamma_raw(1.0, 1.0))
+        return _factor_rule([1.0] + [0.0] * 6, lambda c, k: comb(c, k) * cent[c - k])
     if kind == "shared_product":
-        raw = _lognormal_raw(spec.param("factor_logvar"))
+        raw = _lognormal_raw(prm["factor_logvar"])
         a = raw[1] * raw[1]
-        total = 0.0
-        for kvec in np.ndindex(*[c + 1 for c in counts]):
-            coeff = raw[sum(kvec)]
-            for c, k in zip(counts, kvec):
-                coeff *= comb(c, k) * raw[k] * (-a) ** (c - k)
-            total += coeff
-        return total
+        return _factor_rule(raw, lambda c, k: comb(c, k) * raw[k] * (-a) ** (c - k))
     if kind == "shared_add":
-        sign = spec.param("sign")
-        cent0 = _central_from_raw(_gamma_raw(spec.param("shape0"), spec.param("scale0")))
-        centx = _central_from_raw(_gamma_raw(spec.param("shape"), spec.param("scale")))
-        total = 0.0
-        for kvec in np.ndindex(*[c + 1 for c in counts]):
-            ksum = sum(kvec)
-            coeff = sign**ksum * cent0[ksum]
-            for c, k in zip(counts, kvec):
-                coeff *= comb(c, k) * centx[c - k]
-            total += coeff
-        return total
+        cent0 = _central_from_raw(_gamma_raw(prm["shape0"], prm["scale0"]))
+        centx = _central_from_raw(_gamma_raw(prm["shape"], prm["scale"]))
+        return _factor_rule(
+            [prm["sign"] ** j * cent0[j] for j in range(7)], lambda c, k: comb(c, k) * centx[c - k]
+        )
     if kind == "laplace_product":
         nraw = _normal_raw()
-        total = 0.0
-        for kvec in np.ndindex(*[c + 1 for c in counts]):
-            coeff = nraw[sum(kvec)]
-            for c, k in zip(counts, kvec):
-                coeff *= comb(c, k) * nraw[k] * nraw[c - k] ** 2
-            total += coeff
-        return total
+        return _factor_rule(nraw, lambda c, k: comb(c, k) * nraw[k] * nraw[c - k] ** 2)
     if kind == "gamma_ratio":
-        return _ratio_moment(spec.param("alpha"), spec.param("beta"), counts)
-    raise ValueError(f"kind {kind!r} has no shared-factor moments")
+        return partial(_ratio_moment, prm["alpha"], prm["beta"])
+    if kind == "normal":
+        return _gaussian_rule([(1.0, lambda j, h: float(j == 0), np.eye(spec.p))])
+    if kind == "asym_laplace":  # D = shift (W - 1), V = W, W standard exponential
+        shift = prm["shift"]
+        sigma = equicorrelation(spec.p, prm["corr"])
+        return _gaussian_rule([(1.0, lambda j, h: shift**j * _exp_weight(j, h), sigma)])
+    if kind == "normal_mixture":  # constant D: each component's mean less the mixture's
+        w, shift = prm["weight"], prm["shift"]
+        sigma = equicorrelation(spec.p, prm["corr"])
+        return _gaussian_rule([
+            (w, lambda j, h: (-(1.0 - w) * shift) ** j, np.eye(spec.p)),
+            (1.0 - w, lambda j, h: (w * shift) ** j, sigma),
+        ])
+    raise ValueError(f"unknown alternative kind {kind!r}")
 
 
 def population_moments(spec: AlternativeSpec, max_order: int = 6) -> MomentTable:
-    """Exact (or quadrature-grade) population central moments of an alternative."""
+    """Population central moments of an alternative, orders 2 .. max_order:
+    its rule (see the module docstring), evaluated once per count pattern.
+    Exact for the closed forms, quadrature-grade for the gamma ratios."""
     if not 2 <= max_order <= 6:
         raise ValueError("max_order must be in 2..6")
-    kind = spec.kind
-    if kind == "student_t":
-        raise MomentsUndefinedError(
-            f"{spec.name} has no finite moments of order >= 2 at {int(spec.param('dof'))} "
-            "degrees of freedom"
-        )
+    rule = _moment_rule(spec)
+    by_pattern = {}
 
-    if kind == "normal":
-        eye = np.eye(spec.p)
-        return MomentTable.from_function(
-            spec.p, max_order, lambda idx: _isserlis(eye, idx)
-        )
-    if kind == "iid_exp":
-        cent = _central_from_raw(_gamma_raw(1.0, 1.0))
+    def mu(idx):
+        counts = tuple(sorted(idx.count(c) for c in set(idx)))
+        if counts not in by_pattern:
+            by_pattern[counts] = rule(counts)
+        return by_pattern[counts]
 
-        def mu_iid(idx):
-            out = 1.0
-            for coord in set(idx):
-                out *= cent[idx.count(coord)]
-            return out
-
-        return MomentTable.from_function(spec.p, max_order, mu_iid)
-    if kind in ("shared_product", "shared_add", "laplace_product", "gamma_ratio"):
-
-        def mu_shared(idx):
-            counts = tuple(sorted(idx.count(c) for c in set(idx)))
-            return _shared_factor_moment(counts, spec)
-
-        return MomentTable.from_function(spec.p, max_order, mu_shared)
-    if kind == "asym_laplace":
-        sigma = equicorrelation(spec.p, spec.param("corr"))
-        shift = spec.param("shift")
-
-        def mu_al(idx):
-            slots = range(len(idx))
-            total = 0.0
-            for size in range(0, len(idx) + 1, 2):
-                for subset in combinations(slots, size):
-                    gauss = _isserlis(sigma, tuple(idx[s] for s in subset))
-                    if gauss == 0.0 and size > 0:
-                        continue
-                    total += (
-                        shift ** (len(idx) - size)
-                        * _exp_weight(len(idx) - size, size // 2)
-                        * gauss
-                    )
-            return total
-
-        return MomentTable.from_function(spec.p, max_order, mu_al)
-    if kind == "normal_mixture":
-        w = spec.param("weight")
-        shift = spec.param("shift")
-        sigma = equicorrelation(spec.p, spec.param("corr"))
-        eye = np.eye(spec.p)
-        delta_base = -(1.0 - w) * shift
-        delta_cont = w * shift
-
-        def mu_mix(idx):
-            return w * _shifted_gaussian_moment(delta_base, eye, idx) + (
-                1.0 - w
-            ) * _shifted_gaussian_moment(delta_cont, sigma, idx)
-
-        return MomentTable.from_function(spec.p, max_order, mu_mix)
-    raise ValueError(f"unknown alternative kind {kind!r}")
+    return MomentTable.from_function(spec.p, max_order, mu)

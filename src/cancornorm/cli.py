@@ -37,6 +37,8 @@ from .errors import (
 from .montecarlo import (
     MissingTableError,
     TableMismatchError,
+    _calibration_job,
+    _power_job,
     _test_result,
     calibrate,
     population_values,
@@ -157,6 +159,7 @@ def _load_tables(null_dir, statistics, n, p):
 def cmd_calibrate(ns) -> int:
     statistics = _parse_statistics(ns.statistics)
     rng = RngStream(ns.seed)
+    _calibration_job(statistics, ns.n, ns.p, ns.reps, rng)  # checks the inputs before any I/O
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(
@@ -217,10 +220,11 @@ def cmd_power(ns) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     statistics = _parse_statistics(ns.statistics)
+    rng = RngStream(ns.seed)
+    _power_job(spec, ns.n, ns.p, ns.alpha, ns.reps, rng)  # checks the inputs before any I/O
     tables = _load_tables(ns.null_dir, statistics, ns.n, ns.p)
     report = power(
-        spec, statistics, ns.n, ns.p, ns.alpha, ns.reps, tables,
-        RngStream(ns.seed), workers=ns.workers,
+        spec, statistics, ns.n, ns.p, ns.alpha, ns.reps, tables, rng, workers=ns.workers
     )
     print(f"alternative: {spec.label}  (n={ns.n}, p={ns.p}, alpha={ns.alpha}, reps={ns.reps})")
     for cell in report.cells:

@@ -224,13 +224,14 @@ def _by_job(jobs, chunks, statistics):
 
 def _calibration_job(statistics, n: int, p: int, replications: int, rng: RngStream):
     """The null simulation behind ``calibrate``, once its inputs are checked."""
+    spec = alternative("normal", p)
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"replications must be >= {MIN_REPLICATIONS}, got {replications}")
     for sid in statistics:
         need = required_sample_size(sid, p)
         if n < need:
             raise SampleSizeError(f"{sid.name} needs n >= {need} for p={p}, got n={n}")
-    return SimulationJob(alternative("normal", p), n, rng, CALIBRATION_CONTEXT, replications)
+    return SimulationJob(spec, n, rng, CALIBRATION_CONTEXT, replications)
 
 
 def _null_tables(statistics, job: SimulationJob, values, created: str):

@@ -29,6 +29,7 @@ from cancornorm.alternatives import (
     _ratio_moment,
 )
 from cancornorm.moments import sorted_multi_indices
+from population_oracle import population_moments_reference
 from sampling_oracle import generate_reference
 
 
@@ -41,6 +42,12 @@ def test_registry_and_parsing():
         assert str(spec) == name
     with pytest.raises(ValueError, match="valid names"):
         alternative("cauchy", 2)
+
+
+@pytest.mark.parametrize("p", [0, -1, 2.0, 2.5, "3", None])
+def test_alternative_rejects_bad_dimension(p):
+    with pytest.raises(ValueError, match="p must be an integer >= 1"):
+        alternative("normal", p)
 
 
 def test_equicorrelation_validity():
@@ -258,6 +265,36 @@ def test_al_mean_and_cov():
 
 # ---------------------------------------------------------------------------
 # population moments
+
+
+MOMENT_DEFINED = [name for name in available_alternatives() if name != "t2"]
+FACTOR_KINDS = {"iid_exp", "shared_product", "shared_add", "laplace_product", "gamma_ratio"}
+
+
+@pytest.mark.parametrize("name", MOMENT_DEFINED)
+def test_population_moments_match_per_index_oracle(name):
+    # the shared-factor kinds do the oracle's arithmetic per count pattern;
+    # the Gaussian kinds sum a pattern's slot subsets in another order
+    for p in range(1, 5):
+        spec = alternative(name, p)
+        got = population_moments(spec, 6).values
+        expected = population_moments_reference(spec, 6).values
+        assert got.keys() == expected.keys()
+        for index, v in expected.items():
+            if spec.kind in FACTOR_KINDS:
+                assert got[index] == v, (p, index)
+            else:
+                assert abs(got[index] - v) <= 1e-13 * max(abs(v), 1.0), (p, index)
+
+
+@pytest.mark.parametrize("name", MOMENT_DEFINED)
+def test_population_moments_depend_only_on_count_pattern(name):
+    for p in range(1, 5):
+        by_pattern = {}
+        for index, v in population_moments(alternative(name, p), 6).values.items():
+            pattern = tuple(sorted(index.count(c) for c in set(index)))
+            first = by_pattern.setdefault(pattern, (index, v))
+            assert v == first[1], (p, index, first[0])
 
 
 def test_exp_population_moments_closed_form():

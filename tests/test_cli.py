@@ -53,9 +53,31 @@ def test_calibrate_rerun_bit_identical(tmp_path, monkeypatch):
 
 def test_calibrate_rejects_tiny_reps(tmp_path, capsys):
     rc = main(["calibrate", "--n", "20", "--p", "2", "--reps", "10",
-               "--out-dir", str(tmp_path)])
+               "--out-dir", str(tmp_path / "new" / "sub")])
     assert rc == 2
     assert "replications" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_power_checks_inputs_before_loading_tables(tmp_path, capsys):
+    rc = main(["power", "--alt", "beta22", "--n", "20", "--p", "2", "--reps", "0",
+               "--null-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error: reps must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    "popvalues --p 0",
+    "popvalues --p -1",
+    "popvalues --p 0 --alt normal",
+    "calibrate --n 20 --p 0 --out-dir {dir}",
+    "power --alt beta22 --n 20 --p 0 --null-dir {dir}",
+])
+def test_bad_dimension_is_usage_error(tmp_path, capsys, args):
+    tables = tmp_path / "tables"
+    assert main(args.format(dir=tables).split()) == 2
+    assert "error: p must be an integer >= 1" in capsys.readouterr().err
+    assert not tables.exists()
 
 
 def test_csv_reader_header_detection(tmp_path):
