@@ -6,102 +6,50 @@ sample moments; for normal data these correlations vanish, and the tests
 reject when the summaries are large (small, for the product functional).
 Null distributions are calibrated by Monte Carlo simulation and shared
 across all normal distributions of a given shape by affine invariance.
+
+Importing the package loads nothing else: each name below is imported from
+its submodule on first access (PEP 562), so a command loads only the code
+it runs.  The null-table and power-report types live in ``store``, the test
+decision (``run_test``, ``TestResult``) in ``stats``, and the simulation
+(``calibrate``, ``power``, ``population_value``) in ``montecarlo``.
 """
 
-from .alternatives import (
-    AlternativeSpec,
-    MomentsUndefinedError,
-    RngStream,
-    alternative,
-    available_alternatives,
-    generate,
-    population_moments,
-)
-from .cancor import CanCorSq, cancor_sq, functional_value, functionals
-from .covblocks import (
-    CovBlocks,
-    lambda_blocks,
-    permutation_scheme,
-    psi_blocks,
-    sixth_order_term,
-)
-from .engine import evaluate_batch
-from .matalg import commutation, duplication_elimination, kron, unvech, vec, vech
-from .moments import (
-    MomentTable,
-    Sample,
-    central_moments,
-    sample_mean,
-)
-from .montecarlo import (
-    NullTable,
-    PowerReport,
-    calibrate,
-    population_value,
-    power,
-    run_test,
-)
-from .stats import (
-    ALL_STATISTICS,
-    StatisticId,
-    TestResult,
-    compute_statistic,
-    compute_statistics,
-    mardia_b1p,
-    mardia_b2p,
-    z2_prime,
-    z2_statistics,
-    z3_prime,
-    z3_statistics,
-)
-from .store import export_report, load_null, save_null
+from importlib import import_module
 
-__all__ = [
-    "ALL_STATISTICS",
-    "AlternativeSpec",
-    "CanCorSq",
-    "CovBlocks",
-    "MomentTable",
-    "MomentsUndefinedError",
-    "NullTable",
-    "PowerReport",
-    "RngStream",
-    "Sample",
-    "StatisticId",
-    "TestResult",
-    "alternative",
-    "available_alternatives",
-    "calibrate",
-    "cancor_sq",
-    "central_moments",
-    "commutation",
-    "compute_statistic",
-    "compute_statistics",
-    "duplication_elimination",
-    "evaluate_batch",
-    "export_report",
-    "functional_value",
-    "functionals",
-    "generate",
-    "kron",
-    "lambda_blocks",
-    "load_null",
-    "mardia_b1p",
-    "mardia_b2p",
-    "permutation_scheme",
-    "population_moments",
-    "population_value",
-    "power",
-    "psi_blocks",
-    "run_test",
-    "sample_mean",
-    "save_null",
-    "sixth_order_term",
-    "unvech",
-    "vec",
-    "vech",
-    "z2_prime",
-    "z2_statistics",
-    "z3_prime",
-    "z3_statistics",
-]
+_EXPORTS = {
+    "alternatives": (
+        "AlternativeSpec", "RngStream", "alternative", "available_alternatives", "generate",
+        "population_moments",
+    ),
+    "cancor": ("CanCorSq", "cancor_sq", "functional_value", "functionals"),
+    "covblocks": (
+        "CovBlocks", "lambda_blocks", "permutation_scheme", "psi_blocks", "sixth_order_term",
+    ),
+    "engine": ("evaluate_batch",),
+    "errors": ("MomentsUndefinedError",),
+    "matalg": ("commutation", "duplication_elimination", "kron", "unvech", "vec", "vech"),
+    "moments": ("MomentTable", "Sample", "central_moments", "sample_mean"),
+    "montecarlo": ("calibrate", "population_value", "power"),
+    "stats": (
+        "ALL_STATISTICS", "StatisticId", "TestResult", "compute_statistic",
+        "compute_statistics", "mardia_b1p", "mardia_b2p", "run_test", "z2_prime",
+        "z2_statistics", "z3_prime", "z3_statistics",
+    ),
+    "store": ("NullTable", "PowerReport", "export_report", "load_null", "save_null"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

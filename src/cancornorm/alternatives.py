@@ -40,11 +40,8 @@ from operator import index
 import numpy as np
 
 from .covblocks import _matchings
+from .errors import MomentsUndefinedError
 from .moments import MomentTable
-
-
-class MomentsUndefinedError(ValueError):
-    """The alternative has no finite population moments of the needed order."""
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ table ``altpop``) at a configurable replication count.
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable CSV, missing
 or corrupt table files), 4 computation error (thresholds, singular data).
+
+Every command runs its BLAS single-threaded unless the environment says
+otherwise, so that a process's arithmetic never depends on the worker count
+and parallel workers do not oversubscribe the cores.  The simulation modules
+(``montecarlo``, ``alternatives``) are imported by the commands that run
+them, so ``test`` loads only the statistics and the table store.
 """
 
 from __future__ import annotations
@@ -18,38 +24,27 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# Before numpy loads, which reads these once; a value the user set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from .alternatives import (
-    ALL_ALTERNATIVE_NAMES,
-    MomentsUndefinedError,
-    RngStream,
-    alternative,
-    available_alternatives,
-)
-from .errors import (
+import numpy as np  # noqa: E402
+
+from .errors import (  # noqa: E402
     DegenerateSampleError,
     EigenvalueRangeError,
     FunctionalDomainError,
-    SampleSizeError,
-    SingularBlockError,
-)
-from .montecarlo import (
     MissingTableError,
-    TableMismatchError,
-    _calibration_job,
-    _power_job,
-    _test_result,
-    calibrate,
-    population_values,
-    power,
-    power_study,
-)
-from .stats import ALL_STATISTICS, StatisticId, compute_statistics
-from .store import (
+    MomentsUndefinedError,
     NullTableFormatError,
     NullTableIntegrityError,
     NullTableLengthError,
+    SampleSizeError,
+    SingularBlockError,
+    TableMismatchError,
+)
+from .stats import ALL_STATISTICS, StatisticId, _test_result, compute_statistics  # noqa: E402
+from .store import (  # noqa: E402
     export_report,
     find_null,
     null_table_filename,
@@ -77,8 +72,11 @@ UNREPORTED_POPULATION_CELLS = {
 }
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(Exception):
+    """A bad command-line value (exit code 2).  Not a ValueError, so that an
+    argparse type may raise it: argparse turns only ValueError, TypeError and
+    ArgumentTypeError into its own usage message, and lets ``main`` report
+    this one like every other usage error."""
 
 
 class DataFileError(ValueError):
@@ -87,6 +85,17 @@ class DataFileError(ValueError):
 
 def _default_null_dir() -> str:
     return os.environ.get(NULL_DIR_ENV, "nulltables")
+
+
+def _worker_count(text: str) -> int:
+    """argparse type of ``--workers``: an integer >= 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise UsageError(f"workers must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _parse_statistics(text: str | None) -> tuple[StatisticId, ...]:
@@ -157,6 +166,9 @@ def _load_tables(null_dir, statistics, n, p):
 
 
 def cmd_calibrate(ns) -> int:
+    from .alternatives import RngStream
+    from .montecarlo import _calibration_job, calibrate
+
     statistics = _parse_statistics(ns.statistics)
     rng = RngStream(ns.seed)
     _calibration_job(statistics, ns.n, ns.p, ns.reps, rng)  # checks the inputs before any I/O
@@ -215,6 +227,9 @@ def cmd_test(ns) -> int:
 
 
 def cmd_power(ns) -> int:
+    from .alternatives import RngStream, alternative
+    from .montecarlo import _power_job, power
+
     try:
         spec = alternative(ns.alt, ns.p)
     except ValueError as exc:
@@ -236,6 +251,9 @@ def cmd_power(ns) -> int:
 
 
 def _population_rows(names, p_values):
+    from .alternatives import alternative
+    from .montecarlo import population_values
+
     rows = []
     for p in p_values:
         for name in names:
@@ -257,6 +275,8 @@ def _population_rows(names, p_values):
 
 
 def cmd_popvalues(ns) -> int:
+    from .alternatives import alternative, available_alternatives
+
     names = [ns.alt] if ns.alt else list(available_alternatives())
     if ns.alt:
         try:
@@ -277,6 +297,9 @@ def cmd_popvalues(ns) -> int:
 
 
 def cmd_tables(ns) -> int:
+    from .alternatives import ALL_ALTERNATIVE_NAMES, RngStream, alternative
+    from .montecarlo import power_study
+
     if ns.which == "altpop":
         rows = _population_rows(["normal"] + list(ALL_ALTERNATIVE_NAMES), [2, 3])
         fieldnames = ["alternative", "p", "statistic", "value"]
@@ -322,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
         if workers:
             sp.add_argument(
-                "--workers", type=int, default=os.cpu_count() or 1,
+                "--workers", type=_worker_count, default=os.cpu_count() or 1,
                 help="parallel workers; results do not depend on this",
             )
 
@@ -399,8 +422,8 @@ COMPUTE_ERRORS = (
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = parser.parse_args(argv)
         return ns.func(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,6 @@
-"""Exception types raised by the numerical core."""
+"""Exception types raised by the numerical core, and every other exception
+that ``cli.main`` maps to an exit code, so that the CLI reads them without
+loading the modules that raise them (which re-export them)."""
 
 from __future__ import annotations
 
@@ -36,3 +38,27 @@ class EigenvalueRangeError(BatchItemError):
 class FunctionalDomainError(BatchItemError):
     """A functional of the squared canonical correlations is undefined
     (eigenvalue at 1 makes the ratio trace blow up)."""
+
+
+class MomentsUndefinedError(ValueError):
+    """The alternative has no finite population moments of the needed order."""
+
+
+class TableMismatchError(ValueError):
+    """A null table does not match the statistic or sample shape it is used for."""
+
+
+class MissingTableError(ValueError):
+    """No null table is available for a requested (statistic, n, p)."""
+
+
+class NullTableFormatError(ValueError):
+    """Unparseable header or unsupported format version."""
+
+
+class NullTableLengthError(ValueError):
+    """Payload length disagrees with the replication count in the header."""
+
+
+class NullTableIntegrityError(ValueError):
+    """Payload checksum does not match the header."""

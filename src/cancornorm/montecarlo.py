@@ -24,6 +24,12 @@ reduces them (to sorted null tables or a power report) and drops them.  The
 pool is created by the first parallel run and reused by every later run with
 the same worker count; a different count replaces it, a broken pool is
 dropped and rebuilt on the next run, and interpreter exit shuts it down.
+
+The result types live with their persistence (``NullTable``, ``PowerCell``
+and ``PowerReport`` in ``store``) and the test decision with ``TestResult``
+(``empirical_pvalues`` and ``run_test`` in ``stats``), so that testing a
+dataset loads neither this module nor ``alternatives``; they are re-exported
+here, as are ``MissingTableError`` and ``TableMismatchError`` from ``errors``.
 """
 
 from __future__ import annotations
@@ -33,8 +39,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, product
 from math import sqrt
 from typing import NamedTuple
@@ -51,9 +56,9 @@ from .alternatives import (
 )
 from .covblocks import second_order_threshold, third_order_threshold
 from .engine import ALL_STATISTICS, _z3_term_map, evaluate_batch, evaluate_population
-from .errors import BatchItemError, SampleSizeError
-from .moments import as_sample
-from .stats import StatisticId, TestResult, compute_statistic
+from .errors import BatchItemError, MissingTableError, SampleSizeError, TableMismatchError
+from .stats import StatisticId, _test_result, empirical_pvalues, run_test  # noqa: F401 (re-exported)
+from .store import NullTable, PowerCell, PowerReport
 
 MIN_REPLICATIONS = 1000
 CHUNK = 256  # replications per work unit; fixed so grouping never affects results
@@ -62,59 +67,6 @@ CHUNK = 256  # replications per work unit; fixed so grouping never affects resul
 # under the same root seed.
 CALIBRATION_CONTEXT = 0
 POWER_CONTEXT = 1
-
-
-class TableMismatchError(ValueError):
-    """A null table does not match the statistic or sample shape it is used for."""
-
-
-class MissingTableError(ValueError):
-    """No null table is available for a requested (statistic, n, p)."""
-
-
-@dataclass(frozen=True)
-class NullTable:
-    """Empirical null distribution of one statistic at a given (n, p)."""
-
-    statistic: StatisticId
-    n: int
-    p: int
-    replications: int
-    seed: int
-    stream: tuple[int, ...]
-    values: np.ndarray
-    created_at: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.replications,):
-            raise ValueError("null table length disagrees with replication count")
-        if np.any(v[:-1] > v[1:]):
-            raise ValueError("null table values must be sorted ascending")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class PowerCell:
-    statistic: StatisticId
-    power: float
-    se: float
-    replications: int
-
-
-@dataclass(frozen=True)
-class PowerReport:
-    alternative: str
-    n: int
-    p: int
-    alpha: float
-    cells: tuple[PowerCell, ...]
-
-    def cell(self, statistic: StatisticId) -> PowerCell:
-        for c in self.cells:
-            if c.statistic == statistic:
-                return c
-        raise KeyError(f"no cell for {statistic}")
 
 
 def required_sample_size(statistic: StatisticId, p: int) -> int:
@@ -271,60 +223,6 @@ def calibrate(
     return _null_tables(statistics, job, values, created)
 
 
-def empirical_pvalues(observed, table: NullTable) -> np.ndarray:
-    """Monte Carlo p-values with the +1 correction, per the statistic's tail."""
-    observed = np.atleast_1d(np.asarray(observed, dtype=float))
-    v = table.values
-    r = table.replications
-    count_ge = r - np.searchsorted(v, observed, side="left")
-    count_le = np.searchsorted(v, observed, side="right")
-    upper = (count_ge + 1.0) / (r + 1.0)
-    lower = (count_le + 1.0) / (r + 1.0)
-    tail = table.statistic.tail
-    if tail == "upper":
-        return upper
-    if tail == "lower":
-        return lower
-    return np.minimum(1.0, 2.0 * np.minimum(upper, lower))
-
-
-def _test_result(
-    statistic: StatisticId, value: float, table: NullTable, shape: tuple[int, int], alpha: float
-) -> TestResult:
-    """Check alpha and the table against the statistic and the (n, p) of the
-    data, then turn an observed value into a test decision."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if table.statistic != statistic:
-        raise TableMismatchError(
-            f"table holds {table.statistic.name}, not {statistic.name}"
-        )
-    n, p = shape
-    if (n, p) != (table.n, table.p):
-        raise TableMismatchError(
-            f"table was calibrated for (n={table.n}, p={table.p}) but the data "
-            f"is (n={n}, p={p}); tables are not interpolated"
-        )
-    p_value = float(empirical_pvalues(value, table)[0])
-    return TestResult(
-        statistic=statistic, value=value, p_value=p_value, alpha=alpha,
-        reject=bool(p_value <= alpha),
-    )
-
-
-def run_test(x, statistic: StatisticId, table: NullTable, alpha: float = 0.05) -> TestResult:
-    """Test one dataset against a calibrated null table.
-
-    Each call evaluates the statistic's whole family, so looping over the
-    twelve statistics re-evaluates each family (about 7x the work of one
-    evaluation, the traced ``run_test_redundancy``).  To test several
-    statistics on one dataset, evaluate them with one ``compute_statistics``
-    call and take each p-value from ``empirical_pvalues`` instead.
-    """
-    s = as_sample(x)
-    return _test_result(statistic, compute_statistic(s, statistic), table, (s.n, s.p), alpha)
-
-
 def _power_job(alt: AlternativeSpec, n: int, p: int, alpha: float, reps: int, rng: RngStream):
     """The simulation behind ``power``, once its inputs are checked."""
     if alt.p != p:
@@ -420,24 +318,37 @@ def power_study(
             yield _power_report(statistics, job, alpha, tables, values)
 
 
+@lru_cache(maxsize=None)
+def _index_pattern(p: int, order: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The distinct sorted indices of the dense order-``order`` tensor over p
+    coordinates, and for each dense entry (in C order) the position of its
+    sorted index among them (read-only: the cache shares it)."""
+    dense = np.array(list(product(range(p), repeat=order)))
+    keys, inverse = np.unique(np.sort(dense, axis=1), axis=0, return_inverse=True)
+    inverse = inverse.reshape((p,) * order)
+    inverse.flags.writeable = False
+    return tuple(map(tuple, keys.tolist())), inverse
+
+
 def population_values(alt: AlternativeSpec, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:
     """Large-n limits of a set of statistics under one alternative.
 
     One population moment table serves every family: it is expanded into
     dense moment tensors (orders 2, 3, 4, and 6 when a z3 statistic is
-    asked for), and ``engine.evaluate_population`` whitens them by the
-    Cholesky factor of the covariance and evaluates every family once, the
-    canonical-correlation families through the same block builder as
-    samples, in its n -> infinity form (the common 1/n scale cancels in the
-    eigenproblem and the O(1/n) corrections vanish).
+    asked for), each distinct sorted index looked up once and gathered, and
+    ``engine.evaluate_population`` whitens them by the Cholesky factor of the
+    covariance and evaluates every family once, the canonical-correlation
+    families through the same block builder as samples, in its n -> infinity
+    form (the common 1/n scale cancels in the eigenproblem and the O(1/n)
+    corrections vanish).
     """
     statistics = tuple(statistics)
     orders = (2, 3, 4, 6) if any(sid.family == "z3" for sid in statistics) else (2, 3, 4)
     m = population_moments(alt, orders[-1])
-    tensors = [
-        np.array([m.mu(*i) for i in product(range(alt.p), repeat=order)]).reshape((alt.p,) * order)
-        for order in orders
-    ]
+    tensors = []
+    for order in orders:
+        keys, inverse = _index_pattern(alt.p, order)
+        tensors.append(np.array([m.mu(*k) for k in keys])[inverse])
     return evaluate_population(*tensors, statistics=statistics)
 
 

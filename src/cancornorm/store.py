@@ -1,4 +1,8 @@
-"""Persistence of calibrated null tables and power reports.
+"""Null tables and power reports, and their persistence.
+
+``NullTable``, ``PowerCell`` and ``PowerReport`` live here, with the code that
+reads and writes them, so that testing a dataset against stored tables loads
+none of the simulation code; ``montecarlo`` builds them and re-exports them.
 
 A null-table file is a single JSON header line followed by the raw table
 payload as little-endian 64-bit floats.  The header stays human-inspectable
@@ -12,30 +16,70 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from importlib.metadata import PackageNotFoundError, version
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .montecarlo import NullTable, PowerReport
+from .errors import (
+    NullTableFormatError,
+    NullTableIntegrityError,
+    NullTableLengthError,
+)
 from .stats import StatisticId
 
 FORMAT_VERSION = 1
 
 
-class NullTableFormatError(ValueError):
-    """Unparseable header or unsupported format version."""
+@dataclass(frozen=True)
+class NullTable:
+    """Empirical null distribution of one statistic at a given (n, p)."""
+
+    statistic: StatisticId
+    n: int
+    p: int
+    replications: int
+    seed: int
+    stream: tuple[int, ...]
+    values: np.ndarray
+    created_at: str
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if v.shape != (self.replications,):
+            raise ValueError("null table length disagrees with replication count")
+        if np.any(v[:-1] > v[1:]):
+            raise ValueError("null table values must be sorted ascending")
+        object.__setattr__(self, "values", v)
 
 
-class NullTableLengthError(ValueError):
-    """Payload length disagrees with the replication count in the header."""
+@dataclass(frozen=True)
+class PowerCell:
+    statistic: StatisticId
+    power: float
+    se: float
+    replications: int
 
 
-class NullTableIntegrityError(ValueError):
-    """Payload checksum does not match the header."""
+@dataclass(frozen=True)
+class PowerReport:
+    alternative: str
+    n: int
+    p: int
+    alpha: float
+    cells: tuple[PowerCell, ...]
+
+    def cell(self, statistic: StatisticId) -> PowerCell:
+        for c in self.cells:
+            if c.statistic == statistic:
+                return c
+        raise KeyError(f"no cell for {statistic}")
 
 
 def _library_version() -> str:
+    # Imported here: only a save needs it, and it is slow to import.
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
         return version("cancornorm")
     except PackageNotFoundError:

@@ -66,6 +66,25 @@ def test_power_checks_inputs_before_loading_tables(tmp_path, capsys):
     assert "error: reps must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers, message", [
+    ("0", "workers must be >= 1"), ("two", "workers must be an integer"),
+])
+def test_calibrate_rejects_bad_workers_before_any_io(tmp_path, capsys, workers, message):
+    rc = main(["calibrate", "--n", "20", "--p", "2", "--reps", "1000", "--workers", workers,
+               "--out-dir", str(tmp_path / "new" / "sub")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "calibrating" not in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_power_rejects_bad_workers_before_loading_tables(tmp_path, capsys):
+    rc = main(["power", "--alt", "beta22", "--n", "20", "--p", "2", "--reps", "10",
+               "--workers", "0", "--null-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error: workers must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     "popvalues --p 0",
     "popvalues --p -1",
@@ -420,3 +439,75 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _run_python(code, env=None):
+    env = {**(os.environ if env is None else env),
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.strip()
+
+
+def test_package_import_loads_no_numpy():
+    assert _run_python("import sys, cancornorm; print('numpy' in sys.modules)") == "False"
+
+
+def test_package_exports_resolve_lazily():
+    code = (
+        "import cancornorm; "
+        "missing = [n for n in cancornorm.__all__ if getattr(cancornorm, n, None) is None]; "
+        "unlisted = sorted(set(cancornorm.__all__) - set(dir(cancornorm))); "
+        "print(len(cancornorm.__all__), missing, unlisted)"
+    )
+    assert _run_python(code) == "47 [] []"
+    import cancornorm
+    from cancornorm import montecarlo, store
+
+    assert cancornorm.calibrate is montecarlo.calibrate
+    assert cancornorm.NullTable is store.NullTable is montecarlo.NullTable
+    with pytest.raises(AttributeError):
+        cancornorm.no_such_name
+
+
+def test_cmd_test_loads_no_simulation_code(null_dir, tmp_path):
+    data = generate(alternative("indep_exp", 2), 20, RngStream(49))
+    csv_path = tmp_path / "d.csv"
+    write_csv(csv_path, data)
+    code = (
+        "import sys; from cancornorm.cli import main; "
+        f"assert main(['test', '--data', {str(csv_path)!r}, '--null-dir', {str(null_dir)!r}]) == 0; "
+        "names = ('cancornorm.alternatives', 'cancornorm.montecarlo', 'cancornorm.matalg', "
+        "'concurrent.futures', 'importlib.metadata'); "
+        "print('loaded:', [m for m in names if m in sys.modules])"
+    )
+    assert _run_python(code).splitlines()[-1] == "loaded: []"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Prints the BLAS thread settings as numpy starts to load under the CLI.
+BLAS_AT_NUMPY_IMPORT = f"""
+import os, sys
+seen = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in {BLAS_VARS!r}])
+
+sys.meta_path.insert(0, Watch())
+import cancornorm.cli
+print(seen)
+"""
+
+
+def test_cli_pins_blas_threads_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    assert _run_python(BLAS_AT_NUMPY_IMPORT, env) == "[['1', '1', '1']]"
+
+
+def test_cli_keeps_user_blas_threads():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
+    assert _run_python(BLAS_AT_NUMPY_IMPORT, env) == "[['2', '1', '3']]"
