@@ -150,19 +150,24 @@ def stream_generators(rng: RngStream, context: int, start: int, count: int):
 
     One Generator is re-keyed in place before each yield (counter 0, empty
     buffer: a freshly seeded Philox), so use each before taking the next.
+    The setter copies the state it is given, so one state dict serves every
+    re-keying, only its key swapped.
     """
     bitgen = np.random.Philox(0)
     g = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
+    inner = {"counter": zeros}
+    state = {
+        "bit_generator": "Philox",
+        "state": inner,
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for key in stream_keys(rng, context, start, count):
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": key},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        inner["key"] = key
+        bitgen.state = state
         yield g
 
 

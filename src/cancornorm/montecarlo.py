@@ -4,9 +4,18 @@ and population values.
 Affine invariance means the null distribution of every statistic depends
 only on (n, p), so a single table of simulated values under the standard
 normal serves all normal distributions of that shape.  Replications are
-split into fixed-size chunks keyed by replication index, each replication
-drawing from its own counter-derived random stream; results are therefore
-bit-identical for any worker count.
+split into chunks keyed by replication index, each replication drawing from
+its own counter-derived random stream, and ``evaluate_batch`` gives the same
+bits for any grouping; results are therefore bit-identical for any worker
+count and any chunk size.
+
+A chunk holds ``CHUNK * 2**k`` replications, k <= 2: the largest such size
+whose (B, n, p^2) pair and (B, n, q3) triple products fit in
+``CHUNK_BUDGET`` bytes at the job's (n, p), so that small problems pay the
+fixed cost of sampling and evaluating a chunk fewer times.  When that would
+leave a run with fewer than 4 chunks per worker, every chunk holds
+``CHUNK`` replications, so that the workers still share the run.  The
+choice depends only on (n, p), the replication counts and the worker count.
 
 A chunk computes the Philox keys of all its replications in one vectorized
 pass (``alternatives.stream_keys``) and re-keys a single generator before
@@ -41,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache, partial
 from itertools import islice, product
-from math import sqrt
+from math import ceil, comb, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +70,8 @@ from .stats import StatisticId, _test_result, empirical_pvalues, run_test  # noq
 from .store import NullTable, PowerCell, PowerReport
 
 MIN_REPLICATIONS = 1000
-CHUNK = 256  # replications per work unit; fixed so grouping never affects results
+CHUNK = 256  # replications per chunk at large (n, p); every chunk size is CHUNK * 2**k
+CHUNK_BUDGET = 2 * 2**20  # bytes of pair and triple products that allow a larger chunk
 
 # Stream contexts keep calibration draws independent of power-study draws
 # under the same root seed.
@@ -95,15 +105,29 @@ class SimulationJob(NamedTuple):
     reps: int
 
 
-def _chunk_values(statistics, task: tuple[SimulationJob, int]):
-    """Statistic values of replications start .. start + CHUNK - 1 of a job
-    (fewer at its end), for a task (job, start).
+def _chunk_sizes(jobs, workers: int) -> list[int]:
+    """Replications per chunk of each job (see the module docstring)."""
+    sizes = []
+    for job in jobs:
+        p = job.spec.p
+        rep_bytes = 8 * job.n * (p * p + comb(p + 2, 3))  # its pair and triple products
+        size = CHUNK
+        while size < 4 * CHUNK and 2 * size * rep_bytes <= CHUNK_BUDGET:
+            size *= 2
+        sizes.append(size)
+    if sum(ceil(job.reps / size) for job, size in zip(jobs, sizes)) < 4 * workers:
+        return [CHUNK] * len(jobs)
+    return sizes
+
+
+def _chunk_values(statistics, task: tuple[SimulationJob, int, int]):
+    """Statistic values of replications start .. start + count - 1 of a job,
+    for a task (job, start, count).
 
     A numerical check that fails on one replication is re-raised with the
     stream coordinates that reproduce its sample.
     """
-    (spec, n, rng, context, reps), start = task
-    count = min(CHUNK, reps - start)
+    (spec, n, rng, context, _), start, count = task
     samples = generate_chunk(spec, n, stream_generators(rng, context, start, count), count)
     try:
         return evaluate_batch(samples, statistics)
@@ -147,7 +171,13 @@ def _simulate(jobs, statistics, workers):
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = list(jobs)
-    tasks = [(job, start) for job in jobs for start in range(0, job.reps, CHUNK)]
+    job_starts = [range(0, job.reps, size) for job, size in zip(jobs, _chunk_sizes(jobs, workers))]
+    tasks = [
+        (job, start, min(starts.step, job.reps - start))
+        for job, starts in zip(jobs, job_starts)
+        for start in starts
+    ]
+    chunks_per_job = [len(starts) for starts in job_starts]
     chunk = partial(_chunk_values, statistics)
     if any(sid.family == "z3" for sid in statistics):
         # Built here, before a new pool forks, so that its workers inherit
@@ -157,20 +187,21 @@ def _simulate(jobs, statistics, workers):
     if workers > 1 and len(tasks) > 1:
         with _pool_lock:
             try:
-                yield from _by_job(jobs, _worker_pool(workers).map(chunk, tasks), statistics)
+                results = _worker_pool(workers).map(chunk, tasks)
+                yield from _by_job(chunks_per_job, results, statistics)
             except BrokenProcessPool:
                 _pool = None
                 raise
     else:
-        yield from _by_job(jobs, map(chunk, tasks), statistics)
+        yield from _by_job(chunks_per_job, map(chunk, tasks), statistics)
 
 
-def _by_job(jobs, chunks, statistics):
-    """Regroup the chunk results of ``jobs``, in task order, into one array
-    per statistic and job."""
+def _by_job(chunks_per_job, chunks, statistics):
+    """Regroup chunk results, in task order, into one array per statistic
+    and job, the jobs having ``chunks_per_job`` chunks each."""
     chunks = iter(chunks)
-    for job in jobs:
-        parts = list(islice(chunks, len(range(0, job.reps, CHUNK))))
+    for count in chunks_per_job:
+        parts = list(islice(chunks, count))
         yield {sid: np.concatenate([c[sid] for c in parts]) for sid in statistics}
 
 

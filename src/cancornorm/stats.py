@@ -64,16 +64,19 @@ def empirical_pvalues(observed, table: NullTable) -> np.ndarray:
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     v = table.values
     r = table.replications
-    count_ge = r - np.searchsorted(v, observed, side="left")
-    count_le = np.searchsorted(v, observed, side="right")
-    upper = (count_ge + 1.0) / (r + 1.0)
-    lower = (count_le + 1.0) / (r + 1.0)
+
+    def upper():
+        return (r - np.searchsorted(v, observed, side="left") + 1.0) / (r + 1.0)
+
+    def lower():
+        return (np.searchsorted(v, observed, side="right") + 1.0) / (r + 1.0)
+
     tail = table.statistic.tail
     if tail == "upper":
-        return upper
+        return upper()
     if tail == "lower":
-        return lower
-    return np.minimum(1.0, 2.0 * np.minimum(upper, lower))
+        return lower()
+    return np.minimum(1.0, 2.0 * np.minimum(upper(), lower()))
 
 
 def _test_result(

@@ -12,7 +12,7 @@ from math import comb, exp, sqrt
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 
 from cancornorm.alternatives import (
     ALL_ALTERNATIVE_NAMES,
@@ -109,6 +109,18 @@ def test_stream_generators_reproduce_child_streams():
             chunk = [generate(spec, 20, g) for g in stream_generators(rng, 1, start, 16)]
             for i, x in enumerate(chunk):
                 assert_array_equal(x, generate(spec, 20, rng.child(1, start + i)), err_msg=spec.kind)
+
+
+def test_stream_generators_rekey_the_whole_state():
+    # Each replication leaves a half-used uint32 and a part-used buffer
+    # behind; the next one must still start in a fresh stream's full state.
+    rng = RngStream(11, (1, 20))
+    for i, g in enumerate(stream_generators(rng, 1, 40, 3), start=40):
+        assert_equal(g.bit_generator.state, rng.child(1, i).generator().bit_generator.state)
+        g.integers(2**32, dtype=np.uint32)
+        g.random(5)
+        state = g.bit_generator.state
+        assert (state["has_uint32"], state["buffer_pos"]) == (1, 2)
 
 
 @pytest.mark.parametrize("name", available_alternatives())

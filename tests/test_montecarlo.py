@@ -18,6 +18,7 @@ from cancornorm.alternatives import (
     generate,
     generate_chunk,
     population_moments,
+    stream_generators,
 )
 from cancornorm.cancor import cancor_sq, functional_value
 from cancornorm.covblocks import lambda_blocks, psi_blocks
@@ -159,6 +160,21 @@ def test_pvalue_two_sided_tails(monkeypatch):
     assert empirical_pvalues(0.5, table)[0] == 2.0 / 10.0
     assert empirical_pvalues(50.0, table)[0] == 2.0 / 10.0
     assert empirical_pvalues(5.0, table)[0] == 1.0
+
+
+@pytest.mark.parametrize("statistic", [Z2HL, Z2W])
+def test_pvalue_one_sided_tails_match_brute_force(statistic):
+    values = np.array([1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0, 8.0])
+    table = NullTable(
+        statistic=statistic, n=20, p=2, replications=8, seed=0, stream=(),
+        values=values, created_at="t",
+    )
+    observed = np.array([0.5, 1.0, 2.0, 2.5, 5.0, 6.0, 8.0, 9.0])
+    if statistic.tail == "upper":
+        count = [(values >= x).sum() for x in observed]
+    else:
+        count = [(values <= x).sum() for x in observed]
+    assert_array_equal(empirical_pvalues(observed, table), (np.array(count) + 1.0) / 9.0)
 
 
 def test_run_test_round_trip(small_tables):
@@ -322,6 +338,73 @@ def test_failing_replication_is_named_by_its_stream(monkeypatch):
     assert_array_equal(replay, failing[0])
     with pytest.raises(DegenerateSampleError):
         compute_statistics(replay)
+
+
+def _job(n, p, reps):
+    return montecarlo.SimulationJob(alternative("normal", p), n, RngStream(0), 0, reps)
+
+
+def test_chunk_sizes_follow_working_set_and_workers():
+    # 8 n (p^2 + q3) bytes of pair and triple products per replication
+    jobs = [_job(20, 2, 4096), _job(50, 2, 4096), _job(50, 3, 4096), _job(100, 6, 4096)]
+    assert montecarlo._chunk_sizes(jobs, 1) == [1024, 512, 256, 256]
+    assert montecarlo._chunk_sizes(jobs, 2) == [1024, 512, 256, 256]
+    # fewer than 4 chunks per worker: every job falls back to CHUNK
+    assert montecarlo._chunk_sizes(jobs[:1], 1) == [1024]
+    assert montecarlo._chunk_sizes(jobs[:1], 2) == [256]
+    pair = [_job(20, 2, 1000), _job(50, 2, 1500)]  # 1 + 3 chunks
+    assert montecarlo._chunk_sizes(pair, 1) == [1024, 512]
+    assert montecarlo._chunk_sizes(pair, 2) == [256, 256]
+    # the power table of the paper: 28 jobs of 1000 replications at each of n = 20, 50
+    study = [_job(20, 2, 1000)] * 28 + [_job(50, 2, 1000)] * 28
+    assert montecarlo._chunk_sizes(study, 2) == [1024] * 28 + [512] * 28
+
+
+@pytest.mark.parametrize("size", [montecarlo.CHUNK, 4 * montecarlo.CHUNK, 97])
+def test_values_do_not_depend_on_chunk_size(monkeypatch, size):
+    # reps that no chunk size divides; the reference runs under the default rule
+    statistics = (Z2HL, KURT, StatisticId.parse("z3_w"))
+    study = dict(
+        alternatives=[alternative("chisq2", 3), alternative("indep_exp", 3)],
+        statistics=statistics, sizes=(25, 30), p=3, alpha=0.1, reps=300,
+        calibration_reps=1100, rng=RngStream(41),
+    )
+    null = calibrate(statistics, 25, 3, 1100, RngStream(40))
+    reports = list(power_study(**study))
+    monkeypatch.setattr(montecarlo, "_chunk_sizes", lambda jobs, workers: [size] * len(jobs))
+    for workers in (1, 2):
+        again = calibrate(statistics, 25, 3, 1100, RngStream(40), workers=workers)
+        for sid in statistics:
+            assert_array_equal(again[sid].values, null[sid].values)
+        assert list(power_study(**study, workers=workers)) == reports
+
+
+def test_failing_replication_in_a_large_chunk_is_named(monkeypatch):
+    # Under the default rule this run has chunks of 4 * CHUNK replications;
+    # replication 1300 is item 276 of the second one.
+    rng, bad, size = RngStream(5, (2,)), 1300, 4 * montecarlo.CHUNK
+    assert montecarlo._chunk_sizes([_job(20, 2, 4096)], 1) == [size]
+    starts = []
+
+    def generators(rng, context, start, count):
+        starts.append(start)
+        return stream_generators(rng, context, start, count)
+
+    def chunk_with_constant_column(spec, n, generators, count):
+        x = generate_chunk(spec, n, generators, count)
+        if 0 <= bad - starts[-1] < count:
+            x[bad - starts[-1], :, 1] = 2.0
+        return x
+
+    monkeypatch.setattr(montecarlo, "stream_generators", generators)
+    monkeypatch.setattr(montecarlo, "generate_chunk", chunk_with_constant_column)
+    with pytest.raises(DegenerateSampleError) as info:
+        calibrate((Z2HL, KURT), 20, 2, 4096, rng)
+    assert f"r={bad} of seed=5, path=(2,), context={montecarlo.CALIBRATION_CONTEXT}" in str(
+        info.value
+    )
+    assert info.value.__cause__.item == bad - size
+    assert starts == [0, size]
 
 
 def test_power_missing_table(small_tables):
