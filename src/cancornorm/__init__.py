@@ -10,8 +10,9 @@ across all normal distributions of a given shape by affine invariance.
 Importing the package loads nothing else: each name below is imported from
 its submodule on first access (PEP 562), so a command loads only the code
 it runs.  The null-table and power-report types live in ``store``, the test
-decision (``run_test``, ``TestResult``) in ``stats``, and the simulation
-(``calibrate``, ``power``, ``population_value``) in ``montecarlo``.
+decision (``run_test``, ``TestResult``) in ``stats``, the simulation
+(``calibrate``, ``power``) in ``montecarlo``, and the population values
+(``population_moments``, ``population_value``) in ``alternatives``.
 """
 
 from importlib import import_module
@@ -19,7 +20,7 @@ from importlib import import_module
 _EXPORTS = {
     "alternatives": (
         "AlternativeSpec", "RngStream", "alternative", "available_alternatives", "generate",
-        "population_moments",
+        "population_moments", "population_value",
     ),
     "cancor": ("CanCorSq", "cancor_sq", "functional_value", "functionals"),
     "covblocks": (
@@ -29,7 +30,7 @@ _EXPORTS = {
     "errors": ("MomentsUndefinedError",),
     "matalg": ("commutation", "duplication_elimination", "kron", "unvech", "vec", "vech"),
     "moments": ("MomentTable", "Sample", "central_moments", "sample_mean"),
-    "montecarlo": ("calibrate", "population_value", "power"),
+    "montecarlo": ("calibrate", "power"),
     "stats": (
         "ALL_STATISTICS", "StatisticId", "TestResult", "compute_statistic",
         "compute_statistics", "mardia_b1p", "mardia_b2p", "run_test", "z2_prime",

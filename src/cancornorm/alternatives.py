@@ -26,6 +26,15 @@ family, the normal mixtures) sum Isserlis moments over the even subsets of
 the index's slots, weighted by the scalar's moments.  The heavy-tailed t(2)
 has no moments of the orders needed here and population quantities raise
 ``MomentsUndefinedError``.
+
+The large-n population values are computed a stack of alternatives at a
+time (``population_values_batch``), as samples are drawn a chunk at a time:
+each alternative's rule runs once per count pattern, the results are
+gathered into dense moment tensors through a per-(p, order) map from dense
+index to count pattern, and ``engine.evaluate_population_batch`` evaluates
+the whole stack at once.  ``population_values`` and ``population_value``
+are its one-alternative cases, and ``population_moments`` returns the same
+moments as a ``MomentTable``.
 """
 
 from __future__ import annotations
@@ -40,7 +49,8 @@ from operator import index
 import numpy as np
 
 from .covblocks import _matchings
-from .errors import MomentsUndefinedError
+from .engine import ALL_STATISTICS, StatisticId, evaluate_population_batch
+from .errors import BatchItemError, MomentsUndefinedError
 from .moments import MomentTable
 
 
@@ -151,21 +161,21 @@ def stream_generators(rng: RngStream, context: int, start: int, count: int):
     One Generator is re-keyed in place before each yield (counter 0, empty
     buffer: a freshly seeded Philox), so use each before taking the next.
     The setter copies the state it is given, so one state dict serves every
-    re-keying, only its key swapped.
+    re-keying, only its key swapped; it holds plain Python ints, which the
+    setter reads faster than numpy scalars.
     """
     bitgen = np.random.Philox(0)
     g = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
-    inner = {"counter": zeros}
+    inner = {"counter": [0, 0, 0, 0]}
     state = {
         "bit_generator": "Philox",
         "state": inner,
-        "buffer": zeros,
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key in stream_keys(rng, context, start, count):
+    for key in stream_keys(rng, context, start, count).tolist():
         inner["key"] = key
         bitgen.state = state
         yield g
@@ -199,6 +209,11 @@ class AlternativeSpec:
 
     def param(self, key: str) -> float:
         return dict(self.params)[key]
+
+    @property
+    def has_moments(self) -> bool:
+        """Whether the population moments of orders 2 .. 6 exist (t(2) has none)."""
+        return self.kind != "student_t"
 
     def __str__(self) -> str:
         return self.name
@@ -564,21 +579,40 @@ def _factor_rule(factor, own):
     return rule
 
 
+@lru_cache(maxsize=None)
+def _gaussian_terms(counts: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The (j, h, subset) of every even subset of a count pattern's slots, in
+    the order the Gaussian rule adds them: 2h slots in the subset, j outside."""
+    slots = [coord for coord, c in enumerate(counts) for _ in range(c)]
+    return tuple(
+        (len(slots) - size, size // 2, subset)
+        for size in range(0, len(slots) + 1, 2)
+        for subset in combinations(slots, size)
+    )
+
+
 def _gaussian_rule(atoms):
     """The rule of a mixture of atoms with coordinates D + sqrt(V) G_i, where
     G ~ N(0, sigma) is independent of the scalars (D, V): each even subset of
     the index's slots, 2h slots given to G and j to D, adds ``coef(j, h) =
     E[D^j V^h]`` times its Gaussian moment (Isserlis) to an atom's sum.
+
+    Each atom keeps its coef values and its subsets' Isserlis values, which
+    recur across the patterns of a table.
     """
+    cached = [(weight, coef, sigma, {}, {}) for weight, coef, sigma in atoms]
 
     def rule(counts):
-        slots = [coord for coord, c in enumerate(counts) for _ in range(c)]
+        terms = _gaussian_terms(counts)
         total = 0.0
-        for weight, coef, sigma in atoms:
+        for weight, coef, sigma, coefs, moments in cached:
             part = 0.0
-            for size in range(0, len(slots) + 1, 2):
-                for subset in combinations(slots, size):
-                    part += coef(len(slots) - size, size // 2) * _isserlis(sigma, subset)
+            for j, h, subset in terms:
+                if (j, h) not in coefs:
+                    coefs[j, h] = coef(j, h)
+                if subset not in moments:
+                    moments[subset] = _isserlis(sigma, subset)
+                part += coefs[j, h] * moments[subset]
             total += weight * part
         return total
 
@@ -589,7 +623,7 @@ def _moment_rule(spec: AlternativeSpec):
     """The rule counts -> central moment of one alternative."""
     kind = spec.kind
     prm = dict(spec.params)
-    if kind == "student_t":
+    if not spec.has_moments:
         raise MomentsUndefinedError(
             f"{spec.name} has no finite moments of order >= 2 at {int(prm['dof'])} "
             "degrees of freedom"
@@ -644,3 +678,72 @@ def population_moments(spec: AlternativeSpec, max_order: int = 6) -> MomentTable
         return by_pattern[counts]
 
     return MomentTable.from_function(spec.p, max_order, mu)
+
+
+# ---------------------------------------------------------------------------
+# population values
+
+
+@lru_cache(maxsize=None)
+def _count_patterns(p: int, order: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The count patterns of the dense order-``order`` tensor over p
+    coordinates, and for each dense entry (in C order) the position of its
+    pattern among them (read-only: the cache shares it)."""
+    dense = np.indices((p,) * order).reshape(order, -1)
+    counts = np.sort((dense[:, :, None] == np.arange(p)).sum(axis=0), axis=1)
+    keys, inverse = np.unique(counts, axis=0, return_inverse=True)
+    inverse = inverse.reshape((p,) * order)
+    inverse.flags.writeable = False
+    return tuple(tuple(c for c in row if c) for row in keys.tolist()), inverse
+
+
+def _population_tensors(spec: AlternativeSpec, orders) -> list[np.ndarray]:
+    """The dense central moment tensors of an alternative, one per order:
+    its rule once per count pattern, gathered to every index."""
+    rule = _moment_rule(spec)
+    tensors = []
+    for order in orders:
+        patterns, inverse = _count_patterns(spec.p, order)
+        tensors.append(np.array([rule(counts) for counts in patterns])[inverse])
+    return tensors
+
+
+def population_values_batch(specs, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:
+    """Large-n limits of a set of statistics under each of ``specs``, which
+    share one p; one (len(specs),) array per statistic.
+
+    Each alternative's dense moment tensors (orders 2, 3, 4, and 6 when a
+    z3 statistic is asked for) come straight from its count patterns, and
+    ``engine.evaluate_population_batch`` evaluates every family once for the
+    whole stack, the canonical-correlation families through the same block
+    builder as samples, in its n -> infinity form (the common 1/n scale
+    cancels in the eigenproblem and the O(1/n) corrections vanish).  An
+    alternative's values do not depend on the others in the stack.  A
+    numerical check that fails on one alternative is re-raised naming it.
+    """
+    specs = list(specs)
+    statistics = tuple(statistics)
+    if not specs:
+        return {sid: np.empty(0) for sid in statistics}
+    if len({spec.p for spec in specs}) > 1:
+        raise ValueError("alternatives of one population batch must share p")
+    orders = (2, 3, 4, 6) if any(sid.family == "z3" for sid in statistics) else (2, 3, 4)
+    tensors = [np.stack(t) for t in zip(*(_population_tensors(s, orders) for s in specs))]
+    try:
+        return evaluate_population_batch(*tensors, statistics=statistics)
+    except BatchItemError as exc:
+        if exc.item is None:
+            raise
+        spec = specs[exc.item]
+        raise type(exc)(f"{exc}: alternative {spec.name}, p={spec.p}", item=exc.item) from exc
+
+
+def population_values(alt: AlternativeSpec, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:
+    """Large-n limits of a set of statistics under one alternative: the
+    one-item case of ``population_values_batch``."""
+    return {sid: float(v[0]) for sid, v in population_values_batch([alt], statistics).items()}
+
+
+def population_value(alt: AlternativeSpec, statistic: StatisticId) -> float:
+    """Large-n limit of one statistic under one alternative."""
+    return population_values(alt, (statistic,))[statistic]

@@ -13,7 +13,9 @@ Every command runs its BLAS single-threaded unless the environment says
 otherwise, so that a process's arithmetic never depends on the worker count
 and parallel workers do not oversubscribe the cores.  The simulation modules
 (``montecarlo``, ``alternatives``) are imported by the commands that run
-them, so ``test`` loads only the statistics and the table store.
+them, so ``test`` loads only the statistics and the table store, and the
+population values (``popvalues``, ``tables --which altpop``) load
+``alternatives`` but neither ``montecarlo`` nor its worker pool.
 """
 
 from __future__ import annotations
@@ -251,25 +253,26 @@ def cmd_power(ns) -> int:
 
 
 def _population_rows(names, p_values):
-    from .alternatives import alternative
-    from .montecarlo import population_values
+    """The population table's rows: at each p, the values of every
+    alternative with moments, from one stacked evaluation."""
+    from .alternatives import alternative, population_values_batch
 
     rows = []
     for p in p_values:
-        for name in names:
-            reported = [
-                sid for sid in ALL_STATISTICS
-                if (name, p, sid.family) not in UNREPORTED_POPULATION_CELLS
-            ]
-            try:
-                values = population_values(alternative(name, p), reported)
-                cells = {sid: repr(v) for sid, v in values.items()}
-            except MomentsUndefinedError:
-                cells = dict.fromkeys(reported, "--")
+        specs = [alternative(name, p) for name in names]
+        with_moments = [spec for spec in specs if spec.has_moments]
+        values = population_values_batch(with_moments)
+        item = {spec.name: i for i, spec in enumerate(with_moments)}
+        for spec in specs:
             for sid in ALL_STATISTICS:
+                if (spec.name, p, sid.family) in UNREPORTED_POPULATION_CELLS:
+                    value = "X"
+                elif spec.has_moments:
+                    value = repr(float(values[sid][item[spec.name]]))
+                else:
+                    value = "--"
                 rows.append(
-                    {"alternative": name, "p": p, "statistic": sid.name,
-                     "value": cells.get(sid, "X")}
+                    {"alternative": spec.name, "p": p, "statistic": sid.name, "value": value}
                 )
     return rows
 
@@ -298,12 +301,13 @@ def cmd_popvalues(ns) -> int:
 
 def cmd_tables(ns) -> int:
     from .alternatives import ALL_ALTERNATIVE_NAMES, RngStream, alternative
-    from .montecarlo import power_study
 
     if ns.which == "altpop":
         rows = _population_rows(["normal"] + list(ALL_ALTERNATIVE_NAMES), [2, 3])
         fieldnames = ["alternative", "p", "statistic", "value"]
     else:
+        from .montecarlo import power_study
+
         p = 2 if ns.which == "2" else 3
         rows = []
         reports = power_study(

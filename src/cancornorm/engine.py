@@ -4,34 +4,38 @@ their large-n limits from population moments.
 This is the one numerical path from moments to statistic values: null
 calibration and power studies call ``evaluate_batch`` on (B, n, p) stacks,
 the per-sample functions in ``stats`` call it on a stack of one, and the
-population values call ``evaluate_population``.  All moment tensors and
-covariance blocks are built as batched array operations, and the squared
-canonical correlations come from the kernel in ``cancor``.
+population values call ``evaluate_population_batch`` on a stack of
+alternatives (``evaluate_population`` is its one-item case).  All moment
+tensors and covariance blocks are built as batched array operations, and
+the squared canonical correlations come from the kernel in ``cancor``.
 
 There are two steps.  The first makes whitened moment tensors.  Every
-sample is centered and whitened before any moment is formed: its covariance
-is equilibrated to a correlation matrix D^-1/2 cov D^-1/2 = L L^T, and the
-data are multiplied by L^-1 D^-1/2, so its second moments m2 are the
-identity up to roundoff.  The same Cholesky factor certifies that the
-sample is not degenerate (see ``equilibrated_condition``).  A population's
-moment tensors are whitened by the same factor of its covariance.  The
-second step builds the covariance blocks of both families from the
-whitened tensors, under the weights of a sample size n or of the large-n
-limit.  The third-order block relies on m2 = I: every m2 factor in its
-permutation sums is a Kronecker delta, so those sums are fixed linear
-combinations of the fourth cumulants, of products of two third moments and
-of constants.  They are precompiled, per dimension p, into one term map
-derived from the very same term lists that ``covblocks`` uses, so there is
-a single source of truth for the combinatorics: each entry of b22 is a
-short weighted sum of at most eleven inputs (p <= 6), applied with numpy
-gathers, slot by slot; the 1/n, 1/(n-1) and n/((n-1)(n-2)) weights (all 1
-in magnitude in the limit) are folded into the map before it is applied.
-The sixth moments enter only on pairs of distinct index triples: for a
-sample as the Gram matrix of the distinct triple products, so no p^6
-tensor is formed.  Every other block is a sub-array of a moment tensor,
-read with the distinct pairs or triples as indices: the second-order b12 is
-m3 over the distinct pairs and the third-order b12 is k4 over the distinct
-triples.
+sample is centered and whitened before any moment is formed.  Each centered
+column is first scaled by the power of two at its largest magnitude, which
+is exact, so that its cross products neither overflow nor underflow in any
+units and every later bit is what the unscaled column would give.  The
+covariance is then equilibrated to a correlation matrix D^-1/2 cov D^-1/2 =
+L L^T, and the data are multiplied by L^-1 D^-1/2, so its second moments m2
+are the identity up to roundoff.  The same Cholesky factor certifies that
+the sample is not degenerate (see ``equilibrated_condition``).  A
+population's moment tensors are whitened by the same factor of its
+covariance, each population of a stack by its own.  The second step builds
+the covariance blocks of both families from the whitened tensors, under the
+weights of a sample size n or of the large-n limit.  The third-order block
+relies on m2 = I: every m2 factor in its permutation sums is a Kronecker
+delta, so those sums are fixed linear combinations of the fourth cumulants,
+of products of two third moments and of constants.  They are precompiled,
+per dimension p, into one term map derived from the very same term lists
+that ``covblocks`` uses, so there is a single source of truth for the
+combinatorics: each entry of b22 is a short weighted sum of at most eleven
+inputs (p <= 6), applied with numpy gathers, slot by slot; the 1/n, 1/(n-1)
+and n/((n-1)(n-2)) weights (all 1 in magnitude in the limit) are folded
+into the map before it is applied.  The sixth moments enter only on pairs
+of distinct index triples: for a sample as the Gram matrix of the distinct
+triple products, so no p^6 tensor is formed.  Every other block is a
+sub-array of a moment tensor, read with the distinct pairs or triples as
+indices: the second-order b12 is m3 over the distinct pairs and the
+third-order b12 is k4 over the distinct triples.
 """
 
 from __future__ import annotations
@@ -319,6 +323,15 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
         )
 
     xc = data - data.mean(axis=1, keepdims=True)
+    # Each column in units of the power of two at its largest |value|: exact,
+    # so the equilibrated covariance and y keep their bits, and the products
+    # of xc^T xc can neither overflow nor underflow whatever the data's units.
+    # The largest values are read from a (B, p, n) buffer, whose reductions
+    # run along contiguous rows (several times faster than along axis 1 of
+    # xc); the buffer then holds y, so that the scaling allocates no array.
+    buf = np.empty((nb, p, n))
+    np.abs(np.swapaxes(xc, 1, 2), out=buf)
+    np.ldexp(xc, -np.frexp(buf.max(axis=2))[1][:, None, :], out=xc)
     cov = np.swapaxes(xc, 1, 2) @ xc / n
     cond, whitening = equilibrated_condition(cov)
     bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
@@ -328,7 +341,7 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
             f"first item {bad[0]}",
             item=int(bad[0]),
         )
-    y = xc @ np.swapaxes(whitening, 1, 2)
+    y = np.matmul(xc, np.swapaxes(whitening, 1, 2), out=buf.reshape(nb, n, p))
 
     out: dict[StatisticId, np.ndarray] = {}
 
@@ -359,37 +372,58 @@ def _along_every_axis(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return tensor
 
 
-def evaluate_population(m2, m3, m4, m6=None, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:
-    """Large-n limits of statistics from the dense (p, ..., p) central moment
-    tensors of a population; ``m6`` is needed only for z3 statistics.
+def evaluate_population_batch(
+    m2, m3, m4, m6=None, statistics=ALL_STATISTICS
+) -> dict[StatisticId, np.ndarray]:
+    """Large-n limits of statistics from (B, p, ..., p) stacks of dense
+    central moment tensors, one population per item; ``m6`` is needed only
+    for z3 statistics.  Returns one (B,) array per requested statistic.
 
-    The tensors are whitened by the Cholesky factor of the covariance m2,
-    found as ``evaluate_batch`` finds a sample's, so that the whitened m2
-    is the identity up to roundoff.  The two Mardia values are then the sum
-    of the squared whitened third moments and the trace of the whitened
-    fourth moments, and the z2 and z3 families go through the sample path's
-    block builder at ``n=None``, with the whitened m6 on pairs of distinct
-    triples as the sixth-order term.
+    Each item's tensors are whitened by the Cholesky factor of its
+    covariance m2, found as ``evaluate_batch`` finds a sample's, so that the
+    whitened m2 is the identity up to roundoff.  The two Mardia values are
+    then the sum of the squared whitened third moments and the trace of the
+    whitened fourth moments, and the z2 and z3 families go through the
+    sample path's block builder at ``n=None``, in one call for the whole
+    stack, with the whitened m6 on pairs of distinct triples as the
+    sixth-order term.  An item's values do not depend on the other items.
     """
     statistics = tuple(statistics)
-    cond, whitening = equilibrated_condition(np.asarray(m2, dtype=float)[None])
-    if not cond[0] <= CONDITION_LIMIT:
-        raise SingularBlockError("population covariance is numerically singular")
-    m2, m3, m4 = (
-        _along_every_axis(np.asarray(m, dtype=float), whitening[0])[None] for m in (m2, m3, m4)
-    )
+    m2 = np.asarray(m2, dtype=float)
+    cond, whitening = equilibrated_condition(m2)
+    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
+    if bad.size:
+        raise SingularBlockError(
+            f"population covariance is numerically singular in {bad.size} batch item(s), "
+            f"first item {bad[0]}",
+            item=int(bad[0]),
+        )
+    need_z3 = any(s.family == "z3" for s in statistics)
+    if need_z3 and m6 is None:
+        raise ValueError("z3 statistics need the sixth moments m6")
+
+    def whitened(m):
+        m = np.asarray(m, dtype=float)
+        return np.stack([_along_every_axis(item, w) for item, w in zip(m, whitening)])
+
+    m2, m3, m4 = whitened(m2), whitened(m3), whitened(m4)
     out = {}
     if StatisticId("mardia_skew") in statistics:
-        out[StatisticId("mardia_skew")] = float(np.sum(m3 * m3))
+        out[StatisticId("mardia_skew")] = np.sum(m3 * m3, axis=(1, 2, 3))
     if StatisticId("mardia_kurt") in statistics:
-        out[StatisticId("mardia_kurt")] = float(np.einsum("biijj->", m4))
+        out[StatisticId("mardia_kurt")] = np.einsum("biijj->b", m4)
     sixth = None
-    if any(s.family == "z3" for s in statistics):
-        if m6 is None:
-            raise ValueError("z3 statistics need the sixth moments m6")
+    if need_z3:
         i, j, k = np.array(triple_indices(m2.shape[1])).T
-        m6 = _along_every_axis(np.asarray(m6, dtype=float), whitening[0])
-        sixth = m6[i[:, None], j[:, None], k[:, None], i, j, k][None]
-    values = _cancor_values(m2, m3, m4, sixth, None, statistics)
-    out.update({sid: float(v[0]) for sid, v in values.items()})
+        sixth = whitened(m6)[:, i[:, None], j[:, None], k[:, None], i, j, k]
+    out.update(_cancor_values(m2, m3, m4, sixth, None, statistics))
     return out
+
+
+def evaluate_population(m2, m3, m4, m6=None, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:
+    """Large-n limits of statistics from the dense (p, ..., p) central moment
+    tensors of one population: the one-item case of
+    ``evaluate_population_batch``."""
+    stacks = [None if m is None else np.asarray(m, dtype=float)[None] for m in (m2, m3, m4, m6)]
+    values = evaluate_population_batch(*stacks, statistics=statistics)
+    return {sid: float(v[0]) for sid, v in values.items()}

@@ -1,5 +1,4 @@
-"""Null-distribution calibration, empirical-p-value testing, power studies
-and population values.
+"""Null-distribution calibration, empirical-p-value testing and power studies.
 
 Affine invariance means the null distribution of every statistic depends
 only on (n, p), so a single table of simulated values under the standard
@@ -39,6 +38,10 @@ and ``PowerReport`` in ``store``) and the test decision with ``TestResult``
 (``empirical_pvalues`` and ``run_test`` in ``stats``), so that testing a
 dataset loads neither this module nor ``alternatives``; they are re-exported
 here, as are ``MissingTableError`` and ``TableMismatchError`` from ``errors``.
+The large-n population values (``population_values_batch`` and its
+one-alternative cases ``population_values`` and ``population_value``) live
+in ``alternatives``, so that ``popvalues`` loads neither this module nor its
+worker-pool machinery; they are re-exported here too.
 """
 
 from __future__ import annotations
@@ -48,23 +51,26 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import lru_cache, partial
-from itertools import islice, product
+from functools import partial
+from itertools import islice
 from math import ceil, comb, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .alternatives import (
+from .alternatives import (  # noqa: F401 (population functions re-exported)
     AlternativeSpec,
     RngStream,
     alternative,
     generate_chunk,
     population_moments,
+    population_value,
+    population_values,
+    population_values_batch,
     stream_generators,
 )
 from .covblocks import second_order_threshold, third_order_threshold
-from .engine import ALL_STATISTICS, _z3_term_map, evaluate_batch, evaluate_population
+from .engine import _z3_term_map, evaluate_batch
 from .errors import BatchItemError, MissingTableError, SampleSizeError, TableMismatchError
 from .stats import StatisticId, _test_result, empirical_pvalues, run_test  # noqa: F401 (re-exported)
 from .store import NullTable, PowerCell, PowerReport
@@ -347,42 +353,3 @@ def power_study(
             tables = _null_tables(statistics, job, values, created)
         else:
             yield _power_report(statistics, job, alpha, tables, values)
-
-
-@lru_cache(maxsize=None)
-def _index_pattern(p: int, order: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The distinct sorted indices of the dense order-``order`` tensor over p
-    coordinates, and for each dense entry (in C order) the position of its
-    sorted index among them (read-only: the cache shares it)."""
-    dense = np.array(list(product(range(p), repeat=order)))
-    keys, inverse = np.unique(np.sort(dense, axis=1), axis=0, return_inverse=True)
-    inverse = inverse.reshape((p,) * order)
-    inverse.flags.writeable = False
-    return tuple(map(tuple, keys.tolist())), inverse
-
-
-def population_values(alt: AlternativeSpec, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:
-    """Large-n limits of a set of statistics under one alternative.
-
-    One population moment table serves every family: it is expanded into
-    dense moment tensors (orders 2, 3, 4, and 6 when a z3 statistic is
-    asked for), each distinct sorted index looked up once and gathered, and
-    ``engine.evaluate_population`` whitens them by the Cholesky factor of the
-    covariance and evaluates every family once, the canonical-correlation
-    families through the same block builder as samples, in its n -> infinity
-    form (the common 1/n scale cancels in the eigenproblem and the O(1/n)
-    corrections vanish).
-    """
-    statistics = tuple(statistics)
-    orders = (2, 3, 4, 6) if any(sid.family == "z3" for sid in statistics) else (2, 3, 4)
-    m = population_moments(alt, orders[-1])
-    tensors = []
-    for order in orders:
-        keys, inverse = _index_pattern(alt.p, order)
-        tensors.append(np.array([m.mu(*k) for k in keys])[inverse])
-    return evaluate_population(*tensors, statistics=statistics)
-
-
-def population_value(alt: AlternativeSpec, statistic: StatisticId) -> float:
-    """Large-n limit of one statistic under one alternative."""
-    return population_values(alt, (statistic,))[statistic]

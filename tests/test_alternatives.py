@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 
+import cancornorm.alternatives as alternatives_module
 from cancornorm.alternatives import (
     ALL_ALTERNATIVE_NAMES,
     MomentsUndefinedError,
@@ -24,10 +25,15 @@ from cancornorm.alternatives import (
     generate,
     generate_chunk,
     population_moments,
+    population_value,
+    population_values,
+    population_values_batch,
     stream_generators,
     stream_keys,
     _ratio_moment,
 )
+from cancornorm.engine import ALL_STATISTICS, evaluate_population
+from cancornorm.errors import SingularBlockError
 from cancornorm.moments import sorted_multi_indices
 from population_oracle import population_moments_reference
 from sampling_oracle import generate_reference
@@ -464,3 +470,61 @@ def test_population_moments_index_symmetric():
     for order in range(2, 7):
         for idx in sorted_multi_indices(3, order):
             assert np.isfinite(m.mu(*idx))
+
+
+def _table_tensor(table, order):
+    """A dense moment tensor read entry by entry from a ``MomentTable``."""
+    p = table.p
+    return np.array([table.mu(*i) for i in product(range(p), repeat=order)]).reshape((p,) * order)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_population_batch_equals_one_at_a_time_and_table_path(p):
+    # Stacked, one at a time, and from the MomentTable's dense expansion:
+    # the same bits for every alternative and statistic.
+    specs = [alternative(name, p) for name in MOMENT_DEFINED]
+    batch = population_values_batch(specs)
+    assert set(batch) == set(ALL_STATISTICS)
+    for i, spec in enumerate(specs):
+        table = population_moments(spec, 6)
+        via_table = evaluate_population(
+            *(_table_tensor(table, order) for order in (2, 3, 4, 6))
+        )
+        one = population_values(spec)
+        for sid in ALL_STATISTICS:
+            assert batch[sid][i] == one[sid] == via_table[sid], (spec.name, sid.name)
+        for sid in ALL_STATISTICS[1::5]:  # mardia_kurt, z2_min and z3_min on their own
+            assert population_value(spec, sid) == one[sid], (spec.name, sid.name)
+
+
+def test_population_batch_subsets_and_empty_stack():
+    specs = [alternative(name, 3) for name in ("normal", "beta22", "mix75_m2_r05")]
+    full = population_values_batch(specs)
+    z2 = tuple(sid for sid in ALL_STATISTICS if sid.family != "z3")
+    part = population_values_batch(specs, z2)
+    assert set(part) == set(z2)
+    for sid in z2:
+        assert_array_equal(part[sid], full[sid], err_msg=sid.name)
+    assert all(v.shape == (0,) for v in population_values_batch([], z2).values())
+    with pytest.raises(ValueError, match="share p"):
+        population_values_batch([alternative("normal", 2), alternative("normal", 3)])
+    with pytest.raises(MomentsUndefinedError, match="t2"):
+        population_values_batch([alternative("normal", 2), alternative("t2", 2)])
+    assert not alternative("t2", 2).has_moments
+    assert all(alternative(name, 2).has_moments for name in MOMENT_DEFINED)
+
+
+def test_failing_population_item_names_its_alternative(monkeypatch):
+    moment_rule = alternatives_module._moment_rule
+
+    def singular_for_exp(spec):
+        # every moment 1: the covariance is all ones, of rank one
+        return (lambda counts: 1.0) if spec.name == "indep_exp" else moment_rule(spec)
+
+    monkeypatch.setattr(alternatives_module, "_moment_rule", singular_for_exp)
+    specs = [alternative(name, 3) for name in ("normal", "indep_exp", "beta22")]
+    with pytest.raises(SingularBlockError, match=r"alternative indep_exp, p=3") as info:
+        population_values_batch(specs)
+    assert info.value.item == 1
+    with pytest.raises(SingularBlockError, match=r"alternative indep_exp, p=3"):
+        population_values(specs[1])

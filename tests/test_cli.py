@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cancornorm.cli import DataFileError, _population_rows, main, read_csv_sample
-from cancornorm.alternatives import RngStream, alternative, generate
+from cancornorm.alternatives import ALL_ALTERNATIVE_NAMES, RngStream, alternative, generate
 from cancornorm.montecarlo import calibrate, power
 from cancornorm.stats import ALL_STATISTICS
 
@@ -232,6 +232,63 @@ def test_population_rows_build_moments_once_per_alternative(monkeypatch):
         rows = _population_rows([name], [3])
         assert len(rows) == 12
         assert calls.count(name) <= 1, name
+
+
+def test_population_rows_make_one_engine_call_per_p(monkeypatch):
+    import cancornorm.alternatives
+
+    stacks = []
+    evaluate = cancornorm.alternatives.evaluate_population_batch
+
+    def counting(m2, *args, **kwargs):
+        stacks.append(m2.shape)
+        return evaluate(m2, *args, **kwargs)
+
+    monkeypatch.setattr(cancornorm.alternatives, "evaluate_population_batch", counting)
+    rows = _population_rows(["normal"] + list(ALL_ALTERNATIVE_NAMES), [2, 3])
+    assert len(rows) == 2 * 28 * 12
+    assert stacks == [(27, 2, 2), (27, 3, 3)]  # every alternative but t2, once per p
+
+
+def test_popvalues_names_the_failing_alternative(monkeypatch, capsys):
+    import cancornorm.alternatives
+
+    moment_rule = cancornorm.alternatives._moment_rule
+
+    def singular_for_exp(spec):
+        return (lambda counts: 1.0) if spec.name == "indep_exp" else moment_rule(spec)
+
+    monkeypatch.setattr(cancornorm.alternatives, "_moment_rule", singular_for_exp)
+    assert main(["popvalues", "--p", "3"]) == 4
+    assert "alternative indep_exp, p=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["popvalues", "--p", "3"], ["tables", "--which", "altpop"]])
+def test_population_commands_load_no_pool_code(args, tmp_path):
+    argv = args + ["--out", str(tmp_path / "out.csv")]
+    code = (
+        "import sys; from cancornorm.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "names = ('cancornorm.montecarlo', 'concurrent.futures', 'multiprocessing'); "
+        "print('loaded:', [m for m in names if m in sys.modules])"
+    )
+    assert _run_python(code).splitlines()[-1] == "loaded: []"
+
+
+def test_cmd_test_in_tiny_units(null_dir, tmp_path):
+    # 1e-200 units: the raw covariance would vanish and fail as degenerate
+    data = generate(alternative("indep_exp", 2), 20, RngStream(50))
+    docs = []
+    for name, x in (("unit", data), ("tiny", data * 1e-200)):
+        csv_path, out_json = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        np.savetxt(csv_path, x, delimiter=",", fmt="%.17g")
+        rc = main(["test", "--data", str(csv_path), "--null-dir", str(null_dir),
+                   "--json", str(out_json)])
+        assert rc == 0
+        docs.append(json.loads(out_json.read_text())["results"])
+    for unit, tiny in zip(*docs):
+        assert tiny["statistic"] == unit["statistic"]
+        assert tiny["value"] == pytest.approx(unit["value"], rel=1e-12), unit["statistic"]
 
 
 def test_cmd_power(null_dir, tmp_path):

@@ -258,6 +258,27 @@ def test_diagonal_scaling_leaves_values_unchanged():
             assert_allclose(batch[sid][k], reference[sid], rtol=1e-9, atol=1e-12, err_msg=msg)
 
 
+@pytest.mark.parametrize("factor", [1e160, 1e-160, 1e-200])
+def test_extreme_units_keep_the_values(factor):
+    # Every column in the same extreme units: the raw covariance would
+    # overflow (1e160), fall into subnormals (1e-160) or vanish (1e-200).
+    x = np.random.default_rng(11).standard_exponential((60, 3))
+    reference = compute_statistics(x)
+    scaled = compute_statistics(x * factor)
+    for sid in ALL_STATISTICS:
+        assert_allclose(scaled[sid], reference[sid], rtol=1e-13, err_msg=sid.name)
+
+
+def test_power_of_two_column_units_keep_every_bit():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((8, 40, 3)) + rng.standard_exponential((8, 40, 3))
+    reference = evaluate_batch(x)
+    for exponents in ([-700, 0, 900], [0, 0, 0], [5, -1, 3], [1000, 1000, -1000]):
+        scaled = evaluate_batch(np.ldexp(x, np.array(exponents)))
+        for sid in ALL_STATISTICS:
+            assert_array_equal(scaled[sid], reference[sid], err_msg=f"{sid.name} at 2^{exponents}")
+
+
 def test_engine_rejects_wrong_shape():
     with pytest.raises(ValueError):
         evaluate_batch(np.zeros((10, 2)))
