@@ -22,7 +22,7 @@ _EXPORTS = {
         "AlternativeSpec", "RngStream", "alternative", "available_alternatives", "generate",
         "population_moments", "population_value",
     ),
-    "cancor": ("CanCorSq", "cancor_sq", "functional_value", "functionals"),
+    "cancor": ("CanCorSq", "cancor_sq"),
     "covblocks": (
         "CovBlocks", "lambda_blocks", "permutation_scheme", "psi_blocks", "sixth_order_term",
     ),
@@ -33,8 +33,8 @@ _EXPORTS = {
     "montecarlo": ("calibrate", "power"),
     "stats": (
         "ALL_STATISTICS", "StatisticId", "TestResult", "compute_statistic",
-        "compute_statistics", "mardia_b1p", "mardia_b2p", "run_test", "z2_prime",
-        "z2_statistics", "z3_prime", "z3_statistics",
+        "compute_statistics", "mardia_b1p", "mardia_b2p", "run_test", "z2_statistics",
+        "z3_statistics",
     ),
     "store": ("NullTable", "PowerReport", "export_report", "load_null", "save_null"),
 }

@@ -33,8 +33,8 @@ each alternative's rule runs once per count pattern, the results are
 gathered into dense moment tensors through a per-(p, order) map from dense
 index to count pattern, and ``engine.evaluate_population_batch`` evaluates
 the whole stack at once.  ``population_values`` and ``population_value``
-are its one-alternative cases, and ``population_moments`` returns the same
-moments as a ``MomentTable``.
+are its one-alternative cases, and ``population_moments`` reads the same
+dense tensors into a ``MomentTable``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .covblocks import _matchings
 from .engine import ALL_STATISTICS, StatisticId, evaluate_population_batch
 from .errors import BatchItemError, MomentsUndefinedError
-from .moments import MomentTable
+from .moments import MomentTable, sorted_multi_indices
 
 
 @dataclass(frozen=True)
@@ -662,24 +662,6 @@ def _moment_rule(spec: AlternativeSpec):
     raise ValueError(f"unknown alternative kind {kind!r}")
 
 
-def population_moments(spec: AlternativeSpec, max_order: int = 6) -> MomentTable:
-    """Population central moments of an alternative, orders 2 .. max_order:
-    its rule (see the module docstring), evaluated once per count pattern.
-    Exact for the closed forms, quadrature-grade for the gamma ratios."""
-    if not 2 <= max_order <= 6:
-        raise ValueError("max_order must be in 2..6")
-    rule = _moment_rule(spec)
-    by_pattern = {}
-
-    def mu(idx):
-        counts = tuple(sorted(idx.count(c) for c in set(idx)))
-        if counts not in by_pattern:
-            by_pattern[counts] = rule(counts)
-        return by_pattern[counts]
-
-    return MomentTable.from_function(spec.p, max_order, mu)
-
-
 # ---------------------------------------------------------------------------
 # population values
 
@@ -706,6 +688,22 @@ def _population_tensors(spec: AlternativeSpec, orders) -> list[np.ndarray]:
         patterns, inverse = _count_patterns(spec.p, order)
         tensors.append(np.array([rule(counts) for counts in patterns])[inverse])
     return tensors
+
+
+def population_moments(spec: AlternativeSpec, max_order: int = 6) -> MomentTable:
+    """Population central moments of an alternative, orders 2 .. max_order:
+    its dense moment tensors (see ``_population_tensors``) read at every
+    sorted multi-index.  Exact for the closed forms, quadrature-grade for
+    the gamma ratios."""
+    if not 2 <= max_order <= 6:
+        raise ValueError("max_order must be in 2..6")
+    orders = range(2, max_order + 1)
+    values = {
+        idx: float(tensor[idx])
+        for order, tensor in zip(orders, _population_tensors(spec, orders))
+        for idx in sorted_multi_indices(spec.p, order)
+    }
+    return MomentTable(p=spec.p, max_order=max_order, values=values)
 
 
 def population_values_batch(specs, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:

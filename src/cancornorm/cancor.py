@@ -1,9 +1,10 @@
 """Squared canonical correlations of partitioned covariance blocks and the
-five scalar summaries used as test statistics.
+five summaries used as test statistics.
 
 ``cancor_eigs`` is the one kernel: it solves the eigenproblem for a stack
 of block triples, and both the batched sample path (``engine``) and the
-single population or test blocks (``cancor_sq``) go through it.
+single blocks of the scalar reference path (``cancor_sq``) go through it.
+``batch_functionals`` maps a stack of eigenvalues to all five summaries.
 """
 
 from __future__ import annotations
@@ -161,15 +162,3 @@ _FUNCTIONALS = {
 def batch_functionals(eigs: np.ndarray) -> dict[str, np.ndarray]:
     """All five summaries per row of a (B, k) stack of eigenvalues."""
     return {name: f(eigs) for name, f in _FUNCTIONALS.items()}
-
-
-def functional_value(c: CanCorSq, name: str) -> float:
-    """One scalar summary of the squared canonical correlations."""
-    if name not in _FUNCTIONALS:
-        raise ValueError(f"unknown functional {name!r}")
-    return float(_FUNCTIONALS[name](c.values[None])[0])
-
-
-def functionals(c: CanCorSq) -> dict[str, float]:
-    """All five summaries: trace, product, ratio trace, largest and smallest."""
-    return {name: functional_value(c, name) for name in FUNCTIONAL_NAMES}

@@ -5,7 +5,7 @@ This is the one numerical path from moments to statistic values: null
 calibration and power studies call ``evaluate_batch`` on (B, n, p) stacks,
 the per-sample functions in ``stats`` call it on a stack of one, and the
 population values call ``evaluate_population_batch`` on a stack of
-alternatives (``evaluate_population`` is its one-item case).  All moment
+alternatives (one alternative is a stack of one).  All moment
 tensors and covariance blocks are built as batched array operations, and
 the squared canonical correlations come from the kernel in ``cancor``.
 
@@ -418,12 +418,3 @@ def evaluate_population_batch(
         sixth = whitened(m6)[:, i[:, None], j[:, None], k[:, None], i, j, k]
     out.update(_cancor_values(m2, m3, m4, sixth, None, statistics))
     return out
-
-
-def evaluate_population(m2, m3, m4, m6=None, statistics=ALL_STATISTICS) -> dict[StatisticId, float]:
-    """Large-n limits of statistics from the dense (p, ..., p) central moment
-    tensors of one population: the one-item case of
-    ``evaluate_population_batch``."""
-    stacks = [None if m is None else np.asarray(m, dtype=float)[None] for m in (m2, m3, m4, m6)]
-    values = evaluate_population_batch(*stacks, statistics=statistics)
-    return {sid: float(v[0]) for sid, v in values.items()}

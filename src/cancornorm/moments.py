@@ -4,10 +4,11 @@ Moments are indexed by nondecreasing multi-indices (0-based coordinates);
 accessors sort their argument, so any permutation of an index retrieves the
 same stored value.  Sums over observations are computed on sorted addends,
 which makes every moment invariant, bit for bit, under permutations of the
-rows of the data matrix.  These tables feed the population values and the
-univariate oracle statistics; the statistics of a sample are computed by
-``engine``, whose row-permutation invariance comes from the canonical row
-order that ``stats.compute_statistics`` imposes.
+rows of the data matrix.  These tables feed the scalar block builders of
+``covblocks`` and the test oracles, and ``alternatives.population_moments``
+returns one; the statistics of a sample are computed by ``engine``, whose
+row-permutation invariance comes from the canonical row order that
+``stats.compute_statistics`` imposes.
 """
 
 from __future__ import annotations
@@ -104,15 +105,6 @@ class MomentTable:
 
     def __getitem__(self, index) -> float:
         return self.mu(*index)
-
-    @classmethod
-    def from_function(cls, p: int, max_order: int, f) -> "MomentTable":
-        """Build a table by evaluating ``f(index)`` on every sorted multi-index."""
-        vals = {}
-        for order in range(2, max_order + 1):
-            for idx in sorted_multi_indices(p, order):
-                vals[idx] = float(f(idx))
-        return cls(p=p, max_order=max_order, values=vals)
 
 
 def sample_mean(x) -> np.ndarray:

@@ -36,12 +36,9 @@ dropped and rebuilt on the next run, and interpreter exit shuts it down.
 The result types live with their persistence (``NullTable``, ``PowerCell``
 and ``PowerReport`` in ``store``) and the test decision with ``TestResult``
 (``empirical_pvalues`` and ``run_test`` in ``stats``), so that testing a
-dataset loads neither this module nor ``alternatives``; they are re-exported
-here, as are ``MissingTableError`` and ``TableMismatchError`` from ``errors``.
-The large-n population values (``population_values_batch`` and its
-one-alternative cases ``population_values`` and ``population_value``) live
-in ``alternatives``, so that ``popvalues`` loads neither this module nor its
-worker-pool machinery; they are re-exported here too.
+dataset loads neither this module nor ``alternatives``.  The large-n
+population values live in ``alternatives``, so that ``popvalues`` loads
+neither this module nor its worker-pool machinery.
 """
 
 from __future__ import annotations
@@ -58,21 +55,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alternatives import (  # noqa: F401 (population functions re-exported)
-    AlternativeSpec,
-    RngStream,
-    alternative,
-    generate_chunk,
-    population_moments,
-    population_value,
-    population_values,
-    population_values_batch,
-    stream_generators,
-)
+from .alternatives import AlternativeSpec, RngStream, alternative, generate_chunk, stream_generators
 from .covblocks import second_order_threshold, third_order_threshold
 from .engine import _z3_term_map, evaluate_batch
 from .errors import BatchItemError, MissingTableError, SampleSizeError, TableMismatchError
-from .stats import StatisticId, _test_result, empirical_pvalues, run_test  # noqa: F401 (re-exported)
+from .stats import StatisticId, empirical_pvalues
 from .store import NullTable, PowerCell, PowerReport
 
 MIN_REPLICATIONS = 1000

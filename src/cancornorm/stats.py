@@ -3,35 +3,33 @@
 Two five-statistic families summarize the squared canonical correlations
 between the sample mean and the distinct second-order (family ``z2``) or
 third-order (family ``z3``) sample moments; the classical multivariate
-skewness and kurtosis statistics are included for comparison, along with
-the univariate correlation statistics that the p = 1 case of each family
-reduces to.
+skewness and kurtosis statistics are included for comparison.
 
 Every function here evaluates one sample through ``engine.evaluate_batch``,
 as a stack of one, so a dataset and its null table share their arithmetic.
 The rows are first put in a canonical (lexicographic) order, which makes
 every value invariant, bit for bit, under permutations of the rows.  The
-univariate ``z2_prime``/``z3_prime`` are computed separately from
-``central_moments``; they are the p = 1 oracle for the two families.
+univariate statistics that each family reduces to at p = 1 are computed
+separately, from scalar central moments, by the test oracle
+``tests/univariate_oracle.py``.
 
 A test decision lives here too: ``empirical_pvalues`` reads an observed value
 against a ``store.NullTable`` and ``run_test`` returns a ``TestResult``, so
 that testing a dataset loads none of the simulation code (``montecarlo``
-re-exports both).
+reads ``empirical_pvalues`` for its power estimates).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cancor import FUNCTIONAL_NAMES
-from .engine import ALL_STATISTICS, FAMILIES, StatisticId, evaluate_batch  # noqa: F401 (re-exported)
-from .errors import DegenerateSampleError, SampleSizeError, TableMismatchError
-from .moments import as_sample, central_moments
+from .engine import ALL_STATISTICS, StatisticId, evaluate_batch
+from .errors import TableMismatchError
+from .moments import as_sample
 
 if TYPE_CHECKING:
     from .store import NullTable
@@ -64,19 +62,9 @@ def empirical_pvalues(observed, table: NullTable) -> np.ndarray:
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     v = table.values
     r = table.replications
-
-    def upper():
+    if table.statistic.tail == "upper":
         return (r - np.searchsorted(v, observed, side="left") + 1.0) / (r + 1.0)
-
-    def lower():
-        return (np.searchsorted(v, observed, side="right") + 1.0) / (r + 1.0)
-
-    tail = table.statistic.tail
-    if tail == "upper":
-        return upper()
-    if tail == "lower":
-        return lower()
-    return np.minimum(1.0, 2.0 * np.minimum(upper(), lower()))
+    return (np.searchsorted(v, observed, side="right") + 1.0) / (r + 1.0)
 
 
 def _test_result(
@@ -140,41 +128,3 @@ def mardia_b1p(x) -> float:
 def mardia_b2p(x) -> float:
     """Multivariate sample kurtosis: the average squared Mahalanobis distance."""
     return compute_statistic(x, StatisticId("mardia_kurt"))
-
-
-def z2_prime(x) -> float:
-    """Univariate correlation statistic of the mean and the sample variance."""
-    s = as_sample(x)
-    if s.p != 1:
-        raise ValueError("z2_prime is defined for univariate samples only")
-    if s.n < 4:
-        raise SampleSizeError(f"z2_prime needs n >= 4, got n={s.n}")
-    m = central_moments(s, 4)
-    m2 = m.mu(0, 0)
-    if m2 <= 0.0:
-        raise DegenerateSampleError("sample variance is zero")
-    skew = m.mu(0, 0, 0) / m2**1.5
-    kurt = m.mu(0, 0, 0, 0) / m2**2 - 3.0
-    denom = kurt + 3.0 - (s.n - 3) / (s.n - 1)
-    return skew / sqrt(denom)
-
-
-def z3_prime(x) -> float:
-    """Univariate correlation statistic of the mean and the third sample moment."""
-    s = as_sample(x)
-    if s.p != 1:
-        raise ValueError("z3_prime is defined for univariate samples only")
-    if s.n < 6:
-        raise SampleSizeError(f"z3_prime needs n >= 6, got n={s.n}")
-    n = s.n
-    m = central_moments(s, 6)
-    m2 = m.mu(0, 0)
-    if m2 <= 0.0:
-        raise DegenerateSampleError("sample variance is zero")
-    skew = m.mu(0, 0, 0) / m2**1.5
-    kurt = m.mu(0, 0, 0, 0) / m2**2 - 3.0
-    sixth = m.mu(0, 0, 0, 0, 0, 0) / m2**3 - 15.0 * kurt - 10.0 * skew**2 - 15.0
-    denom = sixth + 9.0 * n / (n - 1) * (kurt + skew**2) + 6.0 * n**2 / ((n - 1) * (n - 2))
-    if denom <= 0.0:
-        raise DegenerateSampleError("nonpositive variance estimate for the third moment")
-    return kurt / sqrt(denom)

@@ -24,7 +24,16 @@ from cancornorm.alternatives import (
     _ratio_moment,
     equicorrelation,
 )
-from cancornorm.moments import MomentTable
+from cancornorm.moments import MomentTable, sorted_multi_indices
+
+
+def table_from_function(p: int, max_order: int, f) -> MomentTable:
+    """Build a table by evaluating ``f(index)`` on every sorted multi-index."""
+    vals = {}
+    for order in range(2, max_order + 1):
+        for idx in sorted_multi_indices(p, order):
+            vals[idx] = float(f(idx))
+    return MomentTable(p=p, max_order=max_order, values=vals)
 
 
 def _shifted_gaussian_moment(delta: float, sigma: np.ndarray, indices: tuple[int, ...]) -> float:
@@ -81,7 +90,7 @@ def population_moments_reference(spec: AlternativeSpec, max_order: int = 6) -> M
     kind = spec.kind
     if kind == "normal":
         eye = np.eye(spec.p)
-        return MomentTable.from_function(spec.p, max_order, lambda idx: _isserlis(eye, idx))
+        return table_from_function(spec.p, max_order, lambda idx: _isserlis(eye, idx))
     if kind == "iid_exp":
         cent = _central_from_raw(_gamma_raw(1.0, 1.0))
 
@@ -91,14 +100,14 @@ def population_moments_reference(spec: AlternativeSpec, max_order: int = 6) -> M
                 out *= cent[idx.count(coord)]
             return out
 
-        return MomentTable.from_function(spec.p, max_order, mu_iid)
+        return table_from_function(spec.p, max_order, mu_iid)
     if kind in ("shared_product", "shared_add", "laplace_product", "gamma_ratio"):
 
         def mu_shared(idx):
             counts = tuple(sorted(idx.count(c) for c in set(idx)))
             return _shared_factor_moment(counts, spec)
 
-        return MomentTable.from_function(spec.p, max_order, mu_shared)
+        return table_from_function(spec.p, max_order, mu_shared)
     if kind == "asym_laplace":
         sigma = equicorrelation(spec.p, spec.param("corr"))
         shift = spec.param("shift")
@@ -118,7 +127,7 @@ def population_moments_reference(spec: AlternativeSpec, max_order: int = 6) -> M
                     )
             return total
 
-        return MomentTable.from_function(spec.p, max_order, mu_al)
+        return table_from_function(spec.p, max_order, mu_al)
     if kind == "normal_mixture":
         w = spec.param("weight")
         shift = spec.param("shift")
@@ -132,5 +141,5 @@ def population_moments_reference(spec: AlternativeSpec, max_order: int = 6) -> M
                 1.0 - w
             ) * _shifted_gaussian_moment(delta_cont, sigma, idx)
 
-        return MomentTable.from_function(spec.p, max_order, mu_mix)
+        return table_from_function(spec.p, max_order, mu_mix)
     raise ValueError(f"unknown alternative kind {kind!r}")

@@ -218,20 +218,21 @@ def test_cmd_test_evaluates_the_sample_once(null_dir, tmp_path, monkeypatch):
 
 
 def test_population_rows_build_moments_once_per_alternative(monkeypatch):
-    import cancornorm.montecarlo
+    import cancornorm.alternatives
 
     calls = []
-    population_moments = cancornorm.montecarlo.population_moments
+    moment_rule = cancornorm.alternatives._moment_rule
 
-    def counting(alt, max_order=6):
-        calls.append(alt.name)
-        return population_moments(alt, max_order)
+    def counting(spec):
+        calls.append((spec.name, spec.p))
+        return moment_rule(spec)
 
-    monkeypatch.setattr(cancornorm.montecarlo, "population_moments", counting)
-    for name in ("normal", "indep_exp", "mix75_m2_r0", "t2"):
-        rows = _population_rows([name], [3])
-        assert len(rows) == 12
-        assert calls.count(name) <= 1, name
+    monkeypatch.setattr(cancornorm.alternatives, "_moment_rule", counting)
+    names = ["normal", "indep_exp", "mix75_m2_r0", "t2"]
+    rows = _population_rows(names, [2, 3])
+    assert len(rows) == 2 * 4 * 12
+    # one moment rule per alternative with moments and p, none for t2
+    assert sorted(calls) == sorted((name, p) for name in names[:3] for p in (2, 3))
 
 
 def test_population_rows_make_one_engine_call_per_p(monkeypatch):
@@ -518,7 +519,7 @@ def test_package_exports_resolve_lazily():
         "unlisted = sorted(set(cancornorm.__all__) - set(dir(cancornorm))); "
         "print(len(cancornorm.__all__), missing, unlisted)"
     )
-    assert _run_python(code) == "47 [] []"
+    assert _run_python(code) == "43 [] []"
     import cancornorm
     from cancornorm import montecarlo, store
 

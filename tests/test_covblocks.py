@@ -26,6 +26,8 @@ from cancornorm.covblocks import (
 from cancornorm.errors import SampleSizeError
 from cancornorm.moments import MomentTable, pair_indices, triple_indices
 
+from population_oracle import table_from_function
+
 # ---------------------------------------------------------------------------
 # oracle: term sets from full 6! enumeration
 
@@ -166,7 +168,7 @@ def isserlis_table(p, seed, max_order=6):
             for m in matchings(tuple(range(len(idx))))
         )
 
-    return MomentTable.from_function(p, max_order, mu), sigma
+    return table_from_function(p, max_order, mu), sigma
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +369,7 @@ def test_relabeling_consistency():
     m = random_table(3, 201)
     perm = (2, 0, 1)  # new coordinate k holds old coordinate perm[k]
 
-    relabeled = MomentTable.from_function(
+    relabeled = table_from_function(
         3, 6, lambda idx: m.mu(*(perm[i] for i in idx))
     )
     for maker in (lambda t: lambda_blocks(t, 30), lambda t: psi_blocks(t, 30)):

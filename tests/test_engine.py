@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cancornorm.cancor import CONDITION_LIMIT, cancor_sq, functionals
+from cancornorm.cancor import CONDITION_LIMIT, cancor_sq
 from cancornorm.covblocks import lambda_blocks, permutation_scheme, psi_blocks
-from cancornorm.engine import _z3_term_map, evaluate_batch, evaluate_population
+from cancornorm.engine import _z3_term_map, evaluate_batch, evaluate_population_batch
 from cancornorm.errors import DegenerateSampleError, SampleSizeError, SingularBlockError
 from cancornorm.moments import central_moments, triple_indices
 from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
+
+from covblocks_oracle import functionals
 
 
 def oracle_statistics(x):
@@ -286,9 +288,11 @@ def test_engine_rejects_wrong_shape():
 
 def test_population_path_rejects_singular_covariance():
     with pytest.raises(SingularBlockError, match="population covariance"):
-        evaluate_population(np.ones((2, 2)), np.zeros((2,) * 3), np.zeros((2,) * 4))
+        evaluate_population_batch(np.ones((1, 2, 2)), np.zeros((1,) + (2,) * 3),
+                                  np.zeros((1,) + (2,) * 4))
     with pytest.raises(ValueError, match="m6"):
-        evaluate_population(np.eye(2), np.zeros((2,) * 3), np.zeros((2,) * 4))
+        evaluate_population_batch(np.eye(2)[None], np.zeros((1,) + (2,) * 3),
+                                  np.zeros((1,) + (2,) * 4))
 
 
 def test_large_gaussian_sample_statistics_vanish():

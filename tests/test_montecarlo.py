@@ -18,9 +18,11 @@ from cancornorm.alternatives import (
     generate,
     generate_chunk,
     population_moments,
+    population_value,
+    population_values,
     stream_generators,
 )
-from cancornorm.cancor import cancor_sq, functional_value
+from cancornorm.cancor import cancor_sq
 from cancornorm.covblocks import lambda_blocks, psi_blocks
 from cancornorm.engine import _z3_term_map
 from cancornorm.errors import DegenerateSampleError, SampleSizeError
@@ -30,13 +32,12 @@ from cancornorm.montecarlo import (
     TableMismatchError,
     calibrate,
     empirical_pvalues,
-    population_value,
-    population_values,
     power,
     power_study,
-    run_test,
 )
-from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
+from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics, run_test
+
+from covblocks_oracle import functional_value
 
 Z2HL = StatisticId.parse("z2_hl")
 Z2W = StatisticId.parse("z2_w")
@@ -148,18 +149,6 @@ def test_pvalue_lower_tail():
     )
     assert empirical_pvalues(0.5, table)[0] == 1.0 / 10.0
     assert empirical_pvalues(50.0, table)[0] == 1.0
-
-
-def test_pvalue_two_sided_tails(monkeypatch):
-    # no statistic is two sided by default, but the machinery supports it
-    monkeypatch.setattr(StatisticId, "tail", property(lambda self: "two_sided"))
-    table = NullTable(
-        statistic=KURT, n=20, p=2, replications=9, seed=0, stream=(),
-        values=np.arange(1.0, 10.0), created_at="t",
-    )
-    assert empirical_pvalues(0.5, table)[0] == 2.0 / 10.0
-    assert empirical_pvalues(50.0, table)[0] == 2.0 / 10.0
-    assert empirical_pvalues(5.0, table)[0] == 1.0
 
 
 @pytest.mark.parametrize("statistic", [Z2HL, Z2W])
@@ -481,7 +470,7 @@ def test_population_values_match_scalar_oracle(name):
 def test_population_values_load_no_scipy():
     code = (
         "import sys; from cancornorm.alternatives import alternative; "
-        "from cancornorm.montecarlo import population_values; "
+        "from cancornorm.alternatives import population_values; "
         "assert all(len(population_values(alternative(name, 3))) == 12 "
         "for name in ('beta22', 'mix75_m2_r05')); "
         "print([m for m in sys.modules if m.startswith('scipy')])"

@@ -12,9 +12,8 @@ from cancornorm.montecarlo import (
     PowerCell,
     PowerReport,
     calibrate,
-    run_test,
 )
-from cancornorm.stats import StatisticId
+from cancornorm.stats import StatisticId, run_test
 from cancornorm.store import (
     NullTableFormatError,
     NullTableIntegrityError,
