@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
-from math import comb, exp, factorial, gamma, pi, sqrt
+from math import comb, exp, factorial, gamma, pi, prod, sqrt
 from numbers import Integral
 from operator import index
 
@@ -322,17 +322,26 @@ def generate(spec: AlternativeSpec, n: int, rng: RngStream | np.random.Generator
 
 
 def _raw_draws(generators, count: int, *plan) -> list[np.ndarray]:
-    """Raw variates of ``count`` samples, one (count, *shape) buffer per plan
+    """Raw variates of ``count`` samples, one (count, *shape) array per plan
     entry (Generator method, shape, *args).
 
-    Each generator in turn fills its slice of every buffer, in plan order, so
+    Each generator in turn fills its row of every buffer, in plan order, so
     sample i holds what the plan's calls, made in that order on the i-th
-    generator with ``size=shape``, would return.
+    generator with ``size=shape``, would return.  A run of consecutive
+    entries with the same method and arguments is drawn in one call per
+    sample and then split: drawing k values and then m values leaves the
+    same numbers, and the same generator state, as drawing k + m at once.
     """
-    bufs = [np.empty((count, *shape)) for _, shape, *_ in plan]
+    runs = []  # (method, args, shapes) of each run of equal calls
+    for method, shape, *args in plan:
+        if runs and runs[-1][:2] == (method, args):
+            runs[-1][2].append(shape)
+        else:
+            runs.append((method, args, [shape]))
+    bufs = [np.empty((count, sum(map(prod, shapes)))) for _, _, shapes in runs]
     calls = [
         (getattr(np.random.Generator, method), buf, args)
-        for (method, _, *args), buf in zip(plan, bufs)
+        for (method, args, _), buf in zip(runs, bufs)
     ]
     drawn = 0
     for i, g in zip(range(count), generators):
@@ -341,7 +350,13 @@ def _raw_draws(generators, count: int, *plan) -> list[np.ndarray]:
         drawn += 1
     if drawn != count:
         raise ValueError(f"{count} samples requested but only {drawn} generators given")
-    return bufs
+    out = []
+    for buf, (_, _, shapes) in zip(bufs, runs):
+        start = 0
+        for shape in shapes:
+            out.append(buf[:, start:start + prod(shape)].reshape(count, *shape))
+            start += prod(shape)
+    return out
 
 
 def generate_chunk(spec: AlternativeSpec, n: int, generators, count: int) -> np.ndarray:

@@ -90,33 +90,39 @@ def whitening_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, figure
 
 
-def cancor_eigs(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared canonical correlations of a (B, ...) stack of block triples.
-
-    b11 and b22 are each checked and factored by ``whitening_factor``: an
-    item is accepted when the certified bound on its condition number is
-    within CONDITION_LIMIT, and only an item whose bound exceeds the limit
-    pays for the exact ``np.linalg.cond``.  A block that fails, or that has
-    no Cholesky factor, raises ``SingularBlockError`` naming the block and
-    the first failing item.  The eigenproblem b11^-1 b12 b22^-1 b21 then
-    becomes W^T W with W = L22^-1 b21 L11^-T, symmetric positive
-    semidefinite by construction, so no inverse or general solve is formed.
-    Returns the (B, p) eigenvalues, sorted descending and clipped to [0, 1],
-    and the (B,) count of raw eigenvalues each item had outside [0, 1]
-    within the 1e-8 tolerance.
+def checked_factor(name: str, block: np.ndarray) -> np.ndarray:
+    """L^-1 of each matrix of a (B, k, k) stack of covariance blocks, after
+    ``whitening_factor`` has checked it: an item is accepted when the
+    certified bound on its condition number is within CONDITION_LIMIT (only
+    an item whose bound exceeds the limit pays for the exact
+    ``np.linalg.cond``).  A block that fails, or that has no Cholesky
+    factor, raises ``SingularBlockError`` naming the block and the first
+    failing item.
     """
-    factors = []
-    for name, block in (("b11 (mean)", b11), ("b22 (moment)", b22)):
-        inv, figure = whitening_factor(block)
-        bad = np.flatnonzero(~(figure <= CONDITION_LIMIT))
-        if bad.size:
-            raise SingularBlockError(
-                f"{name} block is numerically singular or not positive definite in "
-                f"{bad.size} batch item(s), first item {bad[0]}",
-                item=int(bad[0]),
-            )
-        factors.append(inv)
-    inv11, inv22 = factors
+    inv, figure = whitening_factor(block)
+    bad = np.flatnonzero(~(figure <= CONDITION_LIMIT))
+    if bad.size:
+        raise SingularBlockError(
+            f"{name} block is numerically singular or not positive definite in "
+            f"{bad.size} batch item(s), first item {bad[0]}",
+            item=int(bad[0]),
+        )
+    return inv
+
+
+def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared canonical correlations of a (B, ...) stack of block triples,
+    given b11 as its ``checked_factor`` L11^-1, so that families sharing a
+    b11 factor it once.
+
+    b22 is checked and factored by ``checked_factor``.  The eigenproblem
+    b11^-1 b12 b22^-1 b21 then becomes W^T W with W = L22^-1 b21 L11^-T,
+    symmetric positive semidefinite by construction, so no inverse or
+    general solve is formed.  Returns the (B, p) eigenvalues, sorted
+    descending and clipped to [0, 1], and the (B,) count of raw eigenvalues
+    each item had outside [0, 1] within the 1e-8 tolerance.
+    """
+    inv22 = checked_factor("b22 (moment)", b22)
     w = inv22 @ np.swapaxes(b12, 1, 2) @ np.swapaxes(inv11, 1, 2)
     eigs = np.linalg.eigvalsh(np.swapaxes(w, 1, 2) @ w)[:, ::-1]
     outside = (eigs < -EIGENVALUE_TOL) | (eigs > 1.0 + EIGENVALUE_TOL)
@@ -134,7 +140,8 @@ def cancor_eigs(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> tuple[np.n
 
 def cancor_sq(blocks: CovBlocks) -> CanCorSq:
     """Squared canonical correlations of one set of covariance blocks."""
-    eigs, clamped = cancor_eigs(blocks.b11[None], blocks.b12[None], blocks.b22[None])
+    inv11 = checked_factor("b11 (mean)", blocks.b11[None])
+    eigs, clamped = cancor_eigs(inv11, blocks.b12[None], blocks.b22[None])
     return CanCorSq(values=eigs[0], clamped_count=int(clamped[0]))
 
 

@@ -9,20 +9,36 @@ alternatives (one alternative is a stack of one).  All moment
 tensors and covariance blocks are built as batched array operations, and
 the squared canonical correlations come from the kernel in ``cancor``.
 
-There are two steps.  The first makes whitened moment tensors.  Every
-sample is centered and whitened before any moment is formed.  Each centered
-column is first scaled by the power of two at its largest magnitude, which
-is exact, so that its cross products neither overflow nor underflow in any
-units and every later bit is what the unscaled column would give.  The
-covariance is then equilibrated to a correlation matrix D^-1/2 cov D^-1/2 =
-L L^T, and the data are multiplied by L^-1 D^-1/2, so its second moments m2
-are the identity up to roundoff.  The same Cholesky factor certifies that
-the sample is not degenerate (see ``equilibrated_condition``).  A
-population's moment tensors are whitened by the same factor of its
-covariance, each population of a stack by its own.  The second step builds
-the covariance blocks of both families from the whitened tensors, under the
-weights of a sample size n or of the large-n limit.  The third-order block
-relies on m2 = I: every m2 factor in its permutation sums is a Kronecker
+There are two steps.  The first makes whitened moments on the distinct
+coordinates.  Every sample is centered and whitened before any moment is
+formed, observation-major: a chunk is held as (B, p, n) from centering on,
+so that every reduction and product runs along rows of n contiguous values.
+Each centered column is first scaled by the power of two at its largest
+magnitude, which is exact, so that its cross products neither overflow nor
+underflow in any units and every later bit is what the unscaled column would
+give.  The covariance is then equilibrated to a correlation matrix
+D^-1/2 cov D^-1/2 = L L^T, and the data are whitened as y = L^-1 D^-1/2 xc,
+so its second moments m2 are the identity up to roundoff.  The same Cholesky
+factor certifies that the sample is not degenerate (see
+``equilibrated_condition``).  From y come the distinct pair products P,
+(B, C(p+1, 2), n), and triple products T, (B, C(p+2, 3), n), one slab
+multiply per leading index, and every higher moment is one of three batched
+Gram products on them: m3 = y P^T / n (each coordinate with each pair),
+m4 = P P^T / n (the pair Gram, which holds every fourth moment) and the
+sixth moments on pairs of distinct triples, T T^T / n^2, so no tensor with
+repeated coordinates, p^6 or otherwise, is formed.  A population's dense
+moment tensors are whitened by the same factor of its covariance, each
+population of a stack by its own, and read at the same distinct
+coordinates.
+
+The second step builds the covariance blocks of both families from these
+whitened moments, under the weights of a sample size n or of the large-n
+limit, and b11 = m2 (over n) is factored once for both.  The z2 blocks are
+read straight from m3 and the pair Gram, whose b22 loses the products of m2
+and gains its small-sample correction.
+The fourth cumulants k4 are formed on the C(p+3, 4) sorted quadruples only,
+and the third-order b12 is k4 over (coordinate, triple).  The third-order
+b22 relies on m2 = I: every m2 factor in its permutation sums is a Kronecker
 delta, so those sums are fixed linear combinations of the fourth cumulants,
 of products of two third moments and of constants.  They are precompiled,
 per dimension p, into one term map derived from the very same term lists
@@ -30,18 +46,20 @@ that ``covblocks`` uses, so there is a single source of truth for the
 combinatorics: each entry of b22 is a short weighted sum of at most eleven
 inputs (p <= 6), applied with numpy gathers, slot by slot; the 1/n, 1/(n-1)
 and n/((n-1)(n-2)) weights (all 1 in magnitude in the limit) are folded
-into the map before it is applied.  The sixth moments enter only on pairs
-of distinct index triples: for a sample as the Gram matrix of the distinct
-triple products, so no p^6 tensor is formed.  Every other block is a
-sub-array of a moment tensor, read with the distinct pairs or triples as
-indices: the second-order b12 is m3 over the distinct pairs and the
-third-order b12 is k4 over the distinct triples.
+into the map before it is applied.  The sixth moments enter as they are.
+The Mardia statistics are the sum of the squared third moments and the sum
+of the fourth moments m4[(ii), (jj)].  Every array handed to a matrix
+product is C-contiguous or a transposed view of one, so each item's
+products take the same path, and give the same bits, whatever the batch
+size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +68,7 @@ from .cancor import (
     FUNCTIONAL_NAMES,
     batch_functionals,
     cancor_eigs,
+    checked_factor,
     whitening_factor,
 )
 from .covblocks import (
@@ -155,7 +174,8 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     1/(n-1), 2 for n/((n-1)(n-2)) (-1, 1 and 1 in the large-n limit).
     Returns the (rows, K) input columns of each row, ascending and padded to
     the longest row with the unit input, and the (3, rows, K) coef, 0 on the
-    padding; this is the engine's only per-p state.
+    padding.  ``_plan`` renumbers the k4 columns for the engine, which forms
+    k4 on the sorted quadruples only.
     """
     triples = np.array(triple_indices(p))
     q3 = len(triples)
@@ -205,41 +225,113 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, padded
 
 
-def _z3_gram(y: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """The sixth moments of a batch of whitened samples on pairs of distinct
-    triples, times 1/n: the Gram matrix of the distinct triple products over
-    n^2.  A function of its own so that the (B, n, q3) triple products, the
-    largest temporary, are freed on return."""
-    nb, n, p = y.shape
-    i, j, k = np.array(triple_indices(p)).T
-    t3 = np.take(t2, i * p + j, axis=2)
-    t3 *= np.take(y, k, axis=2)
-    return (np.swapaxes(t3, 1, 2) @ t3) / (n * n)
+class _Plan(NamedTuple):
+    """The engine's per-p state: slab bounds and flat gather indices of the
+    distinct moment coordinates.
 
-
-def _z3_b22(sixth: np.ndarray, m3: np.ndarray, k4: np.ndarray, weights) -> np.ndarray:
-    """The third-order b22 block: ``sixth`` plus the permutation sums of
-    ``_z3_term_map``, each sum class weighted by its entry of ``weights``.
-
-    The sums are gathered input by input over the lower triangle and
-    mirrored.
+    Pairs are the C(p+1, 2) (i, j), i <= j, and triples the C(p+2, 3)
+    (i, j, k), i <= j <= k, in ``pair_indices``/``triple_indices`` order, so
+    the pairs and the triples that lead with index i are contiguous (from
+    ``pair_start[i]`` and ``triple_start[i]``), and the products of those
+    triples are y_i times the pair products from ``pair_start[i]`` on.
+    Quadruples are the C(p+3, 4) sorted (a, b, c, d) in the same order.
     """
-    nb, p = m3.shape[:2]
-    i, j, k = np.array(triple_indices(p)).T
-    q3 = len(i)
-    m3d = m3[:, i, j, k].T
-    inputs = np.concatenate(
-        [k4.reshape(nb, p**4).T, (m3d[:, None] * m3d[None, :]).reshape(q3 * q3, nb),
-         np.ones((1, nb))]
-    )
+
+    pair_start: tuple[int, ...]
+    triple_start: tuple[int, ...]
+    m2_dense: np.ndarray  # (p^2,) pair of each (i, j)
+    m2_pairs: np.ndarray  # (q2,) flat (i, j) of each pair
+    pair_weight: np.ndarray  # (q2,) 1 on i == j, else 2
+    kurt_diag: np.ndarray  # flat (ii, jj) entries of the pair Gram
+    z2_cross: tuple[np.ndarray, ...]  # flat m2 (i, k), (j, l), (i, l), (j, k) over pairs (a, b)
+    m3_triples: np.ndarray  # (q3,) flat (i, jk) of m3 over the triples
+    k4_m4: np.ndarray  # (q4,) flat (ab, cd) of the pair Gram
+    k4_m2: tuple[np.ndarray, ...]  # flat m2 (a, b), (c, d), (a, c), (b, d), (a, d), (b, c)
+    z3_b12: np.ndarray  # (p * q3,) quadruple of each coordinate r and triple ijk, sorted
+    z3_cols: np.ndarray  # ``_z3_term_map`` columns over [k4 (q4), m3 x m3 (q3^2), 1]
+    z3_coef: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _plan(p: int) -> _Plan:
+    """The engine's gather indices at dimension p, built once per p."""
+    u, v = np.triu_indices(p)
+    q2 = len(u)
+    pair_of = np.empty((p, p), dtype=np.intp)
+    pair_of[u, v] = pair_of[v, u] = np.arange(q2)
+    triples = np.array(triple_indices(p))
+    quads = np.array(list(combinations_with_replacement(range(p), 4)))
+    q4 = len(quads)
+    quad_of = np.zeros(p**4, dtype=np.intp)
+    quad_of[np.ravel_multi_index(quads.T, (p,) * 4)] = np.arange(q4)
+    a, b, c, d = quads.T
+    coordinate = np.repeat(np.arange(p), len(triples))
+    with_triple = np.sort(np.column_stack([coordinate, np.tile(triples, (p, 1))]), axis=1)
     cols, coef = _z3_term_map(p)
-    weights = np.tensordot(weights, coef, 1)
+    # the k4 columns, p^4 flat sorted coordinates, become quadruple positions;
+    # both numberings are increasing, so every row keeps its summation order
+    cols = np.where(cols < p**4, quad_of[np.minimum(cols, p**4 - 1)], cols - p**4 + q4)
+    diag = pair_of[np.arange(p), np.arange(p)]
+
+    def outer(x, y):
+        return (x[:, None] * p + y[None, :]).ravel()
+
+    return _Plan(
+        pair_start=tuple(np.searchsorted(u, np.arange(p + 1))),
+        triple_start=tuple(np.searchsorted(triples[:, 0], np.arange(p + 1))),
+        m2_dense=pair_of.ravel(),
+        m2_pairs=u * p + v,
+        pair_weight=np.where(u == v, 1.0, 2.0),
+        kurt_diag=(diag[:, None] * q2 + diag[None, :]).ravel(),
+        z2_cross=(outer(u, u), outer(v, v), outer(u, v), outer(v, u)),
+        m3_triples=triples[:, 0] * q2 + pair_of[triples[:, 1], triples[:, 2]],
+        k4_m4=pair_of[a, b] * q2 + pair_of[c, d],
+        k4_m2=(a * p + b, c * p + d, a * p + c, b * p + d, a * p + d, b * p + c),
+        z3_b12=quad_of[np.ravel_multi_index(with_triple.T, (p,) * 4)],
+        z3_cols=cols,
+        z3_coef=coef,
+    )
+
+
+def _gather(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Entries ``index`` of each item of a stack, flattened per item: a
+    C-contiguous (B, len(index)) array, so that every later product runs on
+    the same per-item layout whatever B is."""
+    return np.take(a.reshape(len(a), -1), index, axis=1)
+
+
+def _z3_b22(sixth: np.ndarray, m3d: np.ndarray, k4: np.ndarray, weights, plan: _Plan) -> np.ndarray:
+    """The third-order b22 block: ``sixth`` plus the permutation sums of
+    ``_z3_term_map``, each sum class weighted by its entry of ``weights``,
+    from the (B, q3) third moments and (B, q4) fourth cumulants on the
+    distinct coordinates.
+
+    The sums are gathered slot by slot over the lower triangle, in each
+    row's column order, and mirrored.
+    """
+    nb, q3 = m3d.shape
+    q4 = k4.shape[1]
+    # one C-contiguous row per input, so that each gathered row is one copy
+    inputs = np.empty((q4 + q3 * q3 + 1, nb))
+    inputs[:q4] = k4.T
+    m3t = m3d.T
+    np.multiply(m3t[:, None], m3t[None], out=inputs[q4:-1].reshape(q3, q3, nb))
+    inputs[-1] = 1.0
+    cols = plan.z3_cols
+    weights = np.tensordot(weights, plan.z3_coef, 1)
     terms = np.zeros((len(cols), nb))
-    gathered = np.empty_like(terms)
-    for slot in range(cols.shape[1]):
-        np.take(inputs, cols[:, slot], axis=0, out=gathered)
-        gathered *= weights[:, slot, None]
-        terms += gathered
+    # Rows in blocks of 2^15 values, so that a block's gathers, scalings and
+    # sums stay in cache; the indices are in range, and mode "clip" only
+    # spares ``take`` a buffered copy of ``out``.
+    step = max(1, 2**15 // nb)
+    gathered = np.empty((min(step, len(cols)), nb))
+    for lo in range(0, len(cols), step):
+        block = terms[lo:lo + step]
+        part = gathered[:len(block)]
+        for slot in range(cols.shape[1]):
+            np.take(inputs, cols[lo:lo + step, slot], axis=0, out=part, mode="clip")
+            part *= weights[lo:lo + step, slot, None]
+            block += part
     b22 = np.empty((nb, q3, q3))
     a, b = np.tril_indices(q3)
     b22[:, a, b] = b22[:, b, a] = terms.T
@@ -247,56 +339,85 @@ def _z3_b22(sixth: np.ndarray, m3: np.ndarray, k4: np.ndarray, weights) -> np.nd
     return b22
 
 
-def _cancor_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[StatisticId, np.ndarray]:
-    """The z2 and z3 statistics among ``statistics`` from (B, p, ...) stacks
-    of whitened moment tensors.
+def _blocks(m2, m3, m4, sixth, n: int | None, families) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The (b12, b22) covariance blocks of each family in ``families`` from
+    whitened moments on the distinct coordinates: the (B, p, p) m2, the
+    (B, p, q2) m3 of every coordinate with every pair, the (B, q2, q2) pair
+    Gram m4, and for z3 the (B, q3, q3) ``sixth``, the sixth moments on
+    pairs of triples over n (over 1 in the limit).
 
-    ``sixth`` is the z3 family's sixth-order term on pairs of distinct
-    triples (None when no z3 statistic is asked for).  ``n`` is the sample
-    size, which sets the weights of the blocks: 1/n on every block and the
-    small-sample corrections of the z2 b22 and of the three z3 permutation
-    sum classes, (-1/n, 1/(n-1), n/((n-1)(n-2))).  ``n=None`` gives the
-    large-n limit: the common scale, which cancels in the eigenproblem, is
-    1, the z2 correction vanishes and the z3 weights are (-1, 1, 1).
+    ``n`` is the sample size, which sets the weights of the blocks: 1/n on
+    every block and the small-sample corrections of the z2 b22 and of the
+    three z3 permutation sum classes, (-1/n, 1/(n-1), n/((n-1)(n-2))).
+    ``n=None`` gives the large-n limit: the common scale, which cancels in
+    the eigenproblem, is 1, the z2 correction vanishes and the z3 weights
+    are (-1, 1, 1).  Every block is C-contiguous.
     """
+    plan = _plan(m2.shape[1])
     scale = 1 if n is None else n
-    p = m2.shape[1]
-    k4 = m4 - (
-        m2[:, :, :, None, None] * m2[:, None, None, :, :]
-        + m2[:, :, None, :, None] * m2[:, None, :, None, :]
-        + m2[:, :, None, None, :] * m2[:, None, :, :, None]
-    )
-    # Each block is gathered with advanced indices only, the row coordinate
-    # included, so that the batch axis stays fastest in memory: the eigen
-    # step's matrix products round differently on another layout.
-    rows = np.arange(p)[:, None]
+    nb, q2 = m4.shape[:2]
     blocks = {}
-
-    if any(s.family == "z2" for s in statistics):
-        u, v = np.triu_indices(p)
-        # entry (a, b) of b22 belongs to the pairs (i, j) = (u[a], v[a]) and (k, l) = (u[b], v[b])
-        i, k = np.meshgrid(u, u, indexing="ij")
-        j, l = np.meshgrid(v, v, indexing="ij")
-        b22 = (m4[:, i, j, k, l] - m2[:, i, j] * m2[:, k, l]) / scale
+    if "z2" in families:
+        m2p = _gather(m2, plan.m2_pairs)
+        b22 = m4 - m2p[:, :, None] * m2p[:, None, :]
+        b22 /= scale
         if n is not None:
-            b22 += (m2[:, i, k] * m2[:, j, l] + m2[:, i, l] * m2[:, j, k]) / (n * (n - 1))
-        blocks["z2"] = (m3[:, rows, u, v] / scale, b22)
-
-    if any(s.family == "z3" for s in statistics):
-        i, j, k = np.array(triple_indices(p)).T
+            ik, jl, il, jk = (_gather(m2, index) for index in plan.z2_cross)
+            b22 += ((ik * jl + il * jk) / (n * (n - 1))).reshape(nb, q2, q2)
+        blocks["z2"] = (m3 / scale, b22)
+    if "z3" in families:
+        ab, cd, ac, bd, ad, bc = (_gather(m2, index) for index in plan.k4_m2)
+        k4 = _gather(m4, plan.k4_m4) - (ab * cd + ac * bd + ad * bc)
         if n is None:
             weights = (-1.0, 1.0, 1.0)
         else:
             weights = (-1.0 / n, 1.0 / (n - 1), n / ((n - 1) * (n - 2)))
-        blocks["z3"] = (k4[:, rows, i, j, k] / scale, _z3_b22(sixth, m3, k4, weights))
+        m3d = _gather(m3, plan.m3_triples)
+        b12 = _gather(k4, plan.z3_b12).reshape(nb, m2.shape[1], -1) / scale
+        blocks["z3"] = (b12, _z3_b22(sixth, m3d, k4, weights, plan))
+    return blocks
 
+
+def _moment_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[StatisticId, np.ndarray]:
+    """The statistics among ``statistics`` from whitened moments on the
+    distinct coordinates (see ``_blocks``), for a sample of size n or, at
+    ``n=None``, in the large-n limit.
+
+    The Mardia statistics are sums of squared third moments and of the
+    fourth moments m4[(ii), (jj)], with the (n-1)/n factors of their
+    sample forms.  b11 = m2 (over n) is factored once for both families.
+    """
+    plan = _plan(m2.shape[1])
+    bias = 1.0 if n is None else (n - 1) / n
     out = {}
-    for family, (b12, b22) in blocks.items():
-        vals = batch_functionals(cancor_eigs(m2 / scale, b12, b22)[0])
+    if StatisticId("mardia_skew") in statistics:
+        out[StatisticId("mardia_skew")] = bias**3 * np.sum(m3 * m3 * plan.pair_weight, axis=(1, 2))
+    if StatisticId("mardia_kurt") in statistics:
+        out[StatisticId("mardia_kurt")] = bias**2 * np.sum(_gather(m4, plan.kurt_diag), axis=1)
+    families = {s.family for s in statistics} & {"z2", "z3"}
+    if not families:
+        return out
+    inv11 = checked_factor("b11 (mean)", m2 / (1 if n is None else n))
+    for family, (b12, b22) in _blocks(m2, m3, m4, sixth, n, families).items():
+        vals = batch_functionals(cancor_eigs(inv11, b12, b22)[0])
         for sid in statistics:
             if sid.family == family:
                 out[sid] = vals[sid.functional]
     return out
+
+
+def _sixth(y: np.ndarray, pairs: np.ndarray, plan: _Plan) -> np.ndarray:
+    """The sixth moments of a batch of whitened samples on pairs of distinct
+    triples, times 1/n: the Gram matrix of the distinct triple products over
+    n^2.  A function of its own so that the (B, q3, n) triple products, the
+    largest temporary, are freed on return."""
+    nb, p, n = y.shape
+    triples = np.empty((nb, plan.triple_start[-1], n))
+    for i, (lo, hi) in enumerate(pairwise(plan.triple_start)):
+        np.multiply(y[:, i, None], pairs[:, plan.pair_start[i]:], out=triples[:, lo:hi])
+    sixth = triples @ np.swapaxes(triples, 1, 2)
+    sixth /= n * n
+    return sixth
 
 
 def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:
@@ -312,7 +433,6 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     statistics = tuple(statistics)
     need_z2 = any(s.family == "z2" for s in statistics)
     need_z3 = any(s.family == "z3" for s in statistics)
-    need_mardia = any(s.family.startswith("mardia") for s in statistics)
     if need_z2 and n < second_order_threshold(p):
         raise SampleSizeError(
             f"z2 statistics need n >= {second_order_threshold(p)} for p={p}, got n={n}"
@@ -321,18 +441,20 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
         raise SampleSizeError(
             f"z3 statistics need n >= {third_order_threshold(p)} for p={p}, got n={n}"
         )
+    plan = _plan(p)
 
-    xc = data - data.mean(axis=1, keepdims=True)
+    # Observation-major from here on: every reduction and product runs along
+    # rows of n contiguous values.
+    xc = np.empty((nb, p, n))
+    xc[...] = np.swapaxes(data, 1, 2)
+    xc -= xc.mean(axis=2, keepdims=True)
     # Each column in units of the power of two at its largest |value|: exact,
     # so the equilibrated covariance and y keep their bits, and the products
-    # of xc^T xc can neither overflow nor underflow whatever the data's units.
-    # The largest values are read from a (B, p, n) buffer, whose reductions
-    # run along contiguous rows (several times faster than along axis 1 of
-    # xc); the buffer then holds y, so that the scaling allocates no array.
-    buf = np.empty((nb, p, n))
-    np.abs(np.swapaxes(xc, 1, 2), out=buf)
-    np.ldexp(xc, -np.frexp(buf.max(axis=2))[1][:, None, :], out=xc)
-    cov = np.swapaxes(xc, 1, 2) @ xc / n
+    # of xc xc^T can neither overflow nor underflow whatever the data's units.
+    # The buffer then holds y, so that the scaling allocates no array.
+    buf = np.abs(xc)
+    np.ldexp(xc, -np.frexp(buf.max(axis=2))[1][:, :, None], out=xc)
+    cov = xc @ np.swapaxes(xc, 1, 2) / n
     cond, whitening = equilibrated_condition(cov)
     bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
     if bad.size:
@@ -341,27 +463,20 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
             f"first item {bad[0]}",
             item=int(bad[0]),
         )
-    y = np.matmul(xc, np.swapaxes(whitening, 1, 2), out=buf.reshape(nb, n, p))
+    y = np.matmul(whitening, xc, out=buf)
+    del xc
 
-    out: dict[StatisticId, np.ndarray] = {}
-
-    if need_mardia:
-        r = np.sum(y * y, axis=2)
-        if StatisticId("mardia_kurt") in statistics:
-            out[StatisticId("mardia_kurt")] = ((n - 1) / n) ** 2 * np.mean(r * r, axis=1)
-
-    t2 = (y[:, :, :, None] * y[:, :, None, :]).reshape(nb, n, p * p)
-    m2 = t2.mean(axis=1).reshape(nb, p, p)
-    m3 = (np.swapaxes(t2, 1, 2) @ y).reshape(nb, p, p, p) / n
-
-    if StatisticId("mardia_skew") in statistics:
-        out[StatisticId("mardia_skew")] = ((n - 1) / n) ** 3 * np.sum(m3 * m3, axis=(1, 2, 3))
-
-    if need_z2 or need_z3:
-        m4 = (np.swapaxes(t2, 1, 2) @ t2).reshape(nb, p, p, p, p) / n
-        sixth = _z3_gram(y, t2) if need_z3 else None
-        out.update(_cancor_values(m2, m3, m4, sixth, n, statistics))
-    return out
+    # the distinct pair and triple products, one slab per leading index
+    pairs = np.empty((nb, plan.pair_start[-1], n))
+    for i, (lo, hi) in enumerate(pairwise(plan.pair_start)):
+        np.multiply(y[:, i, None], y[:, i:], out=pairs[:, lo:hi])
+    m2 = _gather(pairs.mean(axis=2), plan.m2_dense).reshape(nb, p, p)
+    m3 = y @ np.swapaxes(pairs, 1, 2)
+    m3 /= n
+    m4 = pairs @ np.swapaxes(pairs, 1, 2)
+    m4 /= n
+    sixth = _sixth(y, pairs, plan) if need_z3 else None
+    return _moment_values(m2, m3, m4, sixth, n, statistics)
 
 
 def _along_every_axis(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -381,12 +496,11 @@ def evaluate_population_batch(
 
     Each item's tensors are whitened by the Cholesky factor of its
     covariance m2, found as ``evaluate_batch`` finds a sample's, so that the
-    whitened m2 is the identity up to roundoff.  The two Mardia values are
-    then the sum of the squared whitened third moments and the trace of the
-    whitened fourth moments, and the z2 and z3 families go through the
-    sample path's block builder at ``n=None``, in one call for the whole
-    stack, with the whitened m6 on pairs of distinct triples as the
-    sixth-order term.  An item's values do not depend on the other items.
+    whitened m2 is the identity up to roundoff.  They are then read at the
+    distinct coordinates the sample path forms (m3 of each coordinate with
+    each pair, m4 on pairs of pairs, m6 on pairs of triples) and go through
+    its builder at ``n=None``, in one call for the whole stack.  An item's
+    values do not depend on the other items.
     """
     statistics = tuple(statistics)
     m2 = np.asarray(m2, dtype=float)
@@ -406,15 +520,16 @@ def evaluate_population_batch(
         m = np.asarray(m, dtype=float)
         return np.stack([_along_every_axis(item, w) for item, w in zip(m, whitening)])
 
-    m2, m3, m4 = whitened(m2), whitened(m3), whitened(m4)
-    out = {}
-    if StatisticId("mardia_skew") in statistics:
-        out[StatisticId("mardia_skew")] = np.sum(m3 * m3, axis=(1, 2, 3))
-    if StatisticId("mardia_kurt") in statistics:
-        out[StatisticId("mardia_kurt")] = np.einsum("biijj->b", m4)
+    nb, p = m2.shape[:2]
+    pairs = _plan(p).m2_pairs
+    q2 = len(pairs)
+    m2 = whitened(m2)
+    m3 = _gather(whitened(m3), (np.arange(p)[:, None] * p**2 + pairs).ravel()).reshape(nb, p, q2)
+    m4 = _gather(whitened(m4), (pairs[:, None] * p**2 + pairs).ravel()).reshape(nb, q2, q2)
     sixth = None
     if need_z3:
-        i, j, k = np.array(triple_indices(m2.shape[1])).T
-        sixth = whitened(m6)[:, i[:, None], j[:, None], k[:, None], i, j, k]
-    out.update(_cancor_values(m2, m3, m4, sixth, None, statistics))
-    return out
+        triples = np.ravel_multi_index(np.array(triple_indices(p)).T, (p,) * 3)
+        q3 = len(triples)
+        sixth = _gather(whitened(m6), (triples[:, None] * p**3 + triples).ravel())
+        sixth = sixth.reshape(nb, q3, q3)
+    return _moment_values(m2, m3, m4, sixth, None, statistics)

@@ -9,7 +9,8 @@ bits for any grouping; results are therefore bit-identical for any worker
 count and any chunk size.
 
 A chunk holds ``CHUNK * 2**k`` replications, k <= 2: the largest such size
-whose (B, n, p^2) pair and (B, n, q3) triple products fit in
+whose distinct pair and triple products, the engine's largest temporaries
+at 8 n (C(p+1, 2) + C(p+2, 3)) bytes per replication, fit in
 ``CHUNK_BUDGET`` bytes at the job's (n, p), so that small problems pay the
 fixed cost of sampling and evaluating a chunk fewer times.  When that would
 leave a run with fewer than 4 chunks per worker, every chunk holds
@@ -57,14 +58,14 @@ import numpy as np
 
 from .alternatives import AlternativeSpec, RngStream, alternative, generate_chunk, stream_generators
 from .covblocks import second_order_threshold, third_order_threshold
-from .engine import _z3_term_map, evaluate_batch
+from .engine import _plan, evaluate_batch
 from .errors import BatchItemError, MissingTableError, SampleSizeError, TableMismatchError
 from .stats import StatisticId, empirical_pvalues
 from .store import NullTable, PowerCell, PowerReport
 
 MIN_REPLICATIONS = 1000
 CHUNK = 256  # replications per chunk at large (n, p); every chunk size is CHUNK * 2**k
-CHUNK_BUDGET = 2 * 2**20  # bytes of pair and triple products that allow a larger chunk
+CHUNK_BUDGET = 2 * 2**20  # bytes of distinct pair and triple products that allow a larger chunk
 
 # Stream contexts keep calibration draws independent of power-study draws
 # under the same root seed.
@@ -103,7 +104,7 @@ def _chunk_sizes(jobs, workers: int) -> list[int]:
     sizes = []
     for job in jobs:
         p = job.spec.p
-        rep_bytes = 8 * job.n * (p * p + comb(p + 2, 3))  # its pair and triple products
+        rep_bytes = 8 * job.n * (comb(p + 1, 2) + comb(p + 2, 3))  # its pair and triple products
         size = CHUNK
         while size < 4 * CHUNK and 2 * size * rep_bytes <= CHUNK_BUDGET:
             size *= 2
@@ -172,11 +173,10 @@ def _simulate(jobs, statistics, workers):
     ]
     chunks_per_job = [len(starts) for starts in job_starts]
     chunk = partial(_chunk_values, statistics)
-    if any(sid.family == "z3" for sid in statistics):
-        # Built here, before a new pool forks, so that its workers inherit
-        # the per-p term maps; workers of an older pool build them themselves.
-        for p in {job.spec.p for job in jobs}:
-            _z3_term_map(p)
+    # Built here, before a new pool forks, so that its workers inherit the
+    # per-p plans; workers of an older pool build them themselves.
+    for p in {job.spec.p for job in jobs}:
+        _plan(p)
     if workers > 1 and len(tasks) > 1:
         with _pool_lock:
             try:

@@ -40,8 +40,9 @@ from cancornorm.montecarlo import calibrate, power
 from cancornorm.moments import triple_indices
 from cancornorm.stats import ALL_STATISTICS, StatisticId
 
+from covblocks_oracle import oracle_third_cov
 from refvalues import POPULATION_TABLE, POWER_CELLS
-from test_covblocks import isserlis_table, oracle_third_cov, random_table
+from test_covblocks import isserlis_table, random_table
 from univariate_oracle import z2_prime, z3_prime
 
 ACCEPTANCE_SEED = 20260812

@@ -1,13 +1,14 @@
 """Covariance-block tests.
 
 The third-order block formula mixes sums over prescribed sets of index
-permutations; the oracle here rebuilds every term set from scratch by
-enumerating all 6! slot permutations of the base pattern, canonicalizing
-and deduplicating, and then re-assembles the full matrix entry directly
-from the displayed formula.  The production code must agree to 1e-12.
+permutations; the oracle (``covblocks_oracle``) rebuilds every term set from
+scratch by enumerating all 6! slot permutations of the base pattern,
+canonicalizing and deduplicating, and then re-assembles the full matrix
+entry directly from the displayed formula.  The production code must agree
+to 1e-12.
 """
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -26,62 +27,20 @@ from cancornorm.covblocks import (
 from cancornorm.errors import SampleSizeError
 from cancornorm.moments import MomentTable, pair_indices, triple_indices
 
+from covblocks_oracle import (
+    oracle_cross_matchings,
+    oracle_lambda_blocks,
+    oracle_matchings_all,
+    oracle_pairs_quad_all,
+    oracle_pairs_quad_restricted,
+    oracle_third_cov,
+    oracle_triple_pairs_all,
+    oracle_triple_pairs_restricted,
+)
 from population_oracle import table_from_function
 
 # ---------------------------------------------------------------------------
-# oracle: term sets from full 6! enumeration
-
-
-def oracle_pairs_quad_all():
-    """All distinct mu_ab * (mu_cdef - pairings) terms: 15."""
-    terms = set()
-    for perm in permutations(range(6)):
-        terms.add((frozenset(perm[:2]), frozenset(perm[2:])))
-    return terms
-
-
-def oracle_triple_pairs_all():
-    """All distinct mu_abc * mu_def terms: 10."""
-    terms = set()
-    for perm in permutations(range(6)):
-        terms.add(frozenset((frozenset(perm[:3]), frozenset(perm[3:]))))
-    return terms
-
-
-def oracle_matchings_all():
-    """All distinct mu_ab mu_cd mu_ef terms: 15."""
-    terms = set()
-    for perm in permutations(range(6)):
-        terms.add(
-            frozenset((frozenset(perm[0:2]), frozenset(perm[2:4]), frozenset(perm[4:6])))
-        )
-    return terms
-
-
-def oracle_pairs_quad_restricted():
-    """The 9-term pair sum: first slot swaps within {0,1,2}, second within {3,4,5}."""
-    terms = set()
-    for a in (0, 1, 2):
-        for b in (3, 4, 5):
-            rest = frozenset(s for s in range(6) if s not in (a, b))
-            terms.add((frozenset((a, b)), rest))
-    return terms
-
-
-def oracle_triple_pairs_restricted():
-    """All two-triple splits except the {0,1,2}|{3,4,5} one: 9."""
-    full = oracle_triple_pairs_all()
-    identity = frozenset((frozenset((0, 1, 2)), frozenset((3, 4, 5))))
-    return full - {identity}
-
-
-def oracle_cross_matchings():
-    """Matchings that pair each of {0,1,2} with one of {3,4,5}: 6."""
-    return {
-        m
-        for m in oracle_matchings_all()
-        if all(len(pair & {0, 1, 2}) == 1 for pair in m)
-    }
+# term lists against the 6! enumeration
 
 
 def _canon_pair_quad(term):
@@ -171,54 +130,6 @@ def isserlis_table(p, seed, max_order=6):
     return table_from_function(p, max_order, mu), sigma
 
 
-# ---------------------------------------------------------------------------
-# oracle evaluation of the third-order covariance
-
-
-def oracle_third_cov(m, ijk, rst, n):
-    c = tuple(ijk) + tuple(rst)
-
-    def k4(slots):
-        return centered_fourth(m, *(c[s] for s in slots))
-
-    def lam():
-        total = m.mu(*c)
-        for term in oracle_pairs_quad_all():
-            (pair, rest) = term
-            a, b = tuple(pair)
-            total -= m.mu(c[a], c[b]) * k4(tuple(rest))
-        for term in oracle_triple_pairs_all():
-            t1, t2 = tuple(term)
-            total -= m.mu(*(c[s] for s in t1)) * m.mu(*(c[s] for s in t2))
-        for match in oracle_matchings_all():
-            prod = 1.0
-            for pair in match:
-                a, b = tuple(pair)
-                prod *= m.mu(c[a], c[b])
-            total -= prod
-        return total
-
-    pair9 = 0.0
-    for term in oracle_pairs_quad_restricted():
-        (pair, rest) = term
-        a, b = tuple(pair)
-        pair9 += m.mu(c[a], c[b]) * k4(tuple(rest))
-    triple9 = 0.0
-    for term in oracle_triple_pairs_restricted():
-        t1, t2 = tuple(term)
-        triple9 += m.mu(*(c[s] for s in t1)) * m.mu(*(c[s] for s in t2))
-    match6 = 0.0
-    for match in oracle_cross_matchings():
-        prod = 1.0
-        for pair in match:
-            a, b = tuple(pair)
-            prod *= m.mu(c[a], c[b])
-        match6 += prod
-    if n is None:
-        return lam() + pair9 + triple9 + match6
-    return lam() / n + (pair9 + triple9) / (n - 1) + match6 * n / ((n - 1) * (n - 2))
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_psi22_matches_permutation_oracle_p2(seed):
     m = random_table(2, seed)
@@ -287,20 +198,6 @@ def test_gaussian_cross_blocks_vanish():
 
 # ---------------------------------------------------------------------------
 # second-order blocks
-
-
-def oracle_lambda_blocks(m, n):
-    p = m.p
-    pairs = pair_indices(p)
-    b11 = np.array([[m.mu(i, j) / n for j in range(p)] for i in range(p)])
-    b12 = np.array([[m.mu(i, j, k) / n for (j, k) in pairs] for i in range(p)])
-    b22 = np.zeros((len(pairs), len(pairs)))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            b22[a, b] = (m.mu(i, j, k, l) - m.mu(i, j) * m.mu(k, l)) / n + (
-                m.mu(i, k) * m.mu(j, l) + m.mu(i, l) * m.mu(j, k)
-            ) / (n * (n - 1))
-    return b11, b12, b22
 
 
 def test_lambda_blocks_match_formula_oracle():

@@ -8,14 +8,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from cancornorm.alternatives import RngStream, alternative, generate_chunk, stream_generators
 from cancornorm.cancor import CONDITION_LIMIT, cancor_sq
-from cancornorm.covblocks import lambda_blocks, permutation_scheme, psi_blocks
-from cancornorm.engine import _z3_term_map, evaluate_batch, evaluate_population_batch
+from cancornorm.covblocks import centered_fourth, lambda_blocks, permutation_scheme, psi_blocks
+from cancornorm.engine import _blocks, _z3_term_map, evaluate_batch, evaluate_population_batch
 from cancornorm.errors import DegenerateSampleError, SampleSizeError, SingularBlockError
-from cancornorm.moments import central_moments, triple_indices
+from cancornorm.moments import (
+    MomentTable,
+    central_moments,
+    pair_indices,
+    sorted_multi_indices,
+    triple_indices,
+)
 from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
 
-from covblocks_oracle import functionals
+from covblocks_oracle import functionals, oracle_lambda_blocks, oracle_third_cov
 
 
 def oracle_statistics(x):
@@ -52,13 +59,18 @@ def test_engine_matches_per_sample_path():
 
 def test_engine_batch_grouping_irrelevant():
     rng = np.random.default_rng(2)
-    for n, p in [(20, 2), (40, 5)]:
-        data = rng.standard_normal((12, n, p))
+    # a study-size chunk of a heavy-tailed alternative, with a stack of one
+    logn = generate_chunk(alternative("logn_2", 2), 20, stream_generators(RngStream(2), 1, 0, 1000), 1000)
+    for data, splits in [
+        (rng.standard_normal((12, 20, 2)), (5, 7)),
+        (rng.standard_normal((12, 40, 5)), (5, 7)),
+        (logn, (1, 8)),
+    ]:
         whole = evaluate_batch(data)
-        parts = [evaluate_batch(data[:5]), evaluate_batch(data[5:7]), evaluate_batch(data[7:])]
+        parts = [evaluate_batch(part) for part in np.split(data, splits)]
         for sid in ALL_STATISTICS:
             stitched = np.concatenate([part[sid] for part in parts])
-            assert_array_equal(whole[sid], stitched, err_msg=f"{sid.name} at p={p}")
+            assert_array_equal(whole[sid], stitched, err_msg=f"{sid.name} at {data.shape}")
 
 
 def test_engine_peak_memory_one_chunk_p6():
@@ -217,6 +229,44 @@ def test_z3_term_map_matches_term_lists(p):
     for w in range(3):
         np.add.at(dense[w], (rows, cols), coef[w])
     assert_array_equal(dense, reference)
+
+
+def whitened_table(p, seed):
+    """A moment table with m2 = I, as the engine's block builder assumes,
+    and random moments of orders 3 to 6."""
+    rng = np.random.default_rng(seed)
+    values = {}
+    for order in range(2, 7):
+        for idx in sorted_multi_indices(p, order):
+            values[idx] = float(idx[0] == idx[1]) if order == 2 else float(rng.uniform(0.5, 2.0))
+    return MomentTable(p=p, max_order=6, values=values)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_engine_blocks_match_enumeration_oracle(p):
+    # The engine's blocks at a finite n, from the distinct moments of a
+    # whitened table, against the z2 formula and the 6!-enumeration oracle
+    # of the z3 b22, to criterion 3's tolerance.
+    n = 30
+    pairs, triples = pair_indices(p), triple_indices(p)
+    for seed in range(2):
+        m = whitened_table(p, 300 + 10 * p + seed)
+        blocks = _blocks(
+            np.eye(p)[None],
+            np.array([[m.mu(i, *jk) for jk in pairs] for i in range(p)])[None],
+            np.array([[m.mu(*ij, *kl) for kl in pairs] for ij in pairs])[None],
+            np.array([[m.mu(*t1, *t2) / n for t2 in triples] for t1 in triples])[None],
+            n,
+            {"z2", "z3"},
+        )
+        _, b12, b22 = oracle_lambda_blocks(m, n)
+        z3_b12 = np.array([[centered_fourth(m, i, *t) / n for t in triples] for i in range(p)])
+        z3_b22 = np.array([[oracle_third_cov(m, t1, t2, n) for t2 in triples] for t1 in triples])
+        for family, oracle in (("z2", (b12, b22)), ("z3", (z3_b12, z3_b22))):
+            for name, block, expected in zip(("b12", "b22"), blocks[family], oracle):
+                scale = max(np.max(np.abs(expected)), 1.0)
+                dev = np.max(np.abs(block[0] - expected)) / scale
+                assert dev <= 1e-12, f"{family} {name} at p={p}: {dev:.2e}"
 
 
 def test_compute_statistics_loads_no_scipy():
