@@ -17,6 +17,8 @@ decision (``run_test``, ``TestResult``) in ``stats``, the simulation
 
 from importlib import import_module
 
+__version__ = "0.1.0"  # the one source of the version: pyproject.toml reads it
+
 _EXPORTS = {
     "alternatives": (
         "AlternativeSpec", "RngStream", "alternative", "available_alternatives", "generate",

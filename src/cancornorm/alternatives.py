@@ -240,7 +240,9 @@ _MIXTURES = [
 ]
 
 
+@lru_cache(maxsize=None)
 def _registry(p: int) -> dict[str, AlternativeSpec]:
+    # Cached: the specs are frozen, and the dict never leaves this module.
     specs = [
         _spec("normal", p, "normal", "Normal"),
         _spec("indep_exp", p, "iid_exp", "Indep. Exp(1)"),

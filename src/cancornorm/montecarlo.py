@@ -34,6 +34,13 @@ pool is created by the first parallel run and reused by every later run with
 the same worker count; a different count replaces it, a broken pool is
 dropped and rebuilt on the next run, and interpreter exit shuts it down.
 
+Each pool worker starts by fixing its C allocator's thresholds (glibc's
+``mallopt``): arrays below ``WORKER_MMAP_THRESHOLD`` come from the heap, and
+the heap keeps up to ``WORKER_TRIM_THRESHOLD`` bytes of free memory, so the
+chunks after a worker's first reuse its pages instead of mapping, faulting
+in and unmapping their temporaries again.  The calling process keeps its
+allocator as it is, and a platform without ``mallopt`` runs unchanged.
+
 The result types live with their persistence (``NullTable``, ``PowerCell``
 and ``PowerReport`` in ``store``) and the test decision with ``TestResult``
 (``empirical_pvalues`` and ``run_test`` in ``stats``), so that testing a
@@ -44,6 +51,7 @@ neither this module nor its worker-pool machinery.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 import time
@@ -66,6 +74,14 @@ from .store import NullTable, PowerCell, PowerReport
 MIN_REPLICATIONS = 1000
 CHUNK = 256  # replications per chunk at large (n, p); every chunk size is CHUNK * 2**k
 CHUNK_BUDGET = 2 * 2**20  # bytes of distinct pair and triple products that allow a larger chunk
+
+# glibc's mallopt parameters, and the values every pool worker sets.  32 MiB is
+# the largest mmap threshold glibc accepts on 64-bit systems; setting one
+# parameter alone would also freeze the other at its 128 KiB default.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+WORKER_MMAP_THRESHOLD = 32 * 2**20
+WORKER_TRIM_THRESHOLD = 256 * 2**20
 
 # Stream contexts keep calibration draws independent of power-study draws
 # under the same root seed.
@@ -143,13 +159,31 @@ _pool_workers = 0
 _pool_lock = threading.Lock()
 
 
+def _steady_heap() -> bool:
+    """Pool-worker initializer: set the allocator thresholds of the module
+    docstring.  Returns whether both were set; never raises, so a platform
+    without glibc's ``mallopt`` keeps its allocator as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success; a refused mmap threshold leaves the trim
+    # threshold unset (see WORKER_MMAP_THRESHOLD).
+    return (
+        mallopt(M_MMAP_THRESHOLD, WORKER_MMAP_THRESHOLD) == 1
+        and mallopt(M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD) == 1
+    )
+
+
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_workers
     if _pool is not None and _pool_workers != workers:
         _pool.shutdown()
         _pool = None
     if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=workers)
+        _pool = ProcessPoolExecutor(max_workers=workers, initializer=_steady_heap)
         _pool_workers = workers
     return _pool
 

@@ -7,7 +7,8 @@ none of the simulation code; ``montecarlo`` builds them and re-exports them.
 A null-table file is a single JSON header line followed by the raw table
 payload as little-endian 64-bit floats.  The header stays human-inspectable
 (``head -1 file``) while the payload is compact and exact; a SHA-256 over
-the payload guards against corruption.  Unknown format versions are a hard
+the payload guards against corruption, and ``library_version`` records
+``cancornorm.__version__``.  Unknown format versions are a hard
 error rather than a silent migration.
 """
 
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     NullTableFormatError,
     NullTableIntegrityError,
@@ -76,16 +78,6 @@ class PowerReport:
         raise KeyError(f"no cell for {statistic}")
 
 
-def _library_version() -> str:
-    # Imported here: only a save needs it, and it is slow to import.
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("cancornorm")
-    except PackageNotFoundError:
-        return "unknown"
-
-
 def save_null(table: NullTable, path) -> None:
     payload = np.ascontiguousarray(table.values, dtype="<f8").tobytes()
     header = {
@@ -97,7 +89,7 @@ def save_null(table: NullTable, path) -> None:
         "seed": table.seed,
         "stream": list(table.stream),
         "created_at": table.created_at,
-        "library_version": _library_version(),
+        "library_version": __version__,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     with open(path, "wb") as fh:

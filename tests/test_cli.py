@@ -508,6 +508,19 @@ def _run_python(code, env=None):
     return proc.stdout.strip()
 
 
+def test_calibrate_loads_no_package_metadata(tmp_path):
+    # the null-table header takes cancornorm.__version__, not importlib.metadata
+    out = tmp_path / "nulls"
+    code = (
+        "import sys; from cancornorm.cli import main; "
+        "assert main(['calibrate', '--n', '20', '--p', '2', '--reps', '1000', "
+        f"'--workers', '2', '--out-dir', {str(out)!r}]) == 0; "
+        "print('importlib.metadata' in sys.modules)"
+    )
+    assert _run_python(code).splitlines()[-1] == "False"
+    assert len(list(out.glob("*.null"))) == 12
+
+
 def test_package_import_loads_no_numpy():
     assert _run_python("import sys, cancornorm; print('numpy' in sys.modules)") == "False"
 

@@ -1,10 +1,13 @@
 import os
+import platform
+import resource
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from cancornorm.alternatives import (
 )
 from cancornorm.cancor import cancor_sq
 from cancornorm.covblocks import lambda_blocks, psi_blocks
-from cancornorm.engine import _z3_term_map
+from cancornorm.engine import _plan, _z3_term_map
 from cancornorm.errors import DegenerateSampleError, SampleSizeError
 from cancornorm.montecarlo import (
     MissingTableError,
@@ -233,9 +236,9 @@ def fresh_pool(monkeypatch):
     built = []
 
     class CountingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             built.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, initializer=initializer)
 
     drop()
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
@@ -255,8 +258,9 @@ def test_one_pool_serves_successive_runs(fresh_pool, small_tables):
 
 
 def test_shared_pool_bit_identical_across_dimensions(fresh_pool):
-    # The pool forks at p = 2; at p = 3 its workers build the z3 term map
-    # themselves rather than inheriting it.
+    # The pool forks at p = 2; at p = 3 its workers build the per-p plan (and
+    # the z3 term map under it) themselves rather than inheriting it.
+    _plan.cache_clear()
     _z3_term_map.cache_clear()
     for p in (2, 3):
         one = calibrate(ALL_STATISTICS, 20, p, 1000, RngStream(21), workers=1)
@@ -288,6 +292,59 @@ def test_broken_pool_is_rebuilt(fresh_pool, monkeypatch):
     again = calibrate((Z2HL,), 20, 2, 1000, RngStream(8), workers=2)[Z2HL].values
     assert_array_equal(again, expected)
     assert fresh_pool == [2, 2]
+
+
+def _chunk_minor_faults(start):
+    # Minor page faults of one (256, 100, 5) normal chunk in this process.
+    job = montecarlo.SimulationJob(alternative("normal", 5), 100, RngStream(3), 0, 4096)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    montecarlo._chunk_values(ALL_STATISTICS, (job, start, 256))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_pool_workers_reuse_their_heap(fresh_pool):
+    # A chunk's temporaries map ~3,800 fresh pages with glibc's default
+    # thresholds; a worker's later chunks fault in almost none.
+    pool = montecarlo._worker_pool(1)
+    faults = [pool.submit(_chunk_minor_faults, 256 * i).result(timeout=120) for i in range(3)]
+    assert max(faults[1:]) < 200, faults
+
+
+def _fake_libc(monkeypatch, results):
+    """Make ``ctypes.CDLL(None)`` a C library whose mallopt returns RESULTS in
+    turn; returns the list of (param, value) calls it receives."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return results.pop(0)
+
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    return calls
+
+
+def test_steady_heap_sets_both_thresholds(monkeypatch):
+    calls = _fake_libc(monkeypatch, [1, 1])
+    assert montecarlo._steady_heap() is True
+    assert calls == [(montecarlo.M_MMAP_THRESHOLD, 32 * 2**20),
+                     (montecarlo.M_TRIM_THRESHOLD, 256 * 2**20)]
+    # a refused mmap threshold leaves the trim threshold alone
+    calls = _fake_libc(monkeypatch, [0])
+    assert montecarlo._steady_heap() is False
+    assert calls == [(montecarlo.M_MMAP_THRESHOLD, 32 * 2**20)]
+
+
+def test_steady_heap_without_mallopt_changes_nothing(monkeypatch):
+    # a C library without mallopt, then no C library at all
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert montecarlo._steady_heap() is False
+
+    def no_libc(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL", no_libc)
+    assert montecarlo._steady_heap() is False
 
 
 def test_failing_replication_is_named_by_its_stream(monkeypatch):

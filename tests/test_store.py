@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import cancornorm
 from cancornorm.alternatives import RngStream
 from cancornorm.montecarlo import (
     NullTable,
@@ -55,6 +56,7 @@ def test_header_is_json_line(tmp_path):
         header = json.loads(fh.readline())
     assert header["format_version"] == 1
     assert header["statistic"] == "z2_hl"
+    assert header["library_version"] == cancornorm.__version__
 
 
 def test_truncated_payload_is_length_error(tmp_path):
