@@ -8,6 +8,18 @@ table ``altpop``) at a configurable replication count.
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable CSV, missing
 or corrupt table files), 4 computation error (thresholds, singular data).
+An output path whose directory is missing, or that names a directory, is a
+usage error reported before any replication runs or any file is read.
+
+``main`` runs one command and returns its exit code, for tests and other
+in-process callers.  Its one process-wide effect: a serial simulation
+(``--workers 1``) runs its chunks in this process, so it first gives it the
+pool workers' allocator thresholds (``montecarlo._steady_heap``).  ``run``
+is the entry point of a process the CLI owns (the ``cancornorm`` script and
+``python -m cancornorm.cli``): it calls ``main``, then freezes the garbage
+collector's heap (``gc.freeze``) and exits, so that interpreter finalization
+does not sweep the tens of thousands of objects the imports left behind.
+Atexit handlers, among them the worker pool's shutdown, still run.
 
 Every command runs its BLAS single-threaded unless the environment says
 otherwise, so that a process's arithmetic never depends on the worker count
@@ -22,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 # Before numpy loads, which reads these once; a value the user set wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -100,6 +114,17 @@ def _worker_count(text: str) -> int:
     return workers
 
 
+def _output_file(text: str) -> str:
+    """argparse type of an output file: its directory exists and it is not a
+    directory itself, so that no run ends unable to write what it computed."""
+    path = Path(text)
+    if path.is_dir():
+        raise UsageError(f"cannot write {text}: it is a directory")
+    if not path.parent.is_dir():
+        raise UsageError(f"cannot write {text}: no directory {path.parent}")
+    return text
+
+
 def _parse_statistics(text: str | None) -> tuple[StatisticId, ...]:
     if not text:
         return ALL_STATISTICS
@@ -169,18 +194,23 @@ def _load_tables(null_dir, statistics, n, p):
 
 def cmd_calibrate(ns) -> int:
     from .alternatives import RngStream
-    from .montecarlo import _calibration_job, calibrate
+    from .montecarlo import _calibration_job, _steady_heap, calibrate
 
     statistics = _parse_statistics(ns.statistics)
     rng = RngStream(ns.seed)
     _calibration_job(statistics, ns.n, ns.p, ns.reps, rng)  # checks the inputs before any I/O
     out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create directory {out_dir}: {exc.strerror}") from None
     print(
         f"calibrating {len(statistics)} statistic(s) at n={ns.n}, p={ns.p} "
         f"with {ns.reps} replications (seed {ns.seed})",
         file=sys.stderr,
     )
+    if ns.workers == 1:  # the chunks run in this process, which the CLI owns
+        _steady_heap()
     tables = calibrate(statistics, ns.n, ns.p, ns.reps, rng, workers=ns.workers)
     for sid in statistics:
         path = out_dir / null_table_filename(sid, ns.n, ns.p)
@@ -230,7 +260,7 @@ def cmd_test(ns) -> int:
 
 def cmd_power(ns) -> int:
     from .alternatives import RngStream, alternative
-    from .montecarlo import _power_job, power
+    from .montecarlo import _power_job, _steady_heap, power
 
     try:
         spec = alternative(ns.alt, ns.p)
@@ -240,6 +270,8 @@ def cmd_power(ns) -> int:
     rng = RngStream(ns.seed)
     _power_job(spec, ns.n, ns.p, ns.alpha, ns.reps, rng)  # checks the inputs before any I/O
     tables = _load_tables(ns.null_dir, statistics, ns.n, ns.p)
+    if ns.workers == 1:
+        _steady_heap()
     report = power(
         spec, statistics, ns.n, ns.p, ns.alpha, ns.reps, tables, rng, workers=ns.workers
     )
@@ -302,14 +334,17 @@ def cmd_popvalues(ns) -> int:
 def cmd_tables(ns) -> int:
     from .alternatives import ALL_ALTERNATIVE_NAMES, RngStream, alternative
 
+    out = ns.out or _output_file(f"table_{ns.which}.csv")
     if ns.which == "altpop":
         rows = _population_rows(["normal"] + list(ALL_ALTERNATIVE_NAMES), [2, 3])
         fieldnames = ["alternative", "p", "statistic", "value"]
     else:
-        from .montecarlo import power_study
+        from .montecarlo import _steady_heap, power_study
 
         p = 2 if ns.which == "2" else 3
         rows = []
+        if ns.workers == 1:
+            _steady_heap()
         reports = power_study(
             [alternative(name, p) for name in ALL_ALTERNATIVE_NAMES], ALL_STATISTICS,
             (20, 50), p, ns.alpha, ns.reps, ns.calib_reps, RngStream(ns.seed),
@@ -328,7 +363,6 @@ def cmd_tables(ns) -> int:
             )
             print(f"done: {report.alternative} (n={report.n}, p={p})", file=sys.stderr)
         fieldnames = ["alternative", "n", "p", "statistic", "power", "se", "reps"]
-    out = ns.out or f"table_{ns.which}.csv"
     with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -368,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--statistics", help="comma-separated statistic names (default: all 12)")
     sp.add_argument("--null-dir", default=_default_null_dir())
     sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--json", help="also write results as JSON to this path")
+    sp.add_argument("--json", type=_output_file, help="also write results as JSON to this path")
     add_common(sp, seed=False, workers=False)
     sp.set_defaults(func=cmd_test)
 
@@ -380,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=10_000)
     sp.add_argument("--statistics", help="comma-separated statistic names (default: all 12)")
     sp.add_argument("--null-dir", default=_default_null_dir())
-    sp.add_argument("--out", help="report path")
+    sp.add_argument("--out", type=_output_file, help="report path")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(sp)
     sp.set_defaults(func=cmd_power)
@@ -388,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("popvalues", help="large-n population values of the statistics")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--alt", help="one alternative (default: all)")
-    sp.add_argument("--out", help="CSV path (default: print)")
+    sp.add_argument("--out", type=_output_file, help="CSV path (default: print)")
     add_common(sp, seed=False, workers=False)
     sp.set_defaults(func=cmd_popvalues)
 
@@ -397,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=10_000, help="power replications per cell")
     sp.add_argument("--calib-reps", type=int, default=10_000)
     sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--out", help="CSV path (default: table_<which>.csv)")
+    sp.add_argument("--out", type=_output_file, help="CSV path (default: table_<which>.csv)")
     add_common(sp)
     sp.set_defaults(func=cmd_tables)
 
@@ -443,5 +477,19 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """Run the command of this process's arguments and exit with its code.
+
+    The entry point of a process the CLI owns (see the module docstring).
+    Freezing the heap moves every live object to the permanent generation,
+    which finalization's collections skip; only the ``__del__`` of objects
+    left in reference cycles at exit, which Python never promises to call,
+    may then not run.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

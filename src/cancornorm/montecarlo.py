@@ -34,12 +34,17 @@ pool is created by the first parallel run and reused by every later run with
 the same worker count; a different count replaces it, a broken pool is
 dropped and rebuilt on the next run, and interpreter exit shuts it down.
 
-Each pool worker starts by fixing its C allocator's thresholds (glibc's
-``mallopt``): arrays below ``WORKER_MMAP_THRESHOLD`` come from the heap, and
-the heap keeps up to ``WORKER_TRIM_THRESHOLD`` bytes of free memory, so the
-chunks after a worker's first reuse its pages instead of mapping, faulting
-in and unmapping their temporaries again.  The calling process keeps its
-allocator as it is, and a platform without ``mallopt`` runs unchanged.
+Each pool worker starts by freezing the objects it inherits from the
+parent (``gc.freeze``), so that its garbage collections never walk them and
+never copy the pages they share with the parent, and by fixing its C
+allocator's thresholds (glibc's ``mallopt``): arrays below
+``WORKER_MMAP_THRESHOLD`` come from the heap, and the heap keeps up to
+``WORKER_TRIM_THRESHOLD`` bytes of free memory, so the chunks after a
+worker's first reuse its pages instead of mapping, faulting in and unmapping
+their temporaries again.  The functions here leave the calling process's
+garbage collector and allocator as they are (the CLI gives a serial run the
+same allocator thresholds), and a platform without ``mallopt`` runs
+unchanged.
 
 The result types live with their persistence (``NullTable``, ``PowerCell``
 and ``PowerReport`` in ``store``) and the test decision with ``TestResult``
@@ -52,6 +57,7 @@ neither this module nor its worker-pool machinery.
 from __future__ import annotations
 
 import ctypes
+import gc
 import os
 import threading
 import time
@@ -160,9 +166,9 @@ _pool_lock = threading.Lock()
 
 
 def _steady_heap() -> bool:
-    """Pool-worker initializer: set the allocator thresholds of the module
-    docstring.  Returns whether both were set; never raises, so a platform
-    without glibc's ``mallopt`` keeps its allocator as it is."""
+    """Set the allocator thresholds of the module docstring in this process.
+    Returns whether both were set; never raises, so a platform without
+    glibc's ``mallopt`` keeps its allocator as it is."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -177,13 +183,19 @@ def _steady_heap() -> bool:
     )
 
 
+def _start_worker() -> None:
+    """Pool-worker initializer (see the module docstring)."""
+    gc.freeze()
+    _steady_heap()
+
+
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_workers
     if _pool is not None and _pool_workers != workers:
         _pool.shutdown()
         _pool = None
     if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=workers, initializer=_steady_heap)
+        _pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
         _pool_workers = workers
     return _pool
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -10,8 +11,23 @@ import pytest
 
 from cancornorm.cli import DataFileError, _population_rows, main, read_csv_sample
 from cancornorm.alternatives import ALL_ALTERNATIVE_NAMES, RngStream, alternative, generate
+from cancornorm import montecarlo
 from cancornorm.montecarlo import calibrate, power
 from cancornorm.stats import ALL_STATISTICS
+
+
+def _untuned_heap():
+    return False
+
+
+@pytest.fixture(autouse=True, scope="module")
+def untuned_allocator():
+    # A serial simulation gives the process that runs main the pool workers'
+    # allocator thresholds.  Keep this process's own, so that later tests, and
+    # the pool workers they fork, see the allocator a library caller has.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(montecarlo, "_steady_heap", _untuned_heap)
+        yield
 
 
 @pytest.fixture()
@@ -465,6 +481,110 @@ def test_bad_simulation_inputs_are_usage_errors(null_dir, tmp_path, capsys, args
     assert f"error: {message}" in err
     assert "done:" not in err
     assert not list(tmp_path.glob("calibrated/*")) and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command, option, target", [
+    ("tables", "--out", "missing/t.csv"),
+    ("tables", "--out", "a_dir"),
+    ("power", "--out", "missing/r.csv"),
+    ("power", "--out", "a_dir"),
+    ("popvalues", "--out", "missing/v.csv"),
+    ("popvalues", "--out", "a_dir"),
+    ("test", "--json", "missing/r.json"),
+    ("test", "--json", "a_dir"),
+    ("calibrate", "--out-dir", "a_file"),
+    ("calibrate", "--out-dir", "a_file/nulls"),
+])
+def test_bad_output_paths_are_usage_errors_before_any_work(
+    null_dir, tmp_path, monkeypatch, capsys, command, option, target
+):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+
+    def no_simulation(*args):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(montecarlo, "_simulate", no_simulation)
+    args = {
+        "tables": ["--which", "2", "--reps", "200", "--calib-reps", "1000", "--workers", "1"],
+        "power": ["--alt", "indep_exp", "--n", "20", "--p", "2", "--null-dir", str(null_dir),
+                  "--workers", "1"],
+        "popvalues": ["--p", "2"],
+        # an absent dataset: a read would be a data error (exit 3)
+        "test": ["--data", str(tmp_path / "absent.csv"), "--null-dir", str(null_dir)],
+        "calibrate": ["--n", "20", "--p", "2", "--reps", "1000", "--workers", "1"],
+    }[command]
+    path = str(tmp_path / target)
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, *args, option, path]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot ") and path in err
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("command, calls", [
+    ("calibrate", 1), ("power", 1), ("tables", 1), ("test", 0), ("popvalues", 0),
+])
+def test_only_serial_simulations_tune_the_allocator(null_dir, tmp_path, monkeypatch, command,
+                                                    calls):
+    tuned = []
+    monkeypatch.setattr(montecarlo, "_steady_heap", lambda: tuned.append(True))
+    monkeypatch.setattr(montecarlo, "power_study", lambda *args, **kwargs: iter(()))
+    csv_path = tmp_path / "d.csv"
+    write_csv(csv_path, generate(alternative("normal", 2), 20, RngStream(9)))
+    args = {
+        "calibrate": ["--n", "20", "--p", "2", "--reps", "1000", "--out-dir", str(tmp_path / "c")],
+        "power": ["--alt", "indep_exp", "--n", "20", "--p", "2", "--reps", "400",
+                  "--null-dir", str(null_dir)],
+        "tables": ["--which", "2", "--out", str(tmp_path / "t.csv")],
+        "test": ["--data", str(csv_path), "--null-dir", str(null_dir)],
+        "popvalues": ["--p", "2", "--alt", "normal"],
+    }[command]
+    if command in ("calibrate", "power", "tables"):
+        args += ["--workers", "1"]
+    assert main([command, *args]) == 0
+    assert len(tuned) == calls
+
+
+def test_run_freezes_the_heap_before_exit():
+    # atexit handlers still run after run() froze the heap, and the process
+    # exits with main's code
+    code = (
+        "import atexit, gc; from cancornorm import cli; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        "cli.run()"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for alt, status in (("normal", 0), ("no_such_alternative", 2)):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "popvalues", "--p", "2", "--alt", alt],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == status, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["popvalues", "--p", "2", "--alt", "normal"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_process_owning_entry():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        scripts = tomllib.loads(text)["project"]["scripts"]
+    else:  # no tomllib: read the section's key = "value" lines
+        section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        scripts = {
+            key.strip(): value.strip().strip('"')
+            for key, value in (line.split("=", 1) for line in section.splitlines() if "=" in line)
+        }
+    assert scripts == {"cancornorm": "cancornorm.cli:run"}
 
 
 def test_exit_code_usage():

@@ -1,3 +1,4 @@
+import gc
 import os
 import platform
 import resource
@@ -309,6 +310,15 @@ def test_pool_workers_reuse_their_heap(fresh_pool):
     pool = montecarlo._worker_pool(1)
     faults = [pool.submit(_chunk_minor_faults, 256 * i).result(timeout=120) for i in range(3)]
     assert max(faults[1:]) < 200, faults
+
+
+def test_pool_workers_freeze_what_they_inherit(fresh_pool):
+    # a worker's collections skip the parent's objects, so never copy their
+    # pages; the parent's collector stays as it was
+    frozen = gc.get_freeze_count()
+    pool = montecarlo._worker_pool(1)
+    assert pool.submit(gc.get_freeze_count).result(timeout=120) > 0
+    assert gc.get_freeze_count() == frozen
 
 
 def _fake_libc(monkeypatch, results):
