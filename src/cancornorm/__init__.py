@@ -9,10 +9,16 @@ across all normal distributions of a given shape by affine invariance.
 
 Importing the package loads nothing else: each name below is imported from
 its submodule on first access (PEP 562), so a command loads only the code
-it runs.  The null-table and power-report types live in ``store``, the test
-decision (``run_test``, ``TestResult``) in ``stats``, the simulation
-(``calibrate``, ``power``) in ``montecarlo``, and the population values
-(``population_moments``, ``population_value``) in ``alternatives``.
+it runs.  The batched evaluation (``evaluate_batch``) and the term lists of
+the permutation sums (``permutation_scheme``) live in ``engine``; the
+samples, the statistics of one sample and the test decision (``Sample``,
+``compute_statistics``, ``run_test``, ``TestResult``) in ``stats``; the
+null-table and power-report types in ``store``; the simulation
+(``calibrate``, ``power``) in ``montecarlo``; the generators and population
+values (``generate``, ``population_moments``, ``population_value``) in
+``alternatives``; and the scalar reference path, from ``central_moments``
+and ``MomentTable`` through ``lambda_blocks``/``psi_blocks`` to
+``cancor_sq``, in ``covblocks``, which no command loads.
 """
 
 from importlib import import_module
@@ -24,17 +30,16 @@ _EXPORTS = {
         "AlternativeSpec", "RngStream", "alternative", "available_alternatives", "generate",
         "population_moments", "population_value",
     ),
-    "cancor": ("CanCorSq", "cancor_sq"),
     "covblocks": (
-        "CovBlocks", "lambda_blocks", "permutation_scheme", "psi_blocks", "sixth_order_term",
+        "CanCorSq", "CovBlocks", "MomentTable", "cancor_sq", "central_moments", "lambda_blocks",
+        "psi_blocks", "sample_mean", "sixth_order_term",
     ),
-    "engine": ("evaluate_batch",),
+    "engine": ("evaluate_batch", "permutation_scheme"),
     "errors": ("MomentsUndefinedError",),
     "matalg": ("commutation", "duplication_elimination", "kron", "unvech", "vec", "vech"),
-    "moments": ("MomentTable", "Sample", "central_moments", "sample_mean"),
     "montecarlo": ("calibrate", "power"),
     "stats": (
-        "ALL_STATISTICS", "StatisticId", "TestResult", "compute_statistic",
+        "ALL_STATISTICS", "Sample", "StatisticId", "TestResult", "compute_statistic",
         "compute_statistics", "mardia_b1p", "mardia_b2p", "run_test", "z2_statistics",
         "z3_statistics",
     ),

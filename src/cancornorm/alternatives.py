@@ -34,7 +34,8 @@ gathered into dense moment tensors through a per-(p, order) map from dense
 index to count pattern, and ``engine.evaluate_population_batch`` evaluates
 the whole stack at once.  ``population_values`` and ``population_value``
 are its one-alternative cases, and ``population_moments`` reads the same
-dense tensors into a ``MomentTable``.
+dense tensors into a ``MomentTable`` of the scalar reference ``covblocks``,
+which it imports when called, so that no command loads the reference.
 """
 
 from __future__ import annotations
@@ -45,13 +46,15 @@ from itertools import combinations, product
 from math import comb, exp, factorial, gamma, pi, prod, sqrt
 from numbers import Integral
 from operator import index
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .covblocks import _matchings
-from .engine import ALL_STATISTICS, StatisticId, evaluate_population_batch
+from .engine import ALL_STATISTICS, StatisticId, _matchings, evaluate_population_batch
 from .errors import BatchItemError, MomentsUndefinedError
-from .moments import MomentTable, sorted_multi_indices
+
+if TYPE_CHECKING:
+    from .covblocks import MomentTable
 
 
 @dataclass(frozen=True)
@@ -712,6 +715,8 @@ def population_moments(spec: AlternativeSpec, max_order: int = 6) -> MomentTable
     its dense moment tensors (see ``_population_tensors``) read at every
     sorted multi-index.  Exact for the closed forms, quadrature-grade for
     the gamma ratios."""
+    from .covblocks import MomentTable, sorted_multi_indices
+
     if not 2 <= max_order <= 6:
         raise ValueError("max_order must be in 2..6")
     orders = range(2, max_order + 1)

@@ -1,8 +1,17 @@
-"""Covariance blocks of (mean vector, distinct covariances) and
-(mean vector, distinct third moments).
+"""The scalar reference path, from moments to blocks to canonical
+correlations, one sample or population at a time on dicts in Python loops.
+No command runs it; the tests compare ``engine`` with it, and
+``alternatives.population_moments`` returns its ``MomentTable``.
 
-The entries of the second-order family are, for sample size n and central
-moments mu,
+Moments.  Central moments up to order six are indexed by nondecreasing
+multi-indices (0-based coordinates); accessors sort their argument, so any
+permutation of an index retrieves the same stored value.  Sums over
+observations are computed on sorted addends, which makes every moment
+invariant, bit for bit, under permutations of the rows of the data matrix.
+
+Blocks.  The covariance blocks of (mean vector, distinct covariances) and
+(mean vector, distinct third moments) have, for sample size n and central
+moments mu, the second-order entries
 
     b11[i, j]          = mu_ij / n
     b12[i, (j,k)]      = mu_ijk / n
@@ -12,139 +21,122 @@ moments mu,
 The third-order family couples the mean with the vector of distinct third
 moments; its b22 mixes a sixth-order term with sums over prescribed sets of
 index permutations.  Those sets are subtle, so they are materialized once as
-explicit term lists (``permutation_scheme``) and instantiated with concrete
-indices; the term lists themselves are unit-tested against a full 6!
-enumeration.
+explicit term lists (``engine.permutation_scheme``, which the engine's term
+map is built from too) and instantiated here with concrete indices; the term
+lists themselves are unit-tested against a full 6! enumeration.  Passing
+``n=None`` builds the large-n limit of the blocks: the common 1/n scale
+(which cancels in the canonical-correlation eigenproblem) is dropped and the
+O(1/n) corrections vanish.
 
-Passing ``n=None`` builds the large-n limit of the blocks: the common 1/n
-scale (which cancels in the canonical-correlation eigenproblem) is dropped
-and the O(1/n) corrections vanish.
+Canonical correlations.  ``cancor_sq`` solves one set of blocks with the
+engine's kernel (``engine.checked_factor``, ``engine.cancor_eigs``).
 
-The statistics and population values themselves are computed by ``engine``
-from the term lists; the scalar block builders here (``lambda_blocks``,
-``psi_blocks``) are the reference its tests compare against.
+This module imports from ``engine`` and ``stats``; no runtime module
+imports it at load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, permutations
+from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import SampleSizeError
-from .moments import MomentTable, pair_indices, triple_indices
-
-SCHEME_LABELS = (
-    "sum9_pair",
-    "sum9_triple",
-    "sum3_pairpair",
-    "sum6_matching",
-    "sum15_pair",
-    "sum10_triple",
-    "sum15_matching",
+from .engine import (
+    cancor_eigs,
+    checked_factor,
+    permutation_scheme,
+    second_order_threshold,
+    third_order_threshold,
 )
+from .errors import SampleSizeError
+from .stats import as_sample
+
+MAX_MOMENT_ORDER = 6
 
 
-@dataclass(frozen=True)
-class PermutationScheme:
-    """An explicit list of slot-index assignments for one permutation sum.
+def _ordered_sum(a: np.ndarray) -> float:
+    # Sorting first makes the summation order independent of row order.
+    return float(np.sum(np.sort(a)))
 
-    Terms refer to abstract slot positions (0..5 for six-index schemes,
-    0..3 for the four-index pair-pair scheme); callers substitute concrete
-    coordinate indices for the slots.
+
+def sorted_multi_indices(p: int, order: int) -> Iterator[tuple[int, ...]]:
+    """All nondecreasing index tuples of the given order over 0..p-1."""
+    return combinations_with_replacement(range(p), order)
+
+
+def pair_indices(p: int) -> list[tuple[int, int]]:
+    """Distinct (i, j) with i <= j, in the order used for covariance vectors."""
+    return list(combinations_with_replacement(range(p), 2))
+
+
+def triple_indices(p: int) -> list[tuple[int, int, int]]:
+    """Distinct (i, j, k) with i <= j <= k, in third-moment vector order."""
+    return list(combinations_with_replacement(range(p), 3))
+
+
+@dataclass
+class MomentTable:
+    """Central moments m[i1..is] for all sorted multi-indices of order 2..max_order."""
+
+    p: int
+    max_order: int
+    values: Mapping[tuple[int, ...], float] = field(repr=False)
+
+    def __post_init__(self):
+        if not 2 <= self.max_order <= MAX_MOMENT_ORDER:
+            raise ValueError(f"max_order must be in 2..{MAX_MOMENT_ORDER}")
+        missing = [
+            idx
+            for order in range(2, self.max_order + 1)
+            for idx in sorted_multi_indices(self.p, order)
+            if idx not in self.values
+        ]
+        if missing:
+            raise ValueError(f"moment table incomplete, first missing index {missing[0]}")
+
+    def mu(self, *index: int) -> float:
+        """Central moment for the given index; any permutation is accepted."""
+        key = tuple(sorted(index))
+        if not 2 <= len(key) <= self.max_order:
+            raise ValueError(f"moment order {len(key)} outside 2..{self.max_order}")
+        if key and (key[0] < 0 or key[-1] >= self.p):
+            raise ValueError(f"index {key} out of range for p={self.p}")
+        return self.values[key]
+
+    def __getitem__(self, index) -> float:
+        return self.mu(*index)
+
+
+def sample_mean(x) -> np.ndarray:
+    s = as_sample(x)
+    return np.array([_ordered_sum(s.data[:, j]) / s.n for j in range(s.p)])
+
+
+def central_moments(x, max_order: int) -> MomentTable:
+    """Plug-in central sample moments (divisor n) up to ``max_order``.
+
+    Two-pass centering is used: the mean is removed first and moments are
+    accumulated from centered products, which keeps the order-6 entries
+    accurate enough for the sixth-order covariance blocks.
     """
-
-    label: str
-    terms: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def _pair_partitions(slots: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The 3 ways of splitting 4 slots into two unordered pairs."""
-    a, rest = slots[0], slots[1:]
-    out = []
-    for b in rest:
-        other = tuple(s for s in rest if s != b)
-        out.append(((a, b), other))
-    return out
-
-
-def _matchings(slots: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of an even set of slots into unordered pairs."""
-    if not slots:
-        return [()]
-    a, rest = slots[0], slots[1:]
-    out = []
-    for i, b in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for sub in _matchings(remaining):
-            out.append(((a, b),) + sub)
-    return out
-
-
-def _triple_partitions(slots: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The 10 unordered splits of 6 slots into two triples."""
-    first = slots[0]
-    out = []
-    for pair in combinations(slots[1:], 2):
-        tri = (first,) + pair
-        other = tuple(s for s in slots if s not in tri)
-        out.append((tri, other))
-    return out
-
-
-def _build_scheme(label: str) -> PermutationScheme:
-    six = (0, 1, 2, 3, 4, 5)
-    if label == "sum3_pairpair":
-        terms = tuple(_pair_partitions((0, 1, 2, 3)))
-    elif label == "sum6_matching":
-        # Each of the first three slots is matched with one of the last three.
-        terms = tuple(
-            tuple(zip((0, 1, 2), perm)) for perm in permutations((3, 4, 5))
-        )
-    elif label == "sum9_pair":
-        # First factor takes one slot from {0,1,2} and one from {3,4,5};
-        # the remaining four slots feed the centered fourth-moment factor.
-        terms = tuple(
-            ((a, b), tuple(s for s in six if s not in (a, b)))
-            for a in (0, 1, 2)
-            for b in (3, 4, 5)
-        )
-    elif label == "sum9_triple":
-        terms = tuple(
-            t for t in _triple_partitions(six) if t != ((0, 1, 2), (3, 4, 5))
-        )
-    elif label == "sum15_pair":
-        terms = tuple(
-            ((a, b), tuple(s for s in six if s not in (a, b)))
-            for a, b in combinations(six, 2)
-        )
-    elif label == "sum10_triple":
-        terms = tuple(_triple_partitions(six))
-    elif label == "sum15_matching":
-        terms = tuple(_matchings(six))
-    else:
-        raise ValueError(f"unknown permutation scheme {label!r}")
-    return PermutationScheme(label=label, terms=terms)
-
-
-_SCHEMES = {label: _build_scheme(label) for label in SCHEME_LABELS}
-
-
-def permutation_scheme(label: str) -> PermutationScheme:
-    """Return the term list for one of the named permutation sums."""
-    try:
-        return _SCHEMES[label]
-    except KeyError:
-        raise ValueError(f"unknown permutation scheme {label!r}") from None
-
-
-def second_order_threshold(p: int) -> int:
-    return 2 * p + p * (p - 1) // 2
-
-
-def third_order_threshold(p: int) -> int:
-    return 2 * p + p * (p - 1) + p * (p - 1) * (p - 2) // 6
+    if not 2 <= max_order <= MAX_MOMENT_ORDER:
+        raise ValueError(f"max_order must be in 2..{MAX_MOMENT_ORDER}")
+    s = as_sample(x)
+    xc = s.data - sample_mean(s)
+    values: dict[tuple[int, ...], float] = {}
+    # Products are built by extending the shared prefix one coordinate at a
+    # time; lexicographic enumeration guarantees the prefix already exists.
+    products: dict[tuple[int, ...], np.ndarray] = {(): np.ones(s.n)}
+    for order in range(1, max_order + 1):
+        for idx in sorted_multi_indices(s.p, order):
+            prod = products[idx[:-1]] * xc[:, idx[-1]]
+            if order < max_order:
+                products[idx] = prod
+            if order >= 2:
+                values[idx] = _ordered_sum(prod) / s.n
+    return MomentTable(p=s.p, max_order=max_order, values=values)
 
 
 @dataclass(frozen=True)
@@ -281,3 +273,30 @@ def psi_blocks(m: MomentTable, n: int | None) -> CovBlocks:
         for b, rst in enumerate(triples):
             b22[a, b] = _third_cov_entry(m, ijk, rst, n)
     return CovBlocks(order=3, b11=b11, b12=b12, b22=b22, n=n, p=p)
+
+
+@dataclass(frozen=True)
+class CanCorSq:
+    """Squared canonical correlations, sorted descending.
+
+    ``clamped_count`` records how many raw eigenvalues were nudged back into
+    [0, 1]; violations beyond a tolerance of 1e-8 are an error instead.
+    """
+
+    values: np.ndarray
+    clamped_count: int
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if np.any(v[:-1] < v[1:]):
+            raise ValueError("squared canonical correlations must be sorted descending")
+        if v[0] > 1.0 or v[-1] < 0.0:
+            raise ValueError("squared canonical correlations must lie in [0, 1]")
+        object.__setattr__(self, "values", v)
+
+
+def cancor_sq(blocks: CovBlocks) -> CanCorSq:
+    """Squared canonical correlations of one set of covariance blocks."""
+    inv11 = checked_factor("b11 (mean)", blocks.b11[None])
+    eigs, clamped = cancor_eigs(inv11, blocks.b12[None], blocks.b22[None])
+    return CanCorSq(values=eigs[0], clamped_count=int(clamped[0]))

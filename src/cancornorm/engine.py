@@ -6,8 +6,13 @@ calibration and power studies call ``evaluate_batch`` on (B, n, p) stacks,
 the per-sample functions in ``stats`` call it on a stack of one, and the
 population values call ``evaluate_population_batch`` on a stack of
 alternatives (one alternative is a stack of one).  All moment
-tensors and covariance blocks are built as batched array operations, and
-the squared canonical correlations come from the kernel in ``cancor``.
+tensors and covariance blocks are built as batched array operations.  The
+module also holds what the scalar reference ``covblocks`` shares with it,
+so that the reference depends on the runtime and never the other way
+round: the eigen step (``checked_factor``, ``cancor_eigs``,
+``batch_functionals``), the term lists of the permutation sums
+(``permutation_scheme``) and the sample-size thresholds.  It imports
+nothing from the package but ``errors``.
 
 There are two steps.  The first makes whitened moments on the distinct
 coordinates.  Every sample is centered and whitened before any moment is
@@ -42,10 +47,10 @@ b22 relies on m2 = I: every m2 factor in its permutation sums is a Kronecker
 delta, so those sums are fixed linear combinations of the fourth cumulants,
 of products of two third moments and of constants.  They are precompiled,
 per dimension p, into one term map derived from the very same term lists
-that ``covblocks`` uses, so there is a single source of truth for the
-combinatorics: each entry of b22 is a short weighted sum of at most eleven
-inputs (p <= 6), applied with numpy gathers, slot by slot; the 1/n, 1/(n-1)
-and n/((n-1)(n-2)) weights (all 1 in magnitude in the limit) are folded
+(``permutation_scheme``) that ``covblocks`` reads, so there is a single
+source of truth for the combinatorics: each entry of b22 is a short
+weighted sum of at most eleven inputs (p <= 6), applied with numpy gathers,
+slot by slot; the 1/n, 1/(n-1) and n/((n-1)(n-2)) weights (all 1 in magnitude in the limit) are folded
 into the map before it is applied.  The sixth moments enter as they are.
 The Mardia statistics are the sum of the squared third moments and the sum
 of the fourth moments m4[(ii), (jj)].  Every array handed to a matrix
@@ -58,27 +63,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, pairwise
+from itertools import combinations, combinations_with_replacement, pairwise, permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .cancor import (
-    CONDITION_LIMIT,
-    FUNCTIONAL_NAMES,
-    batch_functionals,
-    cancor_eigs,
-    checked_factor,
-    whitening_factor,
+from .errors import (
+    DegenerateSampleError,
+    EigenvalueRangeError,
+    FunctionalDomainError,
+    SampleSizeError,
+    SingularBlockError,
 )
-from .covblocks import (
-    permutation_scheme,
-    second_order_threshold,
-    third_order_threshold,
-)
-from .errors import DegenerateSampleError, SampleSizeError, SingularBlockError
-from .moments import triple_indices
 
+CONDITION_LIMIT = 1e12
+EIGENVALUE_TOL = 1e-8
+UNIT_ROOT_TOL = 1e-12
+
+FUNCTIONAL_NAMES = ("hl", "w", "pb", "max", "min")
 FAMILIES = ("z2", "z3", "mardia_skew", "mardia_kurt")
 
 
@@ -136,6 +138,136 @@ ALL_STATISTICS: tuple[StatisticId, ...] = (
 )
 
 
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of each lower-triangular matrix of a (B, k, k) stack, by
+    forward substitution one row at a time."""
+    inv = np.zeros_like(chol)
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    for i in range(chol.shape[-1]):
+        inv[:, i, :i] = -(chol[:, i, None, :i] @ inv[:, :i, :i])[:, 0] / diag[:, i, None]
+        inv[:, i, i] = 1.0 / diag[:, i]
+    return inv
+
+
+def whitening_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse Cholesky factors of a (B, k, k) stack and a condition figure
+    per item that decides singularity as the exact condition number would.
+
+    With a = L L^T, L^-1 a L^-T = I, and cond_2(a) = (|L|_2 |L^-1|_2)^2 is at
+    most the certified bound (|L|_F |L^-1|_F)^2, itself at most k^2 cond_2(a).
+    The figure is that bound where it is <= CONDITION_LIMIT; where it is
+    larger, the exact ``np.linalg.cond`` of those items only is computed
+    instead, so ``figure <= CONDITION_LIMIT`` accepts exactly the items the
+    exact condition number accepts, and a well-conditioned stack costs no
+    SVD.  An item with no Cholesky factor (not positive definite, or not
+    finite) has figure inf.  Only the lower triangle of ``a`` is factored.
+    Returns (L^-1, figure).
+    """
+    try:
+        chol = np.linalg.cholesky(a)
+        factored = np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        # One failure fails the whole stack; factor item by item to find it.
+        chol = np.full_like(a, np.nan)
+        factored = np.zeros(len(a), dtype=bool)
+        for b, item in enumerate(a):
+            try:
+                chol[b] = np.linalg.cholesky(item)
+                factored[b] = True
+            except np.linalg.LinAlgError:
+                pass
+    inv = _lower_inverse(chol)
+    bound = np.einsum("bij,bij->b", chol, chol) * np.einsum("bij,bij->b", inv, inv)
+    figure = np.where(factored, bound, np.inf)
+    suspect = np.flatnonzero(factored & ~(figure <= CONDITION_LIMIT))
+    if suspect.size:
+        figure[suspect] = np.linalg.cond(a[suspect])
+    return inv, figure
+
+
+def _check_condition(figure: np.ndarray, error: type, label: str) -> None:
+    """Raise ``error`` when a condition figure of a stack exceeds
+    CONDITION_LIMIT (or is not a number): the message is ``label`` with the
+    count of failing items and the first of them, which is the error's
+    ``item``."""
+    bad = np.flatnonzero(~(figure <= CONDITION_LIMIT))
+    if bad.size:
+        raise error(
+            f"{label} in {bad.size} batch item(s), first item {bad[0]}", item=int(bad[0])
+        )
+
+
+def checked_factor(name: str, block: np.ndarray) -> np.ndarray:
+    """L^-1 of each matrix of a (B, k, k) stack of covariance blocks, after
+    ``whitening_factor`` has checked it: an item is accepted when the
+    certified bound on its condition number is within CONDITION_LIMIT (only
+    an item whose bound exceeds the limit pays for the exact
+    ``np.linalg.cond``).  A block that fails, or that has no Cholesky
+    factor, raises ``SingularBlockError`` naming the block and the first
+    failing item.
+    """
+    inv, figure = whitening_factor(block)
+    _check_condition(
+        figure, SingularBlockError,
+        f"{name} block is numerically singular or not positive definite",
+    )
+    return inv
+
+
+def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared canonical correlations of a (B, ...) stack of block triples,
+    given b11 as its ``checked_factor`` L11^-1, so that families sharing a
+    b11 factor it once.
+
+    b22 is checked and factored by ``checked_factor``.  The eigenproblem
+    b11^-1 b12 b22^-1 b21 then becomes W^T W with W = L22^-1 b21 L11^-T,
+    symmetric positive semidefinite by construction, so no inverse or
+    general solve is formed.  Returns the (B, p) eigenvalues, sorted
+    descending and clipped to [0, 1], and the (B,) count of raw eigenvalues
+    each item had outside [0, 1] within the 1e-8 tolerance.
+    """
+    inv22 = checked_factor("b22 (moment)", b22)
+    w = inv22 @ np.swapaxes(b12, 1, 2) @ np.swapaxes(inv11, 1, 2)
+    eigs = np.linalg.eigvalsh(np.swapaxes(w, 1, 2) @ w)[:, ::-1]
+    outside = (eigs < -EIGENVALUE_TOL) | (eigs > 1.0 + EIGENVALUE_TOL)
+    if np.any(outside):
+        item = int(np.flatnonzero(outside.any(axis=1))[0])
+        raise EigenvalueRangeError(
+            f"squared canonical correlation {eigs[outside][0]:.6g} outside [0, 1] beyond "
+            f"tolerance {EIGENVALUE_TOL:g} in batch item {item}; the covariance blocks "
+            "are inconsistent",
+            item=item,
+        )
+    clamped = np.sum((eigs < 0.0) | (eigs > 1.0), axis=1)
+    return np.clip(eigs, 0.0, 1.0), clamped
+
+
+def _ratio_trace(eigs: np.ndarray) -> np.ndarray:
+    at_one = np.any(eigs >= 1.0 - UNIT_ROOT_TOL, axis=1)
+    if np.any(at_one):
+        item = int(np.flatnonzero(at_one)[0])
+        raise FunctionalDomainError(
+            f"ratio trace undefined: a squared canonical correlation is at 1 in batch item {item}",
+            item=item,
+        )
+    return np.sum(eigs / (1.0 - eigs), axis=1)
+
+
+# Each maps (B, k) eigenvalues, sorted descending, to (B,) summaries.
+_FUNCTIONALS = {
+    "hl": lambda eigs: eigs.sum(axis=1),
+    "w": lambda eigs: np.prod(1.0 - eigs, axis=1),
+    "pb": _ratio_trace,
+    "max": lambda eigs: eigs[:, 0],
+    "min": lambda eigs: eigs[:, -1],
+}
+
+
+def batch_functionals(eigs: np.ndarray) -> dict[str, np.ndarray]:
+    """All five summaries per row of a (B, k) stack of eigenvalues."""
+    return {name: f(eigs) for name, f in _FUNCTIONALS.items()}
+
+
 def equilibrated_condition(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Condition figure of D^-1/2 cov D^-1/2, D = diag(cov), per matrix of a
     (B, p, p) stack, and the whitening matrix L^-1 D^-1/2 that comes with it.
@@ -146,7 +278,7 @@ def equilibrated_condition(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Algorithms, section 7.3).  The figure is the certified upper bound
     (|L|_F |L^-1|_F)^2 on its condition number from its Cholesky factor L,
     with the exact ``np.linalg.cond`` computed instead for the items whose
-    bound exceeds CONDITION_LIMIT (``cancor.whitening_factor``), so comparing
+    bound exceeds CONDITION_LIMIT (``whitening_factor``), so comparing
     it with the limit decides as the exact condition number does.  A zero
     variance, or a matrix with no Cholesky factor, gives inf.
     """
@@ -157,6 +289,88 @@ def equilibrated_condition(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(live, figure, np.inf), inv / d[..., None, :]
 
 
+@dataclass(frozen=True)
+class PermutationScheme:
+    """An explicit list of slot-index assignments for one permutation sum.
+
+    Terms refer to the abstract slot positions 0..5; callers substitute
+    concrete coordinate indices for the slots.
+    """
+
+    label: str
+    terms: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _matchings(slots: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+    """All perfect matchings of an even set of slots into unordered pairs."""
+    if not slots:
+        return [()]
+    a, rest = slots[0], slots[1:]
+    out = []
+    for i, b in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1 :]
+        for sub in _matchings(remaining):
+            out.append(((a, b),) + sub)
+    return out
+
+
+def _triple_partitions(slots: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The 10 unordered splits of 6 slots into two triples."""
+    first = slots[0]
+    out = []
+    for pair in combinations(slots[1:], 2):
+        tri = (first,) + pair
+        other = tuple(s for s in slots if s not in tri)
+        out.append((tri, other))
+    return out
+
+
+_SIX = (0, 1, 2, 3, 4, 5)
+
+
+def _pair_and_rest(a: int, b: int) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """The pair (a, b) of the six slots and the four slots left over."""
+    return (a, b), tuple(s for s in _SIX if s not in (a, b))
+
+
+_SCHEMES = {
+    label: PermutationScheme(label=label, terms=tuple(terms))
+    for label, terms in {
+        # First factor takes one slot from {0,1,2} and one from {3,4,5};
+        # the remaining four slots feed the centered fourth-moment factor.
+        "sum9_pair": (_pair_and_rest(a, b) for a in (0, 1, 2) for b in (3, 4, 5)),
+        "sum9_triple": (t for t in _triple_partitions(_SIX) if t != ((0, 1, 2), (3, 4, 5))),
+        # Each of the first three slots is matched with one of the last three.
+        "sum6_matching": (tuple(zip((0, 1, 2), perm)) for perm in permutations((3, 4, 5))),
+        "sum15_pair": (_pair_and_rest(a, b) for a, b in combinations(_SIX, 2)),
+        "sum10_triple": _triple_partitions(_SIX),
+        "sum15_matching": _matchings(_SIX),
+    }.items()
+}
+
+
+def permutation_scheme(label: str) -> PermutationScheme:
+    """Return the term list for one of the named permutation sums."""
+    try:
+        return _SCHEMES[label]
+    except KeyError:
+        raise ValueError(f"unknown permutation scheme {label!r}") from None
+
+
+def second_order_threshold(p: int) -> int:
+    return 2 * p + p * (p - 1) // 2
+
+
+def third_order_threshold(p: int) -> int:
+    return 2 * p + p * (p - 1) + p * (p - 1) * (p - 2) // 6
+
+
+def _sorted_indices(p: int, order: int) -> np.ndarray:
+    """The nondecreasing index tuples of an order over 0..p-1, one per row,
+    in lexicographic order."""
+    return np.array(list(combinations_with_replacement(range(p), order)))
+
+
 @lru_cache(maxsize=None)
 def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The permutation sums of the third-order b22 block as one term map.
@@ -164,12 +378,12 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     The rows stand for the entries (a, b) of the lower triangle of b22,
     a >= b in ``np.tril_indices(q3)`` order (b22 is symmetric, and only its
     lower triangle is factored), a and b indexing the distinct triples
-    (``triple_indices`` order); the six coordinates of a row are
+    (lexicographic order); the six coordinates of a row are
     c = triples[a] + triples[b].  Columns index the inputs [k4 (p^4, flattened),
     m3 (x) m3 over distinct triples (q3^2 flat), 1].  Since m2 = I, a factor
     m2[c_x, c_y] is 1 when c_x == c_y and 0 otherwise: a pair term selects
     one k4 entry or vanishes, and a matching is a constant on the unit
-    input.  Each term of each ``covblocks`` list adds 1 to coef[w] at its
+    input.  Each term of each ``permutation_scheme`` list adds 1 to coef[w] at its
     (row, column), w being the weight of its sum in b22: 0 for -1/n, 1 for
     1/(n-1), 2 for n/((n-1)(n-2)) (-1, 1 and 1 in the large-n limit).
     Returns the (rows, K) input columns of each row, ascending and padded to
@@ -177,7 +391,7 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     padding.  ``_plan`` renumbers the k4 columns for the engine, which forms
     k4 on the sorted quadruples only.
     """
-    triples = np.array(triple_indices(p))
+    triples = _sorted_indices(p, 3)
     q3 = len(triples)
     a, b = np.tril_indices(q3)
     c = np.concatenate([triples[a], triples[b]], axis=-1)
@@ -230,7 +444,7 @@ class _Plan(NamedTuple):
     distinct moment coordinates.
 
     Pairs are the C(p+1, 2) (i, j), i <= j, and triples the C(p+2, 3)
-    (i, j, k), i <= j <= k, in ``pair_indices``/``triple_indices`` order, so
+    (i, j, k), i <= j <= k, in lexicographic order, so
     the pairs and the triples that lead with index i are contiguous (from
     ``pair_start[i]`` and ``triple_start[i]``), and the products of those
     triples are y_i times the pair products from ``pair_start[i]`` on.
@@ -259,8 +473,8 @@ def _plan(p: int) -> _Plan:
     q2 = len(u)
     pair_of = np.empty((p, p), dtype=np.intp)
     pair_of[u, v] = pair_of[v, u] = np.arange(q2)
-    triples = np.array(triple_indices(p))
-    quads = np.array(list(combinations_with_replacement(range(p), 4)))
+    triples = _sorted_indices(p, 3)
+    quads = _sorted_indices(p, 4)
     q4 = len(quads)
     quad_of = np.zeros(p**4, dtype=np.intp)
     quad_of[np.ravel_multi_index(quads.T, (p,) * 4)] = np.arange(q4)
@@ -456,13 +670,7 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     np.ldexp(xc, -np.frexp(buf.max(axis=2))[1][:, :, None], out=xc)
     cov = xc @ np.swapaxes(xc, 1, 2) / n
     cond, whitening = equilibrated_condition(cov)
-    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
-    if bad.size:
-        raise DegenerateSampleError(
-            f"rank-deficient sample covariance in {bad.size} batch item(s), "
-            f"first item {bad[0]}",
-            item=int(bad[0]),
-        )
+    _check_condition(cond, DegenerateSampleError, "rank-deficient sample covariance")
     y = np.matmul(whitening, xc, out=buf)
     del xc
 
@@ -505,13 +713,7 @@ def evaluate_population_batch(
     statistics = tuple(statistics)
     m2 = np.asarray(m2, dtype=float)
     cond, whitening = equilibrated_condition(m2)
-    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
-    if bad.size:
-        raise SingularBlockError(
-            f"population covariance is numerically singular in {bad.size} batch item(s), "
-            f"first item {bad[0]}",
-            item=int(bad[0]),
-        )
+    _check_condition(cond, SingularBlockError, "population covariance is numerically singular")
     need_z3 = any(s.family == "z3" for s in statistics)
     if need_z3 and m6 is None:
         raise ValueError("z3 statistics need the sixth moments m6")
@@ -528,7 +730,7 @@ def evaluate_population_batch(
     m4 = _gather(whitened(m4), (pairs[:, None] * p**2 + pairs).ravel()).reshape(nb, q2, q2)
     sixth = None
     if need_z3:
-        triples = np.ravel_multi_index(np.array(triple_indices(p)).T, (p,) * 3)
+        triples = np.ravel_multi_index(_sorted_indices(p, 3).T, (p,) * 3)
         q3 = len(triples)
         sixth = _gather(whitened(m6), (triples[:, None] * p**3 + triples).ravel())
         sixth = sixth.reshape(nb, q3, q3)

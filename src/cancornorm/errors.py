@@ -1,6 +1,8 @@
-"""Exception types raised by the numerical core, and every other exception
+"""Exception types raised by the numerical core (``engine``, and the scalar
+reference ``covblocks`` that shares its checks), and every other exception
 that ``cli.main`` maps to an exit code, so that the CLI reads them without
-loading the modules that raise them (which re-export them)."""
+loading the modules that raise them (which re-export them).  ``engine``
+imports nothing else from the package."""
 
 from __future__ import annotations
 

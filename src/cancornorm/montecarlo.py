@@ -71,8 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alternatives import AlternativeSpec, RngStream, alternative, generate_chunk, stream_generators
-from .covblocks import second_order_threshold, third_order_threshold
-from .engine import _plan, evaluate_batch
+from .engine import _plan, evaluate_batch, second_order_threshold, third_order_threshold
 from .errors import BatchItemError, MissingTableError, SampleSizeError, TableMismatchError
 from .stats import StatisticId, empirical_pvalues
 from .store import NullTable, PowerCell, PowerReport

@@ -5,8 +5,11 @@ between the sample mean and the distinct second-order (family ``z2``) or
 third-order (family ``z3``) sample moments; the classical multivariate
 skewness and kurtosis statistics are included for comparison.
 
-Every function here evaluates one sample through ``engine.evaluate_batch``,
-as a stack of one, so a dataset and its null table share their arithmetic.
+A dataset is a ``Sample``: an n x p matrix of finite values, observations
+in rows, which ``as_sample`` makes of any array (the scalar reference
+``covblocks`` reads its samples through it too).  Every function here
+evaluates one sample through ``engine.evaluate_batch``, as a stack of one,
+so a dataset and its null table share their arithmetic.
 The rows are first put in a canonical (lexicographic) order, which makes
 every value invariant, bit for bit, under permutations of the rows.  The
 univariate statistics that each family reduces to at p = 1 are computed
@@ -26,13 +29,43 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cancor import FUNCTIONAL_NAMES
-from .engine import ALL_STATISTICS, StatisticId, evaluate_batch
+from .engine import ALL_STATISTICS, FUNCTIONAL_NAMES, StatisticId, evaluate_batch
 from .errors import TableMismatchError
-from .moments import as_sample
 
 if TYPE_CHECKING:
     from .store import NullTable
+
+
+@dataclass(frozen=True)
+class Sample:
+    """An n x p data matrix, observations in rows."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=float)
+        if arr.ndim != 2:
+            raise ValueError(f"sample must be a 2-d array, got ndim={arr.ndim}")
+        n, p = arr.shape
+        if n < 2:
+            raise ValueError(f"sample needs at least 2 observations, got {n}")
+        if p < 1:
+            raise ValueError("sample needs at least 1 coordinate")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("sample contains non-finite entries")
+        object.__setattr__(self, "data", arr)
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.data.shape[1]
+
+
+def as_sample(x) -> Sample:
+    return x if isinstance(x, Sample) else Sample(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

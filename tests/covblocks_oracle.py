@@ -9,10 +9,10 @@ same for the second-order blocks.  The package's term lists, its scalar
 block builders and the engine's block builder are all compared with them.
 
 The package evaluates the five summaries on (B, k) stacks of eigenvalues
-(``cancor.batch_functionals``); ``functional_value``/``functionals`` read
+(``engine.batch_functionals``); ``functional_value``/``functionals`` read
 them one at a time from a ``CanCorSq``, the result type of the scalar
 reference path (``covblocks.lambda_blocks``/``psi_blocks`` then
-``cancor.cancor_sq``), so that path can be compared with the engine
+``covblocks.cancor_sq``), so that path can be compared with the engine
 statistic by statistic.
 """
 
@@ -21,9 +21,8 @@ from itertools import permutations
 
 import numpy as np
 
-from cancornorm.cancor import _FUNCTIONALS, FUNCTIONAL_NAMES, CanCorSq
-from cancornorm.covblocks import centered_fourth
-from cancornorm.moments import pair_indices
+from cancornorm.covblocks import CanCorSq, centered_fourth, pair_indices
+from cancornorm.engine import _FUNCTIONALS, FUNCTIONAL_NAMES
 
 
 def functional_value(c: CanCorSq, name: str) -> float:

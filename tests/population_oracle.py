@@ -24,7 +24,7 @@ from cancornorm.alternatives import (
     _ratio_moment,
     equicorrelation,
 )
-from cancornorm.moments import MomentTable, sorted_multi_indices
+from cancornorm.covblocks import MomentTable, sorted_multi_indices
 
 
 def table_from_function(p: int, max_order: int, f) -> MomentTable:

@@ -35,9 +35,9 @@ from numpy.testing import assert_array_equal
 
 import cancornorm as cc
 from cancornorm.alternatives import RngStream, alternative, generate, population_value
+from cancornorm.covblocks import triple_indices
 from cancornorm.engine import evaluate_batch
 from cancornorm.montecarlo import calibrate, power
-from cancornorm.moments import triple_indices
 from cancornorm.stats import ALL_STATISTICS, StatisticId
 
 from covblocks_oracle import oracle_third_cov

@@ -32,9 +32,9 @@ from cancornorm.alternatives import (
     stream_keys,
     _ratio_moment,
 )
+from cancornorm.covblocks import sorted_multi_indices
 from cancornorm.engine import ALL_STATISTICS, evaluate_population_batch
 from cancornorm.errors import SingularBlockError
-from cancornorm.moments import sorted_multi_indices
 from population_oracle import population_moments_reference
 from sampling_oracle import generate_reference
 

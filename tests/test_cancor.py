@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cancornorm.cancor import CONDITION_LIMIT, CanCorSq, cancor_sq
-from cancornorm.covblocks import CovBlocks, lambda_blocks
+from cancornorm.covblocks import CanCorSq, CovBlocks, cancor_sq, lambda_blocks
+from cancornorm.engine import CONDITION_LIMIT
 from cancornorm.errors import (
     EigenvalueRangeError,
     FunctionalDomainError,

@@ -286,7 +286,8 @@ def test_population_commands_load_no_pool_code(args, tmp_path):
     code = (
         "import sys; from cancornorm.cli import main; "
         f"assert main({argv!r}) == 0; "
-        "names = ('cancornorm.montecarlo', 'concurrent.futures', 'multiprocessing'); "
+        "names = ('cancornorm.montecarlo', 'cancornorm.covblocks', 'concurrent.futures', "
+        "'multiprocessing'); "
         "print('loaded:', [m for m in names if m in sys.modules])"
     )
     assert _run_python(code).splitlines()[-1] == "loaded: []"
@@ -670,7 +671,7 @@ def test_cmd_test_loads_no_simulation_code(null_dir, tmp_path):
         "import sys; from cancornorm.cli import main; "
         f"assert main(['test', '--data', {str(csv_path)!r}, '--null-dir', {str(null_dir)!r}]) == 0; "
         "names = ('cancornorm.alternatives', 'cancornorm.montecarlo', 'cancornorm.matalg', "
-        "'concurrent.futures', 'importlib.metadata'); "
+        "'cancornorm.covblocks', 'concurrent.futures', 'importlib.metadata'); "
         "print('loaded:', [m for m in names if m in sys.modules])"
     )
     assert _run_python(code).splitlines()[-1] == "loaded: []"

@@ -16,16 +16,16 @@ from numpy.testing import assert_allclose
 
 from cancornorm.covblocks import (
     CovBlocks,
+    MomentTable,
     centered_fourth,
     lambda_blocks,
-    permutation_scheme,
+    pair_indices,
     psi_blocks,
-    second_order_threshold,
     sixth_order_term,
-    third_order_threshold,
+    triple_indices,
 )
+from cancornorm.engine import permutation_scheme, second_order_threshold, third_order_threshold
 from cancornorm.errors import SampleSizeError
-from cancornorm.moments import MomentTable, pair_indices, triple_indices
 
 from covblocks_oracle import (
     oracle_cross_matchings,
@@ -72,18 +72,6 @@ def test_scheme_cardinalities_and_terms():
         canonical = {canon(t) for t in terms}
         assert len(canonical) == count, f"{label} has duplicate terms"
         assert canonical == expected, label
-
-
-def test_pairpair_scheme():
-    terms = permutation_scheme("sum3_pairpair").terms
-    assert len(terms) == 3
-    canonical = {frozenset((frozenset(a), frozenset(b))) for a, b in terms}
-    expected = {
-        frozenset((frozenset((0, 1)), frozenset((2, 3)))),
-        frozenset((frozenset((0, 2)), frozenset((1, 3)))),
-        frozenset((frozenset((0, 3)), frozenset((1, 2)))),
-    }
-    assert canonical == expected
 
 
 def test_unknown_scheme_rejected():

@@ -9,17 +9,26 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cancornorm.alternatives import RngStream, alternative, generate_chunk, stream_generators
-from cancornorm.cancor import CONDITION_LIMIT, cancor_sq
-from cancornorm.covblocks import centered_fourth, lambda_blocks, permutation_scheme, psi_blocks
-from cancornorm.engine import _blocks, _z3_term_map, evaluate_batch, evaluate_population_batch
-from cancornorm.errors import DegenerateSampleError, SampleSizeError, SingularBlockError
-from cancornorm.moments import (
+from cancornorm.covblocks import (
     MomentTable,
+    cancor_sq,
     central_moments,
+    centered_fourth,
+    lambda_blocks,
     pair_indices,
+    psi_blocks,
     sorted_multi_indices,
     triple_indices,
 )
+from cancornorm.engine import (
+    CONDITION_LIMIT,
+    _blocks,
+    _z3_term_map,
+    evaluate_batch,
+    evaluate_population_batch,
+    permutation_scheme,
+)
+from cancornorm.errors import DegenerateSampleError, SampleSizeError, SingularBlockError
 from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
 
 from covblocks_oracle import functionals, oracle_lambda_blocks, oracle_third_cov

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cancornorm.moments import (
-    MomentTable,
-    Sample,
-    central_moments,
-    sample_mean,
-    sorted_multi_indices,
-)
+from cancornorm.covblocks import MomentTable, central_moments, sample_mean, sorted_multi_indices
+from cancornorm.stats import Sample
 
 
 def brute_force_moment(x, index):

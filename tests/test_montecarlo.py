@@ -1,7 +1,6 @@
 import gc
 import os
 import platform
-import resource
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -26,8 +25,7 @@ from cancornorm.alternatives import (
     population_values,
     stream_generators,
 )
-from cancornorm.cancor import cancor_sq
-from cancornorm.covblocks import lambda_blocks, psi_blocks
+from cancornorm.covblocks import cancor_sq, lambda_blocks, psi_blocks
 from cancornorm.engine import _plan, _z3_term_map
 from cancornorm.errors import DegenerateSampleError, SampleSizeError
 from cancornorm.montecarlo import (
@@ -295,21 +293,40 @@ def test_broken_pool_is_rebuilt(fresh_pool, monkeypatch):
     assert fresh_pool == [2, 2]
 
 
-def _chunk_minor_faults(start):
-    # Minor page faults of one (256, 100, 5) normal chunk in this process.
+# Prints the minor page faults of three (256, 100, 5) normal chunks in turn
+# on the one worker of a pool.
+CHUNK_FAULTS_ON_A_WORKER = """
+import resource
+from cancornorm import montecarlo
+from cancornorm.alternatives import RngStream, alternative
+from cancornorm.stats import ALL_STATISTICS
+
+def chunk_minor_faults(start):
     job = montecarlo.SimulationJob(alternative("normal", 5), 100, RngStream(3), 0, 4096)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     montecarlo._chunk_values(ALL_STATISTICS, (job, start, 256))
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
+pool = montecarlo._worker_pool(1)
+print(*[pool.submit(chunk_minor_faults, 256 * i).result(timeout=120) for i in range(3)])
+pool.shutdown()
+"""
+
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-def test_pool_workers_reuse_their_heap(fresh_pool):
+def test_pool_workers_reuse_their_heap():
     # A chunk's temporaries map ~3,800 fresh pages with glibc's default
-    # thresholds; a worker's later chunks fault in almost none.
-    pool = montecarlo._worker_pool(1)
-    faults = [pool.submit(_chunk_minor_faults, 256 * i).result(timeout=120) for i in range(3)]
-    assert max(faults[1:]) < 200, faults
+    # thresholds; a worker's later chunks fault in almost none.  The pool
+    # forks from a fresh interpreter: a worker forked from this one would
+    # inherit the thresholds that earlier tests raised here (glibc raises
+    # them as large blocks are freed), and pass without the initializer.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHUNK_FAULTS_ON_A_WORKER],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    faults = [int(f) for f in proc.stdout.split()]
+    assert len(faults) == 3 and max(faults[1:]) < 200, faults
 
 
 def test_pool_workers_freeze_what_they_inherit(fresh_pool):

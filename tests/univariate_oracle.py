@@ -2,7 +2,7 @@
 
 ``z2_prime`` correlates the sample mean with the sample variance and
 ``z3_prime`` with the third sample moment, both from scalar central moments
-(``moments.central_moments``) and closed-form variance estimates rather than
+(``covblocks.central_moments``) and closed-form variance estimates rather than
 from covariance blocks.  The package computes every statistic through
 ``engine``; at p = 1 its z2 and z3 trace values must equal the squares of
 these, which is acceptance criterion 1.
@@ -11,7 +11,8 @@ these, which is acceptance criterion 1.
 from math import sqrt
 
 from cancornorm.errors import DegenerateSampleError, SampleSizeError
-from cancornorm.moments import as_sample, central_moments
+from cancornorm.covblocks import central_moments
+from cancornorm.stats import as_sample
 
 
 def z2_prime(x) -> float:
