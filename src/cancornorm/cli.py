@@ -61,11 +61,14 @@ from .errors import (  # noqa: E402
 )
 from .stats import ALL_STATISTICS, StatisticId, _test_result, compute_statistics  # noqa: E402
 from .store import (  # noqa: E402
+    REPORT_FIELDS,
     export_report,
     find_null,
     null_table_filename,
     report_rows,
     save_null,
+    write_csv,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -74,6 +77,7 @@ EXIT_DATA = 3
 EXIT_COMPUTE = 4
 
 NULL_DIR_ENV = "CANCORNORM_NULL_DIR"
+POPULATION_FIELDS = ("alternative", "p", "statistic", "value")
 
 # Cells of the population table that the reference study leaves blank for
 # p = 3 (classical skewness/kurtosis of most mixtures); they are marked
@@ -182,16 +186,6 @@ def read_csv_sample(path) -> np.ndarray:
     return data
 
 
-def _load_tables(null_dir, statistics, n, p):
-    tables = {}
-    for sid in statistics:
-        try:
-            tables[sid] = find_null(null_dir, sid, n, p)
-        except FileNotFoundError as exc:
-            raise MissingTableError(str(exc)) from exc
-    return tables
-
-
 def cmd_calibrate(ns) -> int:
     from .alternatives import RngStream
     from .montecarlo import _calibration_job, _steady_heap, calibrate
@@ -223,7 +217,7 @@ def cmd_test(ns) -> int:
     statistics = _parse_statistics(ns.statistics)
     data = read_csv_sample(ns.data)
     n, p = data.shape
-    tables = _load_tables(ns.null_dir, statistics, n, p)
+    tables = {sid: find_null(ns.null_dir, sid, n, p) for sid in statistics}
     values = compute_statistics(data, statistics)
     results = [
         _test_result(sid, values[sid], tables[sid], (n, p), ns.alpha) for sid in statistics
@@ -234,9 +228,7 @@ def cmd_test(ns) -> int:
         decision = "reject normality" if r.reject else "no rejection"
         print(f"{r.statistic.name:<14}{r.value:>16.6g}{r.p_value:>12.4g}  {decision}")
     if ns.json:
-        import json
-
-        doc = {
+        write_json(ns.json, {
             "data": str(ns.data),
             "n": n,
             "p": p,
@@ -250,10 +242,7 @@ def cmd_test(ns) -> int:
                 }
                 for r in results
             ],
-        }
-        with open(ns.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        })
         print(f"wrote {ns.json}")
     return EXIT_OK
 
@@ -269,7 +258,7 @@ def cmd_power(ns) -> int:
     statistics = _parse_statistics(ns.statistics)
     rng = RngStream(ns.seed)
     _power_job(spec, ns.n, ns.p, ns.alpha, ns.reps, rng)  # checks the inputs before any I/O
-    tables = _load_tables(ns.null_dir, statistics, ns.n, ns.p)
+    tables = {sid: find_null(ns.null_dir, sid, ns.n, ns.p) for sid in statistics}
     if ns.workers == 1:
         _steady_heap()
     report = power(
@@ -303,9 +292,7 @@ def _population_rows(names, p_values):
                     value = repr(float(values[sid][item[spec.name]]))
                 else:
                     value = "--"
-                rows.append(
-                    {"alternative": spec.name, "p": p, "statistic": sid.name, "value": value}
-                )
+                rows.append(dict(zip(POPULATION_FIELDS, (spec.name, p, sid.name, value))))
     return rows
 
 
@@ -320,10 +307,7 @@ def cmd_popvalues(ns) -> int:
             raise UsageError(str(exc)) from exc
     rows = _population_rows(names, [ns.p])
     if ns.out:
-        with open(ns.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["alternative", "p", "statistic", "value"])
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(ns.out, POPULATION_FIELDS, rows)
         print(f"wrote {ns.out}")
     else:
         for row in rows:
@@ -337,7 +321,7 @@ def cmd_tables(ns) -> int:
     out = ns.out or _output_file(f"table_{ns.which}.csv")
     if ns.which == "altpop":
         rows = _population_rows(["normal"] + list(ALL_ALTERNATIVE_NAMES), [2, 3])
-        fieldnames = ["alternative", "p", "statistic", "value"]
+        fieldnames = POPULATION_FIELDS
     else:
         from .montecarlo import _steady_heap, power_study
 
@@ -351,22 +335,13 @@ def cmd_tables(ns) -> int:
             workers=ns.workers,
         )
         for report in reports:
-            for row in report_rows(report):
-                row["power"] = repr(row["power"])
-                row["se"] = repr(row["se"])
-                rows.append(row)
-            rows.append(
-                {
-                    "alternative": report.alternative, "n": report.n, "p": p,
-                    "statistic": "t_omnibus", "power": "not implemented", "se": "", "reps": "",
-                }
-            )
+            rows += report_rows(report)
+            rows.append(dict(zip(REPORT_FIELDS, (
+                report.alternative, report.n, p, "t_omnibus", "not implemented", "", "",
+            ))))
             print(f"done: {report.alternative} (n={report.n}, p={p})", file=sys.stderr)
-        fieldnames = ["alternative", "n", "p", "statistic", "power", "se", "reps"]
-    with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        fieldnames = REPORT_FIELDS
+    write_csv(out, fieldnames, rows)
     print(f"wrote {out}")
     return EXIT_OK
 

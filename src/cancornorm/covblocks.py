@@ -29,7 +29,9 @@ lists themselves are unit-tested against a full 6! enumeration.  Passing
 O(1/n) corrections vanish.
 
 Canonical correlations.  ``cancor_sq`` solves one set of blocks with the
-engine's kernel (``engine.checked_factor``, ``engine.cancor_eigs``).
+engine's kernel (``engine.checked_factor``, ``engine.cancor_eigs``), then
+counts the eigenvalues outside [0, 1] within tolerance and clips them; the
+engine clips without counting.
 
 This module imports from ``engine`` and ``stats``; no runtime module
 imports it at load.
@@ -193,11 +195,11 @@ def sixth_order_term(m: MomentTable, indices: tuple[int, ...]) -> float:
         raise ValueError("sixth_order_term needs exactly 6 indices")
     c = indices
     total = m.mu(*c)
-    for (a, b), rest in permutation_scheme("sum15_pair").terms:
+    for (a, b), rest in permutation_scheme("sum15_pair"):
         total -= m.mu(c[a], c[b]) * centered_fourth(m, *(c[s] for s in rest))
-    for tri1, tri2 in permutation_scheme("sum10_triple").terms:
+    for tri1, tri2 in permutation_scheme("sum10_triple"):
         total -= m.mu(*(c[s] for s in tri1)) * m.mu(*(c[s] for s in tri2))
-    for pairs in permutation_scheme("sum15_matching").terms:
+    for pairs in permutation_scheme("sum15_matching"):
         prod = 1.0
         for a, b in pairs:
             prod *= m.mu(c[a], c[b])
@@ -209,13 +211,13 @@ def _third_cov_entry(m: MomentTable, ijk, rst, n: int | None) -> float:
     """Covariance of two third-order sample moments for concrete indices."""
     c = tuple(ijk) + tuple(rst)
     pair9 = 0.0
-    for (a, b), rest in permutation_scheme("sum9_pair").terms:
+    for (a, b), rest in permutation_scheme("sum9_pair"):
         pair9 += m.mu(c[a], c[b]) * centered_fourth(m, *(c[s] for s in rest))
     triple9 = 0.0
-    for tri1, tri2 in permutation_scheme("sum9_triple").terms:
+    for tri1, tri2 in permutation_scheme("sum9_triple"):
         triple9 += m.mu(*(c[s] for s in tri1)) * m.mu(*(c[s] for s in tri2))
     match6 = 0.0
-    for pairs in permutation_scheme("sum6_matching").terms:
+    for pairs in permutation_scheme("sum6_matching"):
         prod = 1.0
         for a, b in pairs:
             prod *= m.mu(c[a], c[b])
@@ -298,5 +300,6 @@ class CanCorSq:
 def cancor_sq(blocks: CovBlocks) -> CanCorSq:
     """Squared canonical correlations of one set of covariance blocks."""
     inv11 = checked_factor("b11 (mean)", blocks.b11[None])
-    eigs, clamped = cancor_eigs(inv11, blocks.b12[None], blocks.b22[None])
-    return CanCorSq(values=eigs[0], clamped_count=int(clamped[0]))
+    eigs = cancor_eigs(inv11, blocks.b12[None], blocks.b22[None])[0]
+    clamped = int(np.sum((eigs < 0.0) | (eigs > 1.0)))
+    return CanCorSq(values=np.clip(eigs, 0.0, 1.0), clamped_count=clamped)

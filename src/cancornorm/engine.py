@@ -11,8 +11,10 @@ module also holds what the scalar reference ``covblocks`` shares with it,
 so that the reference depends on the runtime and never the other way
 round: the eigen step (``checked_factor``, ``cancor_eigs``,
 ``batch_functionals``), the term lists of the permutation sums
-(``permutation_scheme``) and the sample-size thresholds.  It imports
-nothing from the package but ``errors``.
+(``permutation_scheme``) and the sample-size thresholds.  ``cancor_eigs``
+range-checks the eigenvalues without clipping them: this module clips them
+for ``batch_functionals``, and ``covblocks`` counts the ones it clips.  The
+module imports nothing from the package but ``errors``.
 
 There are two steps.  The first makes whitened moments on the distinct
 coordinates.  Every sample is centered and whitened before any moment is
@@ -214,7 +216,7 @@ def checked_factor(name: str, block: np.ndarray) -> np.ndarray:
     return inv
 
 
-def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> np.ndarray:
     """Squared canonical correlations of a (B, ...) stack of block triples,
     given b11 as its ``checked_factor`` L11^-1, so that families sharing a
     b11 factor it once.
@@ -223,8 +225,8 @@ def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> tuple[np
     b11^-1 b12 b22^-1 b21 then becomes W^T W with W = L22^-1 b21 L11^-T,
     symmetric positive semidefinite by construction, so no inverse or
     general solve is formed.  Returns the (B, p) eigenvalues, sorted
-    descending and clipped to [0, 1], and the (B,) count of raw eigenvalues
-    each item had outside [0, 1] within the 1e-8 tolerance.
+    descending and checked to lie in [0, 1] within EIGENVALUE_TOL, but not
+    clipped: the caller clips them, and may first count the ones outside.
     """
     inv22 = checked_factor("b22 (moment)", b22)
     w = inv22 @ np.swapaxes(b12, 1, 2) @ np.swapaxes(inv11, 1, 2)
@@ -238,8 +240,7 @@ def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> tuple[np
             "are inconsistent",
             item=item,
         )
-    clamped = np.sum((eigs < 0.0) | (eigs > 1.0), axis=1)
-    return np.clip(eigs, 0.0, 1.0), clamped
+    return eigs
 
 
 def _ratio_trace(eigs: np.ndarray) -> np.ndarray:
@@ -289,18 +290,6 @@ def equilibrated_condition(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(live, figure, np.inf), inv / d[..., None, :]
 
 
-@dataclass(frozen=True)
-class PermutationScheme:
-    """An explicit list of slot-index assignments for one permutation sum.
-
-    Terms refer to the abstract slot positions 0..5; callers substitute
-    concrete coordinate indices for the slots.
-    """
-
-    label: str
-    terms: tuple[tuple[tuple[int, ...], ...], ...]
-
-
 def _matchings(slots: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
     """All perfect matchings of an even set of slots into unordered pairs."""
     if not slots:
@@ -334,7 +323,7 @@ def _pair_and_rest(a: int, b: int) -> tuple[tuple[int, int], tuple[int, ...]]:
 
 
 _SCHEMES = {
-    label: PermutationScheme(label=label, terms=tuple(terms))
+    label: tuple(terms)
     for label, terms in {
         # First factor takes one slot from {0,1,2} and one from {3,4,5};
         # the remaining four slots feed the centered fourth-moment factor.
@@ -349,8 +338,10 @@ _SCHEMES = {
 }
 
 
-def permutation_scheme(label: str) -> PermutationScheme:
-    """Return the term list for one of the named permutation sums."""
+def permutation_scheme(label: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The term list of one of the named permutation sums: each term is a
+    tuple of slot-index groups over the abstract slot positions 0..5, for
+    which callers substitute concrete coordinate indices."""
     try:
         return _SCHEMES[label]
     except KeyError:
@@ -416,13 +407,13 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
         classes.append(np.full(mask.sum(), w))
 
     for w, label in ((0, "sum15_pair"), (1, "sum9_pair")):
-        for pair, rest in permutation_scheme(label).terms:
+        for pair, rest in permutation_scheme(label):
             add(same([pair]), coords(rest), w)
     for w, label in ((0, "sum10_triple"), (1, "sum9_triple")):
-        for t1, t2 in permutation_scheme(label).terms:
+        for t1, t2 in permutation_scheme(label):
             add(everywhere, n_k4 + tri_index[coords(t1)] * q3 + tri_index[coords(t2)], w)
     for w, label in ((0, "sum15_matching"), (2, "sum6_matching")):
-        for match in permutation_scheme(label).terms:
+        for match in permutation_scheme(label):
             add(same(match), unit, w)
 
     keys, inverse = np.unique(
@@ -613,7 +604,7 @@ def _moment_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[Statist
         return out
     inv11 = checked_factor("b11 (mean)", m2 / (1 if n is None else n))
     for family, (b12, b22) in _blocks(m2, m3, m4, sixth, n, families).items():
-        vals = batch_functionals(cancor_eigs(inv11, b12, b22)[0])
+        vals = batch_functionals(np.clip(cancor_eigs(inv11, b12, b22), 0.0, 1.0))
         for sid in statistics:
             if sid.family == family:
                 out[sid] = vals[sid.functional]

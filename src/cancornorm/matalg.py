@@ -37,11 +37,6 @@ def vec(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, order="F").copy()
 
 
-def vech_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the vech entries, in vech order."""
-    return np.triu_indices(p)
-
-
 def vech(a: np.ndarray) -> np.ndarray:
     """Half-vectorization of a symmetric matrix (row-by-row upper triangle).
 

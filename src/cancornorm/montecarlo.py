@@ -48,10 +48,10 @@ unchanged.
 
 The result types live with their persistence (``NullTable``, ``PowerCell``
 and ``PowerReport`` in ``store``) and the test decision with ``TestResult``
-(``empirical_pvalues`` and ``run_test`` in ``stats``), so that testing a
-dataset loads neither this module nor ``alternatives``.  The large-n
-population values live in ``alternatives``, so that ``popvalues`` loads
-neither this module nor its worker-pool machinery.
+(``check_table``, ``empirical_pvalues`` and ``run_test`` in ``stats``), so
+that testing a dataset loads neither this module nor ``alternatives``.  The
+large-n population values live in ``alternatives``, so that ``popvalues``
+loads neither this module nor its worker-pool machinery.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ import numpy as np
 
 from .alternatives import AlternativeSpec, RngStream, alternative, generate_chunk, stream_generators
 from .engine import _plan, evaluate_batch, second_order_threshold, third_order_threshold
-from .errors import BatchItemError, MissingTableError, SampleSizeError, TableMismatchError
-from .stats import StatisticId, empirical_pvalues
+from .errors import BatchItemError, MissingTableError, SampleSizeError
+from .stats import StatisticId, check_table, empirical_pvalues
 from .store import NullTable, PowerCell, PowerReport
 
 MIN_REPLICATIONS = 1000
@@ -343,11 +343,7 @@ def power(
     for sid in statistics:
         if sid not in tables:
             raise MissingTableError(f"no null table for {sid.name} at (n={n}, p={p})")
-        t = tables[sid]
-        if (t.n, t.p) != (n, p) or t.statistic != sid:
-            raise TableMismatchError(
-                f"table for {sid.name} was calibrated for (n={t.n}, p={t.p}), need (n={n}, p={p})"
-            )
+        check_table(tables[sid], sid, n, p)
     (values,) = _simulate([job], statistics, workers)
     return _power_report(statistics, job, alpha, tables, values)
 

@@ -16,10 +16,11 @@ univariate statistics that each family reduces to at p = 1 are computed
 separately, from scalar central moments, by the test oracle
 ``tests/univariate_oracle.py``.
 
-A test decision lives here too: ``empirical_pvalues`` reads an observed value
-against a ``store.NullTable`` and ``run_test`` returns a ``TestResult``, so
+A test decision lives here too: ``check_table`` decides whether a
+``store.NullTable`` serves a statistic at (n, p), ``empirical_pvalues`` reads
+an observed value against it and ``run_test`` returns a ``TestResult``, so
 that testing a dataset loads none of the simulation code (``montecarlo``
-reads ``empirical_pvalues`` for its power estimates).
+reads ``check_table`` and ``empirical_pvalues`` for its power estimates).
 """
 
 from __future__ import annotations
@@ -100,6 +101,20 @@ def empirical_pvalues(observed, table: NullTable) -> np.ndarray:
     return (np.searchsorted(v, observed, side="right") + 1.0) / (r + 1.0)
 
 
+def check_table(table: NullTable, statistic: StatisticId, n: int, p: int) -> None:
+    """Raise ``TableMismatchError`` unless the table holds the null
+    distribution of the statistic at (n, p): tables are not interpolated."""
+    if table.statistic != statistic:
+        raise TableMismatchError(
+            f"table holds {table.statistic.name}, not {statistic.name}"
+        )
+    if (n, p) != (table.n, table.p):
+        raise TableMismatchError(
+            f"table was calibrated for (n={table.n}, p={table.p}) but the data "
+            f"is (n={n}, p={p}); tables are not interpolated"
+        )
+
+
 def _test_result(
     statistic: StatisticId, value: float, table: NullTable, shape: tuple[int, int], alpha: float
 ) -> TestResult:
@@ -107,16 +122,7 @@ def _test_result(
     data, then turn an observed value into a test decision."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if table.statistic != statistic:
-        raise TableMismatchError(
-            f"table holds {table.statistic.name}, not {statistic.name}"
-        )
-    n, p = shape
-    if (n, p) != (table.n, table.p):
-        raise TableMismatchError(
-            f"table was calibrated for (n={table.n}, p={table.p}) but the data "
-            f"is (n={n}, p={p}); tables are not interpolated"
-        )
+    check_table(table, statistic, *shape)
     p_value = float(empirical_pvalues(value, table)[0])
     return TestResult(
         statistic=statistic, value=value, p_value=p_value, alpha=alpha,

@@ -10,6 +10,12 @@ payload as little-endian 64-bit floats.  The header stays human-inspectable
 the payload guards against corruption, and ``library_version`` records
 ``cancornorm.__version__``.  Unknown format versions are a hard
 error rather than a silent migration.
+
+A power report is written as CSV rows (``report_rows``, one per statistic
+under ``REPORT_FIELDS``, with power and se in ``repr`` so that they read back
+as the same floats) or as a JSON document.  ``write_csv`` and ``write_json``
+write every CSV and JSON file of the package: reports, the power and
+population tables and the results of ``test --json``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .errors import (
 from .stats import StatisticId
 
 FORMAT_VERSION = 1
+REPORT_FIELDS = ("alternative", "n", "p", "statistic", "power", "se", "reps")
 
 
 @dataclass(frozen=True)
@@ -164,17 +171,28 @@ def find_null(directory, statistic: StatisticId, n: int, p: int) -> NullTable:
     return load_null(path)
 
 
+def write_csv(path, fieldnames, rows) -> None:
+    """Write dicts as CSV rows under a header of ``fieldnames``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document, indented by 2, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def report_rows(report: PowerReport) -> list[dict]:
+    """One CSV row per cell of a power report, under ``REPORT_FIELDS``."""
     return [
-        {
-            "alternative": report.alternative,
-            "n": report.n,
-            "p": report.p,
-            "statistic": cell.statistic.name,
-            "power": cell.power,
-            "se": cell.se,
-            "reps": cell.replications,
-        }
+        dict(zip(REPORT_FIELDS, (
+            report.alternative, report.n, report.p, cell.statistic.name,
+            repr(cell.power), repr(cell.se), cell.replications,
+        )))
         for cell in report.cells
     ]
 
@@ -183,17 +201,9 @@ def export_report(report: PowerReport, format: str, path) -> None:
     """Write a power report as CSV rows or as a JSON document."""
     format = format.lower()
     if format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["alternative", "n", "p", "statistic", "power", "se", "reps"]
-            )
-            writer.writeheader()
-            for row in report_rows(report):
-                row["power"] = repr(row["power"])
-                row["se"] = repr(row["se"])
-                writer.writerow(row)
+        write_csv(path, REPORT_FIELDS, report_rows(report))
     elif format == "json":
-        doc = {
+        write_json(path, {
             "alternative": report.alternative,
             "n": report.n,
             "p": report.p,
@@ -207,9 +217,6 @@ def export_report(report: PowerReport, format: str, path) -> None:
                 }
                 for cell in report.cells
             ],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        })
     else:
         raise ValueError(f"unknown report format {format!r} (use 'csv' or 'json')")

@@ -185,10 +185,26 @@ def test_cmd_test_missing_table_is_data_error(tmp_path, capsys):
     data = generate(alternative("normal", 2), 20, RngStream(45))
     csv_path = tmp_path / "d.csv"
     write_csv(csv_path, data)
-    rc = main(["test", "--data", str(csv_path), "--null-dir", str(tmp_path / "nowhere")])
+    nowhere = tmp_path / "nowhere"
+    rc = main(["test", "--data", str(csv_path), "--null-dir", str(nowhere)])
     assert rc == 3
-    err = capsys.readouterr().err
-    assert "mardia_skew" in err and "n=20" in err
+    assert capsys.readouterr().err == (
+        "data error: no null table for mardia_skew at (n=20, p=2); "
+        f"expected {nowhere / 'mardia_skew_n20_p2.null'}\n"
+    )
+
+
+def test_cmd_power_missing_table_is_data_error(tmp_path, capsys):
+    nowhere = tmp_path / "nowhere"
+    rc = main([
+        "power", "--alt", "laplace2", "--n", "20", "--p", "2", "--reps", "100",
+        "--null-dir", str(nowhere), "--workers", "1",
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "data error: no null table for mardia_skew at (n=20, p=2); "
+        f"expected {nowhere / 'mardia_skew_n20_p2.null'}\n"
+    )
 
 
 def test_cmd_test_malformed_table_header_is_data_error(null_dir, tmp_path, capsys):

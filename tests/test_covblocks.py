@@ -67,7 +67,7 @@ def test_scheme_cardinalities_and_terms():
         ("sum6_matching", 6, _canon_matching, oracle_cross_matchings()),
     ]
     for label, count, canon, expected in cases:
-        terms = permutation_scheme(label).terms
+        terms = permutation_scheme(label)
         assert len(terms) == count, label
         canonical = {canon(t) for t in terms}
         assert len(canonical) == count, f"{label} has duplicate terms"

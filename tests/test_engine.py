@@ -207,7 +207,7 @@ def dense_term_map(p):
             return tuple(sorted(c[s] for s in slots))
 
         for label, w in classes.items():
-            for term in permutation_scheme(label).terms:
+            for term in permutation_scheme(label):
                 if label.endswith("_pair"):
                     (x, y), rest = term
                     if c[x] == c[y]:

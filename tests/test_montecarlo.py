@@ -27,11 +27,10 @@ from cancornorm.alternatives import (
 )
 from cancornorm.covblocks import cancor_sq, lambda_blocks, psi_blocks
 from cancornorm.engine import _plan, _z3_term_map
-from cancornorm.errors import DegenerateSampleError, SampleSizeError
+from cancornorm.errors import DegenerateSampleError, SampleSizeError, TableMismatchError
 from cancornorm.montecarlo import (
     MissingTableError,
     NullTable,
-    TableMismatchError,
     calibrate,
     empirical_pvalues,
     power,
@@ -493,6 +492,21 @@ def test_power_table_shape_mismatch(small_tables):
     with pytest.raises(ValueError):
         power(alternative("normal", 3), (Z2HL,), 20, 2, 0.05, 100,
               small_tables, RngStream(15))
+
+
+def test_power_and_run_test_reject_a_table_with_one_message(small_tables):
+    # one check decides whether a table serves (statistic, n, p), whichever
+    # entry point reads the table
+    table = small_tables[Z2HL]
+    cases = [(Z2HL, 25), (Z2W, 20)]  # wrong (n, p); wrong statistic
+    for sid, n in cases:
+        x = generate(alternative("normal", 2), n, RngStream(16))
+        with pytest.raises(TableMismatchError) as tested:
+            run_test(x, sid, table)
+        with pytest.raises(TableMismatchError) as simulated:
+            power(alternative("normal", 2), (sid,), n, 2, 0.05, 100,
+                  {sid: table}, RngStream(16))
+        assert str(simulated.value) == str(tested.value)
 
 
 def test_null_table_serves_all_normal_distributions(small_tables):
