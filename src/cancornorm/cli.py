@@ -19,7 +19,8 @@ is the entry point of a process the CLI owns (the ``cancornorm`` script and
 ``python -m cancornorm.cli``): it calls ``main``, then freezes the garbage
 collector's heap (``gc.freeze``) and exits, so that interpreter finalization
 does not sweep the tens of thousands of objects the imports left behind.
-Atexit handlers, among them the worker pool's shutdown, still run.
+Atexit handlers and stream flushes still run; a parallel run has shut its
+worker pool down before ``main`` returns.
 
 Every command runs its BLAS single-threaded unless the environment says
 otherwise, so that a process's arithmetic never depends on the worker count
@@ -50,7 +51,6 @@ from .errors import (  # noqa: E402
     DegenerateSampleError,
     EigenvalueRangeError,
     FunctionalDomainError,
-    MissingTableError,
     MomentsUndefinedError,
     NullTableFormatError,
     NullTableIntegrityError,
@@ -415,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 DATA_ERRORS = (
     DataFileError,
-    MissingTableError,
     TableMismatchError,
     NullTableFormatError,
     NullTableIntegrityError,

@@ -362,6 +362,15 @@ def _sorted_indices(p: int, order: int) -> np.ndarray:
     return np.array(list(combinations_with_replacement(range(p), order)))
 
 
+def _sorted_position(p: int, order: int) -> np.ndarray:
+    """The position among ``_sorted_indices(p, order)`` of each nondecreasing
+    tuple, indexed by its flat p**order index (0 at unsorted tuples)."""
+    tuples = _sorted_indices(p, order)
+    position = np.zeros(p**order, dtype=np.intp)
+    position[np.ravel_multi_index(tuples.T, (p,) * order)] = np.arange(len(tuples))
+    return position
+
+
 @lru_cache(maxsize=None)
 def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The permutation sums of the third-order b22 block as one term map.
@@ -370,17 +379,17 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     a >= b in ``np.tril_indices(q3)`` order (b22 is symmetric, and only its
     lower triangle is factored), a and b indexing the distinct triples
     (lexicographic order); the six coordinates of a row are
-    c = triples[a] + triples[b].  Columns index the inputs [k4 (p^4, flattened),
-    m3 (x) m3 over distinct triples (q3^2 flat), 1].  Since m2 = I, a factor
-    m2[c_x, c_y] is 1 when c_x == c_y and 0 otherwise: a pair term selects
-    one k4 entry or vanishes, and a matching is a constant on the unit
-    input.  Each term of each ``permutation_scheme`` list adds 1 to coef[w] at its
-    (row, column), w being the weight of its sum in b22: 0 for -1/n, 1 for
-    1/(n-1), 2 for n/((n-1)(n-2)) (-1, 1 and 1 in the large-n limit).
+    c = triples[a] + triples[b].  Columns index the inputs [k4 over distinct
+    quadruples (q4, lexicographic order), m3 (x) m3 over distinct triples
+    (q3^2 flat), 1].  Since m2 = I, a factor m2[c_x, c_y] is 1 when
+    c_x == c_y and 0 otherwise: a pair term selects one k4 entry or
+    vanishes, and a matching is a constant on the unit input.  Each term of
+    each ``permutation_scheme`` list adds 1 to coef[w] at its (row, column),
+    w being the weight of its sum in b22: 0 for -1/n, 1 for 1/(n-1), 2 for
+    n/((n-1)(n-2)) (-1, 1 and 1 in the large-n limit).
     Returns the (rows, K) input columns of each row, ascending and padded to
     the longest row with the unit input, and the (3, rows, K) coef, 0 on the
-    padding.  ``_plan`` renumbers the k4 columns for the engine, which forms
-    k4 on the sorted quadruples only.
+    padding.
     """
     triples = _sorted_indices(p, 3)
     q3 = len(triples)
@@ -388,9 +397,9 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     c = np.concatenate([triples[a], triples[b]], axis=-1)
     row = np.arange(len(c))
     everywhere = np.ones(row.shape, dtype=bool)
-    tri_index = np.zeros(p**3, dtype=np.intp)
-    tri_index[np.ravel_multi_index(triples.T, (p,) * 3)] = np.arange(q3)
-    n_k4, unit = p**4, p**4 + q3 * q3
+    triple_of, quad_of = _sorted_position(p, 3), _sorted_position(p, 4)
+    q4 = len(_sorted_indices(p, 4))
+    unit = q4 + q3 * q3
 
     def coords(slots):
         idx = np.sort(c[..., list(slots)], axis=-1)
@@ -408,10 +417,10 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
 
     for w, label in ((0, "sum15_pair"), (1, "sum9_pair")):
         for pair, rest in permutation_scheme(label):
-            add(same([pair]), coords(rest), w)
+            add(same([pair]), quad_of[coords(rest)], w)
     for w, label in ((0, "sum10_triple"), (1, "sum9_triple")):
         for t1, t2 in permutation_scheme(label):
-            add(everywhere, n_k4 + tri_index[coords(t1)] * q3 + tri_index[coords(t2)], w)
+            add(everywhere, q4 + triple_of[coords(t1)] * q3 + triple_of[coords(t2)], w)
     for w, label in ((0, "sum15_matching"), (2, "sum6_matching")):
         for match in permutation_scheme(label):
             add(same(match), unit, w)
@@ -465,17 +474,10 @@ def _plan(p: int) -> _Plan:
     pair_of = np.empty((p, p), dtype=np.intp)
     pair_of[u, v] = pair_of[v, u] = np.arange(q2)
     triples = _sorted_indices(p, 3)
-    quads = _sorted_indices(p, 4)
-    q4 = len(quads)
-    quad_of = np.zeros(p**4, dtype=np.intp)
-    quad_of[np.ravel_multi_index(quads.T, (p,) * 4)] = np.arange(q4)
-    a, b, c, d = quads.T
+    a, b, c, d = _sorted_indices(p, 4).T
     coordinate = np.repeat(np.arange(p), len(triples))
     with_triple = np.sort(np.column_stack([coordinate, np.tile(triples, (p, 1))]), axis=1)
     cols, coef = _z3_term_map(p)
-    # the k4 columns, p^4 flat sorted coordinates, become quadruple positions;
-    # both numberings are increasing, so every row keeps its summation order
-    cols = np.where(cols < p**4, quad_of[np.minimum(cols, p**4 - 1)], cols - p**4 + q4)
     diag = pair_of[np.arange(p), np.arange(p)]
 
     def outer(x, y):
@@ -492,7 +494,7 @@ def _plan(p: int) -> _Plan:
         m3_triples=triples[:, 0] * q2 + pair_of[triples[:, 1], triples[:, 2]],
         k4_m4=pair_of[a, b] * q2 + pair_of[c, d],
         k4_m2=(a * p + b, c * p + d, a * p + c, b * p + d, a * p + d, b * p + c),
-        z3_b12=quad_of[np.ravel_multi_index(with_triple.T, (p,) * 4)],
+        z3_b12=_sorted_position(p, 4)[np.ravel_multi_index(with_triple.T, (p,) * 4)],
         z3_cols=cols,
         z3_coef=coef,
     )

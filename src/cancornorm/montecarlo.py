@@ -26,13 +26,14 @@ A simulation is a ``SimulationJob``: one alternative at one sample size over
 a number of replications.  ``calibrate`` and ``power`` run one job each;
 ``power_study`` runs a whole power table (the calibration and every
 alternative, at each sample size) as one list of jobs.  Either way the
-chunks of all the jobs go through one map, in one process pool per process,
-so workers never wait at a barrier between jobs; each job's values are
-handed back, in job order, as soon as its last chunk is done, and the caller
-reduces them (to sorted null tables or a power report) and drops them.  The
-pool is created by the first parallel run and reused by every later run with
-the same worker count; a different count replaces it, a broken pool is
-dropped and rebuilt on the next run, and interpreter exit shuts it down.
+chunks of all the jobs go through one map, so workers never wait at a
+barrier between jobs; each job's values are handed back, in job order, as
+soon as its last chunk is done, and the caller reduces them (to sorted null
+tables or a power report) and drops them.  A parallel run owns its process
+pool: it starts the pool once its per-p plans are built, so every worker
+inherits them, and shuts it down, cancelling the chunks not yet started,
+however the run ends (done, failed, or closed by its caller), so that no
+worker outlives the run.
 
 Each pool worker starts by freezing the objects it inherits from the
 parent (``gc.freeze``), so that its garbage collections never walk them and
@@ -48,10 +49,11 @@ unchanged.
 
 The result types live with their persistence (``NullTable``, ``PowerCell``
 and ``PowerReport`` in ``store``) and the test decision with ``TestResult``
-(``check_table``, ``empirical_pvalues`` and ``run_test`` in ``stats``), so
-that testing a dataset loads neither this module nor ``alternatives``.  The
-large-n population values live in ``alternatives``, so that ``popvalues``
-loads neither this module nor its worker-pool machinery.
+(``check_alpha``, ``check_table``, ``empirical_pvalues`` and ``run_test`` in
+``stats``), so that testing a dataset loads neither this module nor
+``alternatives``.  The large-n population values live in ``alternatives``,
+so that ``popvalues`` loads neither this module nor its worker-pool
+machinery.
 """
 
 from __future__ import annotations
@@ -59,10 +61,8 @@ from __future__ import annotations
 import ctypes
 import gc
 import os
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from itertools import islice
 from math import ceil, comb, sqrt
@@ -73,7 +73,7 @@ import numpy as np
 from .alternatives import AlternativeSpec, RngStream, alternative, generate_chunk, stream_generators
 from .engine import _plan, evaluate_batch, second_order_threshold, third_order_threshold
 from .errors import BatchItemError, MissingTableError, SampleSizeError
-from .stats import StatisticId, check_table, empirical_pvalues
+from .stats import StatisticId, check_alpha, check_table, empirical_pvalues
 from .store import NullTable, PowerCell, PowerReport
 
 MIN_REPLICATIONS = 1000
@@ -157,13 +157,6 @@ def _chunk_values(statistics, task: tuple[SimulationJob, int, int]):
         ) from exc
 
 
-# The process's one worker pool and its worker count (see the module docstring);
-# the lock keeps a thread from replacing the pool while another one uses it.
-_pool: ProcessPoolExecutor | None = None
-_pool_workers = 0
-_pool_lock = threading.Lock()
-
-
 def _steady_heap() -> bool:
     """Set the allocator thresholds of the module docstring in this process.
     Returns whether both were set; never raises, so a platform without
@@ -188,17 +181,6 @@ def _start_worker() -> None:
     _steady_heap()
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    global _pool, _pool_workers
-    if _pool is not None and _pool_workers != workers:
-        _pool.shutdown()
-        _pool = None
-    if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
-        _pool_workers = workers
-    return _pool
-
-
 def _simulate(jobs, statistics, workers):
     """Yield the statistic values of each job, in job order, as soon as its
     last chunk is done.
@@ -206,7 +188,6 @@ def _simulate(jobs, statistics, workers):
     Every chunk of every job goes through one map, so workers go on to the
     next job's chunks while the caller reduces the finished one.
     """
-    global _pool
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = list(jobs)
@@ -218,18 +199,15 @@ def _simulate(jobs, statistics, workers):
     ]
     chunks_per_job = [len(starts) for starts in job_starts]
     chunk = partial(_chunk_values, statistics)
-    # Built here, before a new pool forks, so that its workers inherit the
-    # per-p plans; workers of an older pool build them themselves.
+    # Built here, before the pool forks, so that its workers inherit them.
     for p in {job.spec.p for job in jobs}:
         _plan(p)
     if workers > 1 and len(tasks) > 1:
-        with _pool_lock:
-            try:
-                results = _worker_pool(workers).map(chunk, tasks)
-                yield from _by_job(chunks_per_job, results, statistics)
-            except BrokenProcessPool:
-                _pool = None
-                raise
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
+        try:
+            yield from _by_job(chunks_per_job, pool.map(chunk, tasks), statistics)
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         yield from _by_job(chunks_per_job, map(chunk, tasks), statistics)
 
@@ -298,8 +276,7 @@ def _power_job(alt: AlternativeSpec, n: int, p: int, alpha: float, reps: int, rn
         raise ValueError(f"alternative has p={alt.p}, requested p={p}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     return SimulationJob(alt, n, rng, POWER_CONTEXT, reps)
 
 

@@ -16,11 +16,12 @@ univariate statistics that each family reduces to at p = 1 are computed
 separately, from scalar central moments, by the test oracle
 ``tests/univariate_oracle.py``.
 
-A test decision lives here too: ``check_table`` decides whether a
-``store.NullTable`` serves a statistic at (n, p), ``empirical_pvalues`` reads
-an observed value against it and ``run_test`` returns a ``TestResult``, so
-that testing a dataset loads none of the simulation code (``montecarlo``
-reads ``check_table`` and ``empirical_pvalues`` for its power estimates).
+A test decision lives here too: ``check_alpha`` decides whether a level is
+valid, ``check_table`` whether a ``store.NullTable`` serves a statistic at
+(n, p), ``empirical_pvalues`` reads an observed value against it and
+``run_test`` returns a ``TestResult``, so that testing a dataset loads none
+of the simulation code (``montecarlo`` reads all three for its power
+estimates).
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ def empirical_pvalues(observed, table: NullTable) -> np.ndarray:
     return (np.searchsorted(v, observed, side="right") + 1.0) / (r + 1.0)
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless alpha is a test level in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def check_table(table: NullTable, statistic: StatisticId, n: int, p: int) -> None:
     """Raise ``TableMismatchError`` unless the table holds the null
     distribution of the statistic at (n, p): tables are not interpolated."""
@@ -120,8 +127,7 @@ def _test_result(
 ) -> TestResult:
     """Check alpha and the table against the statistic and the (n, p) of the
     data, then turn an observed value into a test decision."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    check_alpha(alpha)
     check_table(table, statistic, *shape)
     p_value = float(empirical_pvalues(value, table)[0])
     return TestResult(

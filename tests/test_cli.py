@@ -500,6 +500,23 @@ def test_bad_simulation_inputs_are_usage_errors(null_dir, tmp_path, capsys, args
     assert not list(tmp_path.glob("calibrated/*")) and not (tmp_path / "t.csv").exists()
 
 
+def test_test_and_power_reject_a_bad_alpha_with_one_message(null_dir, tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    write_csv(csv_path, generate(alternative("normal", 2), 20, RngStream(42)))
+    runs = {
+        "test": ["test", "--data", str(csv_path), "--null-dir", str(null_dir)],
+        "power": ["power", "--alt", "indep_exp", "--n", "20", "--p", "2",
+                  "--null-dir", str(null_dir), "--workers", "1"],
+    }
+    errors = {}
+    for command, args in runs.items():
+        capsys.readouterr()
+        assert main([*args, "--alpha", "1.5"]) == 2
+        out, errors[command] = capsys.readouterr()
+        assert out == ""
+    assert errors["test"] == errors["power"] == "error: alpha must be in (0, 1), got 1.5\n"
+
+
 @pytest.mark.parametrize("command, option, target", [
     ("tables", "--out", "missing/t.csv"),
     ("tables", "--out", "a_dir"),
@@ -613,7 +630,7 @@ def test_exit_code_usage():
 
 
 def test_calibrate_subprocess_exits_with_pool_alive(tmp_path):
-    # the shared worker pool is left for interpreter exit to shut down
+    # a parallel run in a process the CLI owns shuts its pool down and exits
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     base = [sys.executable, "-m", "cancornorm.cli", "calibrate", "--n", "20", "--p", "2",
             "--reps", "1000", "--workers", "2", "--out-dir", str(tmp_path / "nulls")]

@@ -196,7 +196,9 @@ def dense_term_map(p):
     triples = triple_indices(p)
     q3 = len(triples)
     position = {t: a for a, t in enumerate(triples)}
-    n_k4, unit = p**4, p**4 + q3 * q3
+    quad_position = {t: a for a, t in enumerate(sorted_multi_indices(p, 4))}
+    q4 = len(quad_position)
+    unit = q4 + q3 * q3
     classes = {"sum15_pair": 0, "sum9_pair": 1, "sum10_triple": 0, "sum9_triple": 1,
                "sum15_matching": 0, "sum6_matching": 2}
     entries = []
@@ -211,10 +213,10 @@ def dense_term_map(p):
                 if label.endswith("_pair"):
                     (x, y), rest = term
                     if c[x] == c[y]:
-                        entries.append((w, row, int(np.ravel_multi_index(sort(rest), (p,) * 4))))
+                        entries.append((w, row, quad_position[sort(rest)]))
                 elif label.endswith("_triple"):
                     t1, t2 = term
-                    entries.append((w, row, n_k4 + position[sort(t1)] * q3 + position[sort(t2)]))
+                    entries.append((w, row, q4 + position[sort(t1)] * q3 + position[sort(t2)]))
                 elif all(c[x] == c[y] for x, y in term):
                     entries.append((w, row, unit))
     dense = np.zeros((3, q3 * (q3 + 1) // 2, unit + 1))

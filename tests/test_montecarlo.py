@@ -1,4 +1,5 @@
 import gc
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -223,41 +224,72 @@ def test_power_deterministic_across_workers(small_tables):
 
 @pytest.fixture()
 def fresh_pool(monkeypatch):
-    """No worker pool before the test; the test's pool is shut down after it.
-    Yields the worker counts of the pools built meanwhile."""
-
-    def drop():
-        if montecarlo._pool is not None:
-            montecarlo._pool.shutdown()
-        montecarlo._pool = None
-
-    built = []
+    """Yields the worker counts of the pools built during the test, and
+    checks that each pool starts its workers with ``_start_worker``."""
+    built, initializers = [], []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, max_workers, initializer):
             built.append(max_workers)
+            initializers.append(initializer)
             super().__init__(max_workers=max_workers, initializer=initializer)
 
-    drop()
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
     yield built
-    drop()
+    assert all(init is montecarlo._start_worker for init in initializers)
 
 
-def test_one_pool_serves_successive_runs(fresh_pool, small_tables):
-    calibrate((Z2HL,), 20, 2, 1000, RngStream(3), workers=2)
-    for seed in (4, 5):
-        power(alternative("chisq2", 2), (Z2HL,), 20, 2, 0.05, 600,
-              small_tables, RngStream(seed), workers=2)
-    assert fresh_pool == [2]
-    # another worker count replaces the pool
-    calibrate((Z2HL,), 20, 2, 1000, RngStream(3), workers=3)
-    assert fresh_pool == [2, 3]
+def test_each_parallel_run_owns_its_pool(fresh_pool, small_tables, monkeypatch):
+    # Every parallel calibrate, power and power_study builds one pool and
+    # leaves no worker behind, whether it returns, raises on a worker,
+    # loses a worker, or is closed by its caller.
+    rng = RngStream(5, (2,))
+    normal, indep_exp = alternative("normal", 2), alternative("indep_exp", 2)
+    runs = [  # each run, and the stream of a replication that a failing run spoils
+        (lambda: calibrate((Z2HL, KURT), 20, 2, 1000, rng, workers=2),
+         rng.child(montecarlo.CALIBRATION_CONTEXT, 300)),
+        (lambda: power(normal, (Z2HL, KURT), 20, 2, 0.05, 600, small_tables, rng, workers=2),
+         rng.child(montecarlo.POWER_CONTEXT, 300)),
+        (lambda: list(power_study([normal, indep_exp], (Z2HL, KURT), (20,), 2, 0.05, 300, 1000,
+                                  rng, workers=2)),
+         rng.child(0, 20).child(montecarlo.CALIBRATION_CONTEXT, 300)),
+    ]
+
+    def leaves_no_worker(run, raises=None):
+        built = len(fresh_pool)
+        if raises is None:
+            run()
+        else:
+            with pytest.raises(raises):
+                run()
+        assert len(fresh_pool) == built + 1
+        assert multiprocessing.active_children() == []
+
+    for run, spoiled in runs:
+        leaves_no_worker(run)
+        with monkeypatch.context() as m:
+            # the pool forks after this patch, so its workers sample with it
+            m.setattr(montecarlo, "generate_chunk",
+                      constant_column_sampler(spoiled.generator(), []))
+            leaves_no_worker(run, DegenerateSampleError)
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "evaluate_batch", lambda *args: os._exit(1))
+            leaves_no_worker(run, BrokenProcessPool)
+
+    def close_after_first_report():
+        study = power_study([normal, indep_exp], (Z2HL, KURT), (20, 50), 2, 0.05, 1000,
+                            1000, rng, workers=2)
+        next(study)
+        study.close()
+
+    leaves_no_worker(close_after_first_report)
+    assert fresh_pool == [2] * 10
 
 
 def test_shared_pool_bit_identical_across_dimensions(fresh_pool):
-    # The pool forks at p = 2; at p = 3 its workers build the per-p plan (and
-    # the z3 term map under it) themselves rather than inheriting it.
+    # Each parallel run forks its own pool once it has built the per-p plan
+    # (and the z3 term map under it), cleared here so that the run builds
+    # it; the workers at p = 3 inherit it as those at p = 2 do.
     _plan.cache_clear()
     _z3_term_map.cache_clear()
     for p in (2, 3):
@@ -265,18 +297,18 @@ def test_shared_pool_bit_identical_across_dimensions(fresh_pool):
         two = calibrate(ALL_STATISTICS, 20, p, 1000, RngStream(21), workers=2)
         for sid in ALL_STATISTICS:
             assert_array_equal(one[sid].values, two[sid].values)
-    assert fresh_pool == [2]
+    assert fresh_pool == [2, 2]
 
 
 def test_threads_share_the_pool_safely(fresh_pool):
-    # threads asking for different worker counts take turns with the pool
+    # threads running at once each build and shut down a pool of their own
     expected = calibrate((Z2HL,), 20, 2, 1000, RngStream(9), workers=1)[Z2HL].values
     with ThreadPoolExecutor(4) as threads:
         runs = [threads.submit(calibrate, (Z2HL,), 20, 2, 1000, RngStream(9), workers=w)
                 for w in (2, 3, 2, 3)]
         for run in runs:
             assert_array_equal(run.result(timeout=120)[Z2HL].values, expected)
-    assert 1 <= len(fresh_pool) <= 4
+    assert sorted(fresh_pool) == [2, 2, 3, 3]
 
 
 def test_broken_pool_is_rebuilt(fresh_pool, monkeypatch):
@@ -286,7 +318,6 @@ def test_broken_pool_is_rebuilt(fresh_pool, monkeypatch):
         m.setattr(montecarlo, "evaluate_batch", lambda *args: os._exit(1))
         with pytest.raises(BrokenProcessPool):
             calibrate((Z2HL,), 20, 2, 1000, RngStream(8), workers=2)
-    assert montecarlo._pool is None
     again = calibrate((Z2HL,), 20, 2, 1000, RngStream(8), workers=2)[Z2HL].values
     assert_array_equal(again, expected)
     assert fresh_pool == [2, 2]
@@ -296,6 +327,7 @@ def test_broken_pool_is_rebuilt(fresh_pool, monkeypatch):
 # on the one worker of a pool.
 CHUNK_FAULTS_ON_A_WORKER = """
 import resource
+from concurrent.futures import ProcessPoolExecutor
 from cancornorm import montecarlo
 from cancornorm.alternatives import RngStream, alternative
 from cancornorm.stats import ALL_STATISTICS
@@ -306,7 +338,7 @@ def chunk_minor_faults(start):
     montecarlo._chunk_values(ALL_STATISTICS, (job, start, 256))
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-pool = montecarlo._worker_pool(1)
+pool = ProcessPoolExecutor(1, initializer=montecarlo._start_worker)
 print(*[pool.submit(chunk_minor_faults, 256 * i).result(timeout=120) for i in range(3)])
 pool.shutdown()
 """
@@ -328,12 +360,12 @@ def test_pool_workers_reuse_their_heap():
     assert len(faults) == 3 and max(faults[1:]) < 200, faults
 
 
-def test_pool_workers_freeze_what_they_inherit(fresh_pool):
+def test_pool_workers_freeze_what_they_inherit():
     # a worker's collections skip the parent's objects, so never copy their
     # pages; the parent's collector stays as it was
     frozen = gc.get_freeze_count()
-    pool = montecarlo._worker_pool(1)
-    assert pool.submit(gc.get_freeze_count).result(timeout=120) > 0
+    with ProcessPoolExecutor(1, initializer=montecarlo._start_worker) as pool:
+        assert pool.submit(gc.get_freeze_count).result(timeout=120) > 0
     assert gc.get_freeze_count() == frozen
 
 
@@ -373,13 +405,11 @@ def test_steady_heap_without_mallopt_changes_nothing(monkeypatch):
     assert montecarlo._steady_heap() is False
 
 
-def test_failing_replication_is_named_by_its_stream(monkeypatch):
-    # One replication of the second chunk gets a constant column; the run
-    # still aborts, with the coordinates that replay that replication.
-    rng, bad = RngStream(5, (2,)), 300
-    target = rng.child(montecarlo.CALIBRATION_CONTEXT, bad).generator()
+def constant_column_sampler(target, failing):
+    """A ``generate_chunk`` that gives the replication drawn by the
+    generator ``target`` a constant column, appending that sample to
+    ``failing``."""
     target_key = target.bit_generator.state["state"]["key"]
-    failing = []
 
     def chunk_with_constant_column(spec, n, generators, count):
         hits = []
@@ -396,6 +426,17 @@ def test_failing_replication_is_named_by_its_stream(monkeypatch):
             failing.append(x[i])
         return x
 
+    return chunk_with_constant_column
+
+
+def test_failing_replication_is_named_by_its_stream(monkeypatch):
+    # One replication of the second chunk gets a constant column; the run
+    # still aborts, with the coordinates that replay that replication.
+    rng, bad = RngStream(5, (2,)), 300
+    failing = []
+    chunk_with_constant_column = constant_column_sampler(
+        rng.child(montecarlo.CALIBRATION_CONTEXT, bad).generator(), failing
+    )
     monkeypatch.setattr(montecarlo, "generate_chunk", chunk_with_constant_column)
     with pytest.raises(DegenerateSampleError) as info:
         calibrate((Z2HL, KURT), 20, 2, 1000, rng)
