@@ -141,7 +141,7 @@ def _parse_statistics(text: str | None) -> tuple[StatisticId, ...]:
 def read_csv_sample(path) -> np.ndarray:
     """Read an n x p numeric CSV, auto-detecting a single header row."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     except OSError as exc:
         raise DataFileError(f"cannot read {path}: {exc}") from exc
@@ -188,11 +188,13 @@ def read_csv_sample(path) -> np.ndarray:
 
 def cmd_calibrate(ns) -> int:
     from .alternatives import RngStream
-    from .montecarlo import _calibration_job, _steady_heap, calibrate
+    from .montecarlo import _calibration_job, _steady_heap, calibrate, timestamp
 
     statistics = _parse_statistics(ns.statistics)
     rng = RngStream(ns.seed)
-    _calibration_job(statistics, ns.n, ns.p, ns.reps, rng)  # checks the inputs before any I/O
+    # check the inputs and SOURCE_DATE_EPOCH before any I/O
+    _calibration_job(statistics, ns.n, ns.p, ns.reps, rng)
+    timestamp()
     out_dir = Path(ns.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

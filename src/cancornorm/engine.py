@@ -33,7 +33,15 @@ multiply per leading index, and every higher moment is one of three batched
 Gram products on them: m3 = y P^T / n (each coordinate with each pair),
 m4 = P P^T / n (the pair Gram, which holds every fourth moment) and the
 sixth moments on pairs of distinct triples, T T^T / n^2, so no tensor with
-repeated coordinates, p^6 or otherwise, is formed.  A population's dense
+repeated coordinates, p^6 or otherwise, is formed.  P and T (T only when z3
+statistics are requested) are formed in passes over consecutive items, each
+holding at most ``PRODUCT_BUDGET`` bytes of them (``product_bytes`` per
+item, one item a pass if one exceeds it) in buffers that every pass
+reuses, and each pass writes its items' rows of the moments.  So the
+products, once the largest temporaries, no longer grow with B; the steps up
+to y run on the whole batch, and y is dropped before the second step.  A
+batch within the budget takes one pass.  The simulation sizes its chunks
+by the same budget and the same ``product_bytes``.  A population's dense
 moment tensors are whitened by the same factor of its covariance, each
 population of a stack by its own, and read at the same distinct
 coordinates.
@@ -53,7 +61,8 @@ per dimension p, into one term map derived from the very same term lists
 source of truth for the combinatorics: each entry of b22 is a short
 weighted sum of at most eleven inputs (p <= 6), applied with numpy gathers,
 slot by slot; the 1/n, 1/(n-1) and n/((n-1)(n-2)) weights (all 1 in magnitude in the limit) are folded
-into the map before it is applied.  The sixth moments enter as they are.
+into the map before it is applied.  The sixth moments enter as they are:
+b22 is built in their array.
 The Mardia statistics are the sum of the squared third moments and the sum
 of the fourth moments m4[(ii), (jj)].  Every array handed to a matrix
 product is C-contiguous or a transposed view of one, so each item's
@@ -66,6 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, pairwise, permutations
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +91,9 @@ from .errors import (
 CONDITION_LIMIT = 1e12
 EIGENVALUE_TOL = 1e-8
 UNIT_ROOT_TOL = 1e-12
+# Bytes of distinct moment products that one pass of ``evaluate_batch`` forms
+# at most; the simulation sizes its chunks by the same figure.
+PRODUCT_BUDGET = 2 * 2**20
 
 FUNCTIONAL_NAMES = ("hl", "w", "pb", "max", "min")
 FAMILIES = ("z2", "z3", "mardia_skew", "mardia_kurt")
@@ -356,6 +369,13 @@ def third_order_threshold(p: int) -> int:
     return 2 * p + p * (p - 1) + p * (p - 1) * (p - 2) // 6
 
 
+def product_bytes(n: int, p: int, z3: bool) -> int:
+    """Bytes of the distinct pair products of one sample of size n, and of
+    its distinct triple products when ``z3`` statistics are evaluated:
+    8 n C(p+1, 2), plus 8 n C(p+2, 3) for z3."""
+    return 8 * n * (comb(p + 1, 2) + (comb(p + 2, 3) if z3 else 0))
+
+
 def _sorted_indices(p: int, order: int) -> np.ndarray:
     """The nondecreasing index tuples of an order over 0..p-1, one per row,
     in lexicographic order."""
@@ -511,10 +531,11 @@ def _z3_b22(sixth: np.ndarray, m3d: np.ndarray, k4: np.ndarray, weights, plan: _
     """The third-order b22 block: ``sixth`` plus the permutation sums of
     ``_z3_term_map``, each sum class weighted by its entry of ``weights``,
     from the (B, q3) third moments and (B, q4) fourth cumulants on the
-    distinct coordinates.
+    distinct coordinates.  The block is built in ``sixth``, which is
+    returned.
 
     The sums are gathered slot by slot over the lower triangle, in each
-    row's column order, and mirrored.
+    row's column order, and added to both triangles of ``sixth``.
     """
     nb, q3 = m3d.shape
     q4 = k4.shape[1]
@@ -539,11 +560,13 @@ def _z3_b22(sixth: np.ndarray, m3d: np.ndarray, k4: np.ndarray, weights, plan: _
             np.take(inputs, cols[lo:lo + step, slot], axis=0, out=part, mode="clip")
             part *= weights[lo:lo + step, slot, None]
             block += part
-    b22 = np.empty((nb, q3, q3))
-    a, b = np.tril_indices(q3)
-    b22[:, a, b] = b22[:, b, a] = terms.T
-    b22 += sixth
-    return b22
+    # row a of the lower triangle, entries (a, 0..a), and its mirror in column a
+    for a in range(q3):
+        start = a * (a + 1) // 2
+        row = terms[start:start + a + 1].T
+        sixth[:, a, :a + 1] += row
+        sixth[:, :a, a] += row[:, :a]
+    return sixth
 
 
 def _blocks(m2, m3, m4, sixth, n: int | None, families) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -551,7 +574,8 @@ def _blocks(m2, m3, m4, sixth, n: int | None, families) -> dict[str, tuple[np.nd
     whitened moments on the distinct coordinates: the (B, p, p) m2, the
     (B, p, q2) m3 of every coordinate with every pair, the (B, q2, q2) pair
     Gram m4, and for z3 the (B, q3, q3) ``sixth``, the sixth moments on
-    pairs of triples over n (over 1 in the limit).
+    pairs of triples over n (over 1 in the limit), which the z3 b22 is
+    built in: ``sixth`` is consumed.
 
     ``n`` is the sample size, which sets the weights of the blocks: 1/n on
     every block and the small-sample corrections of the z2 b22 and of the
@@ -571,10 +595,12 @@ def _blocks(m2, m3, m4, sixth, n: int | None, families) -> dict[str, tuple[np.nd
         if n is not None:
             ik, jl, il, jk = (_gather(m2, index) for index in plan.z2_cross)
             b22 += ((ik * jl + il * jk) / (n * (n - 1))).reshape(nb, q2, q2)
+            del ik, jl, il, jk  # not held while the z3 blocks are built
         blocks["z2"] = (m3 / scale, b22)
     if "z3" in families:
         ab, cd, ac, bd, ad, bc = (_gather(m2, index) for index in plan.k4_m2)
         k4 = _gather(m4, plan.k4_m4) - (ab * cd + ac * bd + ad * bc)
+        del ab, cd, ac, bd, ad, bc
         if n is None:
             weights = (-1.0, 1.0, 1.0)
         else:
@@ -613,18 +639,50 @@ def _moment_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[Statist
     return out
 
 
-def _sixth(y: np.ndarray, pairs: np.ndarray, plan: _Plan) -> np.ndarray:
-    """The sixth moments of a batch of whitened samples on pairs of distinct
-    triples, times 1/n: the Gram matrix of the distinct triple products over
-    n^2.  A function of its own so that the (B, q3, n) triple products, the
-    largest temporary, are freed on return."""
-    nb, p, n = y.shape
-    triples = np.empty((nb, plan.triple_start[-1], n))
+def _sixth(y: np.ndarray, pairs: np.ndarray, plan: _Plan, triples: np.ndarray, out: np.ndarray):
+    """The Gram matrix of the distinct triple products of one pass of
+    whitened samples, into ``out``.  The products are formed in ``triples``,
+    the (B, q3, n) buffer that every pass reuses, as y_i times the pair
+    products from ``pair_start[i]`` on."""
     for i, (lo, hi) in enumerate(pairwise(plan.triple_start)):
         np.multiply(y[:, i, None], pairs[:, plan.pair_start[i]:], out=triples[:, lo:hi])
-    sixth = triples @ np.swapaxes(triples, 1, 2)
-    sixth /= n * n
-    return sixth
+    np.matmul(triples, np.swapaxes(triples, 1, 2), out=out)
+
+
+def _moments(y: np.ndarray, plan: _Plan, z3: bool):
+    """The m2, m3, m4 and, when ``z3`` is set, ``sixth`` (else None) of
+    ``_blocks`` from a (B, p, n) stack y of whitened samples.
+
+    The distinct pair products (and, for z3, triple products) are formed in
+    passes over consecutive items, each pass holding at most PRODUCT_BUDGET
+    bytes of them in buffers that every pass reuses, and each pass writes
+    its items' rows of the moments.  So the products take no more memory
+    for a larger B, and every item's products take the path they would take
+    alone.  The buffers are freed on return.
+    """
+    nb, p, n = y.shape
+    step = max(1, PRODUCT_BUDGET // product_bytes(n, p, z3))
+    q2, q3 = plan.pair_start[-1], plan.triple_start[-1]
+    mean2, m3, m4 = np.empty((nb, q2)), np.empty((nb, p, q2)), np.empty((nb, q2, q2))
+    sixth = np.empty((nb, q3, q3)) if z3 else None
+    pairs = np.empty((min(step, nb), q2, n))
+    triples = np.empty((len(pairs), q3, n)) if z3 else None
+    for lo in range(0, nb, step):
+        part = slice(lo, lo + step)
+        yp = y[part]
+        pp = pairs[:len(yp)]
+        for i, (a, b) in enumerate(pairwise(plan.pair_start)):
+            np.multiply(yp[:, i, None], yp[:, i:], out=pp[:, a:b])
+        np.mean(pp, axis=2, out=mean2[part])
+        np.matmul(yp, np.swapaxes(pp, 1, 2), out=m3[part])
+        np.matmul(pp, np.swapaxes(pp, 1, 2), out=m4[part])
+        if z3:
+            _sixth(yp, pp, plan, triples[:len(yp)], sixth[part])
+    m3 /= n
+    m4 /= n
+    if z3:
+        sixth /= n * n
+    return _gather(mean2, plan.m2_dense).reshape(nb, p, p), m3, m4, sixth
 
 
 def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:
@@ -665,18 +723,9 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     cond, whitening = equilibrated_condition(cov)
     _check_condition(cond, DegenerateSampleError, "rank-deficient sample covariance")
     y = np.matmul(whitening, xc, out=buf)
-    del xc
-
-    # the distinct pair and triple products, one slab per leading index
-    pairs = np.empty((nb, plan.pair_start[-1], n))
-    for i, (lo, hi) in enumerate(pairwise(plan.pair_start)):
-        np.multiply(y[:, i, None], y[:, i:], out=pairs[:, lo:hi])
-    m2 = _gather(pairs.mean(axis=2), plan.m2_dense).reshape(nb, p, p)
-    m3 = y @ np.swapaxes(pairs, 1, 2)
-    m3 /= n
-    m4 = pairs @ np.swapaxes(pairs, 1, 2)
-    m4 /= n
-    sixth = _sixth(y, pairs, plan) if need_z3 else None
+    del xc, buf
+    m2, m3, m4, sixth = _moments(y, plan, need_z3)
+    del y  # the block stage holds only the moments
     return _moment_values(m2, m3, m4, sixth, n, statistics)
 
 

@@ -9,13 +9,17 @@ bits for any grouping; results are therefore bit-identical for any worker
 count and any chunk size.
 
 A chunk holds ``CHUNK * 2**k`` replications, k <= 2: the largest such size
-whose distinct pair and triple products, the engine's largest temporaries
-at 8 n (C(p+1, 2) + C(p+2, 3)) bytes per replication, fit in
-``CHUNK_BUDGET`` bytes at the job's (n, p), so that small problems pay the
-fixed cost of sampling and evaluating a chunk fewer times.  When that would
-leave a run with fewer than 4 chunks per worker, every chunk holds
-``CHUNK`` replications, so that the workers still share the run.  The
-choice depends only on (n, p), the replication counts and the worker count.
+whose distinct moment products (``engine.product_bytes`` per replication:
+the pair products, and the triple products when z3 statistics are
+evaluated) fit in ``engine.PRODUCT_BUDGET`` bytes at the job's (n, p), so
+that small problems pay the fixed cost of sampling and evaluating a chunk
+fewer times.  A chunk within the budget is evaluated in one pass; one
+beyond it (at large (n, p), a chunk of ``CHUNK`` replications) is
+evaluated in passes that each fit the budget, or hold one replication
+where one alone exceeds it.  When the rule would leave a run with fewer
+than 4 chunks per worker, every chunk holds ``CHUNK`` replications, so that
+the workers still share the run.  The choice depends only on (n, p), the
+statistics, the replication counts and the worker count.
 
 A chunk computes the Philox keys of all its replications in one vectorized
 pass (``alternatives.stream_keys``) and re-keys a single generator before
@@ -65,20 +69,26 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import islice
-from math import ceil, comb, sqrt
+from math import ceil, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .alternatives import AlternativeSpec, RngStream, alternative, generate_chunk, stream_generators
-from .engine import _plan, evaluate_batch, second_order_threshold, third_order_threshold
+from .engine import (
+    PRODUCT_BUDGET,
+    _plan,
+    evaluate_batch,
+    product_bytes,
+    second_order_threshold,
+    third_order_threshold,
+)
 from .errors import BatchItemError, MissingTableError, SampleSizeError
 from .stats import StatisticId, check_alpha, check_table, empirical_pvalues
 from .store import NullTable, PowerCell, PowerReport
 
 MIN_REPLICATIONS = 1000
 CHUNK = 256  # replications per chunk at large (n, p); every chunk size is CHUNK * 2**k
-CHUNK_BUDGET = 2 * 2**20  # bytes of distinct pair and triple products that allow a larger chunk
 
 # glibc's mallopt parameters, and the values every pool worker sets.  32 MiB is
 # the largest mmap threshold glibc accepts on 64-bit systems; setting one
@@ -103,10 +113,20 @@ def required_sample_size(statistic: StatisticId, p: int) -> int:
 
 
 def timestamp() -> str:
-    """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible outputs."""
+    """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible outputs.
+
+    A SOURCE_DATE_EPOCH that is set but is not an integer number of seconds
+    within the platform's time range raises ValueError naming the variable.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else time.time()
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        t = int(epoch) if epoch else time.time()
+        return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    except (ValueError, OverflowError):
+        raise ValueError(
+            "SOURCE_DATE_EPOCH must be an integer number of seconds within the "
+            f"platform's time range, got {epoch!r}"
+        ) from None
 
 
 class SimulationJob(NamedTuple):
@@ -120,14 +140,14 @@ class SimulationJob(NamedTuple):
     reps: int
 
 
-def _chunk_sizes(jobs, workers: int) -> list[int]:
+def _chunk_sizes(jobs, statistics, workers: int) -> list[int]:
     """Replications per chunk of each job (see the module docstring)."""
+    z3 = any(sid.family == "z3" for sid in statistics)
     sizes = []
     for job in jobs:
-        p = job.spec.p
-        rep_bytes = 8 * job.n * (comb(p + 1, 2) + comb(p + 2, 3))  # its pair and triple products
+        rep_bytes = product_bytes(job.n, job.spec.p, z3)
         size = CHUNK
-        while size < 4 * CHUNK and 2 * size * rep_bytes <= CHUNK_BUDGET:
+        while size < 4 * CHUNK and 2 * size * rep_bytes <= PRODUCT_BUDGET:
             size *= 2
         sizes.append(size)
     if sum(ceil(job.reps / size) for job, size in zip(jobs, sizes)) < 4 * workers:
@@ -191,7 +211,8 @@ def _simulate(jobs, statistics, workers):
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = list(jobs)
-    job_starts = [range(0, job.reps, size) for job, size in zip(jobs, _chunk_sizes(jobs, workers))]
+    sizes = _chunk_sizes(jobs, statistics, workers)
+    job_starts = [range(0, job.reps, size) for job, size in zip(jobs, sizes)]
     tasks = [
         (job, start, min(starts.step, job.reps - start))
         for job, starts in zip(jobs, job_starts)

@@ -126,6 +126,16 @@ def test_csv_reader_header_detection(tmp_path):
     np.testing.assert_allclose(read_csv_sample(headed), data)
 
 
+def test_csv_reader_skips_a_byte_order_mark(tmp_path):
+    # A UTF-8 byte-order mark must not make the first observation a header.
+    data = np.random.default_rng(1).standard_normal((3, 2))
+    for header in (None, ["x", "y"]):
+        path = tmp_path / "bom.csv"
+        write_csv(path, data, header=header)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        np.testing.assert_array_equal(read_csv_sample(path), data)
+
+
 def test_csv_reader_errors_name_location(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\n3.0,oops\n")
@@ -498,6 +508,33 @@ def test_bad_simulation_inputs_are_usage_errors(null_dir, tmp_path, capsys, args
     assert f"error: {message}" in err
     assert "done:" not in err
     assert not list(tmp_path.glob("calibrated/*")) and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "tables"])
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999999"])
+def test_bad_source_date_epoch_is_usage_error_before_any_work(
+    tmp_path, monkeypatch, capsys, command, epoch
+):
+    def no_simulation(*args):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(montecarlo, "_simulate", no_simulation)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    args = {
+        "calibrate": ["--n", "20", "--p", "2", "--reps", "1000", "--workers", "1",
+                      "--out-dir", str(tmp_path / "nulls")],
+        "tables": ["--which", "2", "--reps", "200", "--calib-reps", "1000", "--workers", "1",
+                   "--out", str(tmp_path / "t.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args]) == 2
+    out, err = capsys.readouterr()
+    assert err == (
+        "error: SOURCE_DATE_EPOCH must be an integer number of seconds within the "
+        f"platform's time range, got {epoch!r}\n"
+    )
+    assert out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_test_and_power_reject_a_bad_alpha_with_one_message(null_dir, tmp_path, capsys):

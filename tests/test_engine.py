@@ -73,6 +73,8 @@ def test_engine_batch_grouping_irrelevant():
     for data, splits in [
         (rng.standard_normal((12, 20, 2)), (5, 7)),
         (rng.standard_normal((12, 40, 5)), (5, 7)),
+        # products in two passes of the whole batch and in one of each part
+        (rng.standard_normal((12, 600, 5)), (5, 7)),
         (logn, (1, 8)),
     ]:
         whole = evaluate_batch(data)
@@ -84,16 +86,21 @@ def test_engine_batch_grouping_irrelevant():
 
 def test_engine_peak_memory_one_chunk_p6():
     # A (256, 100, 6) chunk must stay under 100 MB: a p^6 sixth-moment tensor
-    # for it would take 96 MB on its own.
-    data = np.random.default_rng(9).standard_normal((256, 100, 6))
-    evaluate_batch(data[:2])  # builds the per-p program outside the traced call
-    tracemalloc.start()
-    try:
-        evaluate_batch(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MB"
+    # for it would take 96 MB on its own.  The distinct pair and triple
+    # products are formed in passes of at most PRODUCT_BUDGET bytes, so at
+    # large n the peak is a few copies of the (B, n, p) input, however large
+    # the products of the whole batch would be (98 MiB at (64, 4000, 5)).
+    rng = np.random.default_rng(9)
+    for shape, limit in [((256, 100, 6), 100 * 2**20), ((64, 4000, 5), 3 * 64 * 4000 * 5 * 8)]:
+        data = rng.standard_normal(shape)
+        evaluate_batch(data[:2])  # builds the per-p program outside the traced call
+        tracemalloc.start()
+        try:
+            evaluate_batch(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"peak {peak / 2**20:.0f} MB at {shape}"
 
 
 def test_engine_subset_of_statistics():

@@ -460,17 +460,17 @@ def _job(n, p, reps):
 def test_chunk_sizes_follow_working_set_and_workers():
     # 8 n (p^2 + q3) bytes of pair and triple products per replication
     jobs = [_job(20, 2, 4096), _job(50, 2, 4096), _job(50, 3, 4096), _job(100, 6, 4096)]
-    assert montecarlo._chunk_sizes(jobs, 1) == [1024, 512, 256, 256]
-    assert montecarlo._chunk_sizes(jobs, 2) == [1024, 512, 256, 256]
+    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 1) == [1024, 512, 256, 256]
+    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 2) == [1024, 512, 256, 256]
     # fewer than 4 chunks per worker: every job falls back to CHUNK
-    assert montecarlo._chunk_sizes(jobs[:1], 1) == [1024]
-    assert montecarlo._chunk_sizes(jobs[:1], 2) == [256]
+    assert montecarlo._chunk_sizes(jobs[:1], ALL_STATISTICS, 1) == [1024]
+    assert montecarlo._chunk_sizes(jobs[:1], ALL_STATISTICS, 2) == [256]
     pair = [_job(20, 2, 1000), _job(50, 2, 1500)]  # 1 + 3 chunks
-    assert montecarlo._chunk_sizes(pair, 1) == [1024, 512]
-    assert montecarlo._chunk_sizes(pair, 2) == [256, 256]
+    assert montecarlo._chunk_sizes(pair, ALL_STATISTICS, 1) == [1024, 512]
+    assert montecarlo._chunk_sizes(pair, ALL_STATISTICS, 2) == [256, 256]
     # the power table of the paper: 28 jobs of 1000 replications at each of n = 20, 50
     study = [_job(20, 2, 1000)] * 28 + [_job(50, 2, 1000)] * 28
-    assert montecarlo._chunk_sizes(study, 2) == [1024] * 28 + [512] * 28
+    assert montecarlo._chunk_sizes(study, ALL_STATISTICS, 2) == [1024] * 28 + [512] * 28
 
 
 @pytest.mark.parametrize("size", [montecarlo.CHUNK, 4 * montecarlo.CHUNK, 97])
@@ -484,7 +484,9 @@ def test_values_do_not_depend_on_chunk_size(monkeypatch, size):
     )
     null = calibrate(statistics, 25, 3, 1100, RngStream(40))
     reports = list(power_study(**study))
-    monkeypatch.setattr(montecarlo, "_chunk_sizes", lambda jobs, workers: [size] * len(jobs))
+    monkeypatch.setattr(
+        montecarlo, "_chunk_sizes", lambda jobs, statistics, workers: [size] * len(jobs)
+    )
     for workers in (1, 2):
         again = calibrate(statistics, 25, 3, 1100, RngStream(40), workers=workers)
         for sid in statistics:
@@ -496,7 +498,7 @@ def test_failing_replication_in_a_large_chunk_is_named(monkeypatch):
     # Under the default rule this run has chunks of 4 * CHUNK replications;
     # replication 1300 is item 276 of the second one.
     rng, bad, size = RngStream(5, (2,)), 1300, 4 * montecarlo.CHUNK
-    assert montecarlo._chunk_sizes([_job(20, 2, 4096)], 1) == [size]
+    assert montecarlo._chunk_sizes([_job(20, 2, 4096)], (Z2HL, KURT), 1) == [size]
     starts = []
 
     def generators(rng, context, start, count):
