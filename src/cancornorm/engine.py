@@ -61,8 +61,12 @@ per dimension p, into one term map derived from the very same term lists
 source of truth for the combinatorics: each entry of b22 is a short
 weighted sum of at most eleven inputs (p <= 6), applied with numpy gathers,
 slot by slot; the 1/n, 1/(n-1) and n/((n-1)(n-2)) weights (all 1 in magnitude in the limit) are folded
-into the map before it is applied.  The sixth moments enter as they are:
-b22 is built in their array.
+into the map before it is applied.  The map pads each row to the longest
+one; the gathers skip that padding, since the rows of each block of entries
+run by descending length, and the products of two third moments are formed
+on one triangle only.  The sixth moments enter as they are: each block's
+sums are added to their array, which becomes b22, so no array of every
+entry's sum is formed.  Each Cholesky factor's inverse is written over it.
 The Mardia statistics are the sum of the squared third moments and the sum
 of the fourth moments m4[(ii), (jj)].  Every array handed to a matrix
 product is C-contiguous or a transposed view of one, so each item's
@@ -155,13 +159,14 @@ ALL_STATISTICS: tuple[StatisticId, ...] = (
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     """Inverse of each lower-triangular matrix of a (B, k, k) stack, by
-    forward substitution one row at a time."""
-    inv = np.zeros_like(chol)
+    forward substitution one row at a time, written over ``chol``, which is
+    returned: row i of the inverse reads row i of the factor and rows < i of
+    the inverse, so each row of the factor is overwritten once it is read."""
     diag = np.diagonal(chol, axis1=-2, axis2=-1)
     for i in range(chol.shape[-1]):
-        inv[:, i, :i] = -(chol[:, i, None, :i] @ inv[:, :i, :i])[:, 0] / diag[:, i, None]
-        inv[:, i, i] = 1.0 / diag[:, i]
-    return inv
+        chol[:, i, :i] = -(chol[:, i, None, :i] @ chol[:, :i, :i])[:, 0] / diag[:, i, None]
+        chol[:, i, i] = 1.0 / diag[:, i]
+    return chol
 
 
 def whitening_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,8 +180,9 @@ def whitening_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     instead, so ``figure <= CONDITION_LIMIT`` accepts exactly the items the
     exact condition number accepts, and a well-conditioned stack costs no
     SVD.  An item with no Cholesky factor (not positive definite, or not
-    finite) has figure inf.  Only the lower triangle of ``a`` is factored.
-    Returns (L^-1, figure).
+    finite) has figure inf.  Only the lower triangle of ``a`` is factored,
+    and |L|_F^2 is taken before L^-1 is written over L.  Returns (L^-1,
+    figure).
     """
     try:
         chol = np.linalg.cholesky(a)
@@ -191,8 +197,9 @@ def whitening_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 factored[b] = True
             except np.linalg.LinAlgError:
                 pass
+    norm = np.einsum("bij,bij->b", chol, chol)
     inv = _lower_inverse(chol)
-    bound = np.einsum("bij,bij->b", chol, chol) * np.einsum("bij,bij->b", inv, inv)
+    bound = norm * np.einsum("bij,bij->b", inv, inv)
     figure = np.where(factored, bound, np.inf)
     suspect = np.flatnonzero(factored & ~(figure <= CONDITION_LIMIT))
     if suspect.size:
@@ -469,6 +476,10 @@ class _Plan(NamedTuple):
     ``pair_start[i]`` and ``triple_start[i]``), and the products of those
     triples are y_i times the pair products from ``pair_start[i]`` on.
     Quadruples are the C(p+3, 4) sorted (a, b, c, d) in the same order.
+    The z3 term map is read in the blocks of ``_z3_blocks``, which skip its
+    padding, and with the product m3[t2] m3[t1], t1 < t2, of a column read
+    as m3[t1] m3[t2], which rounds the same, so that only the products on
+    t1 <= t2 (in ``np.triu_indices(q3)`` order) are formed.
     """
 
     pair_start: tuple[int, ...]
@@ -482,8 +493,47 @@ class _Plan(NamedTuple):
     k4_m4: np.ndarray  # (q4,) flat (ab, cd) of the pair Gram
     k4_m2: tuple[np.ndarray, ...]  # flat m2 (a, b), (c, d), (a, c), (b, d), (a, d), (b, c)
     z3_b12: np.ndarray  # (p * q3,) quadruple of each coordinate r and triple ijk, sorted
-    z3_cols: np.ndarray  # ``_z3_term_map`` columns over [k4 (q4), m3 x m3 (q3^2), 1]
-    z3_coef: np.ndarray
+    z3_coef: np.ndarray  # ``_z3_term_map`` coef, in its row order
+    z3_rows: np.ndarray  # term-map rows in ``_z3_blocks`` order
+    z3_cols: np.ndarray  # their columns over [k4 (q4), m3 m3 on t1 <= t2, 1]
+    z3_blocks: tuple  # (a0, a1, slot ends, back) of each block, see ``_z3_blocks``
+
+
+# Most entries of the z3 b22 in one block of ``_z3_b22`` (see ``_z3_blocks``):
+# at B = 256 a block's gathers, scalings and sums, 2^15 values, stay in cache.
+_Z3_BLOCK_ENTRIES = 128
+
+
+def _z3_blocks(terms: list[int], q3: int) -> tuple[np.ndarray, tuple]:
+    """The rows of the z3 term map, with ``terms`` terms each, in the blocks
+    that ``_z3_b22`` sums them in.
+
+    A block is whole rows a of the lower triangle of b22 (map rows
+    a (a + 1) / 2 on), at most ``_Z3_BLOCK_ENTRIES`` entries unless one row
+    a alone has more, and its map rows are ordered by descending term count,
+    ties in map order, so that each slot of the map runs over a prefix of
+    the block and its padding is never gathered.  Returns that order of the
+    map rows and, per block, (a0, a1, ends, back): its rows a0 <= a < a1,
+    the end of each nonempty slot's prefix in that order, and the position
+    in the block of each of its map rows.
+    """
+    # Python lists, not numpy sorts and counts, which would page in code that
+    # nothing else a run does uses (~0.4 MB of resident memory).
+    start = [a * (a + 1) // 2 for a in range(q3 + 1)]
+    order, blocks = [], []
+    a0 = 0
+    while a0 < q3:
+        a1 = a0 + 1
+        while a1 < q3 and start[a1 + 1] - start[a0] <= _Z3_BLOCK_ENTRIES:
+            a1 += 1
+        lo, hi = start[a0], start[a1]
+        rows = sorted(range(lo, hi), key=lambda r: -terms[r])
+        ends = tuple(lo + sum(terms[r] > slot for r in rows) for slot in range(terms[rows[0]]))
+        back = sorted(range(len(rows)), key=rows.__getitem__)
+        order += rows
+        blocks.append((a0, a1, ends, np.array(back)))
+        a0 = a1
+    return np.array(order), tuple(blocks)
 
 
 @lru_cache(maxsize=None)
@@ -498,6 +548,14 @@ def _plan(p: int) -> _Plan:
     coordinate = np.repeat(np.arange(p), len(triples))
     with_triple = np.sort(np.column_stack([coordinate, np.tile(triples, (p, 1))]), axis=1)
     cols, coef = _z3_term_map(p)
+    # the row of ``_z3_b22``'s input table of each term-map column
+    q3, q4 = len(triples), len(a)
+    t1, t2 = np.triu_indices(q3)
+    product_of = np.empty((q3, q3), dtype=np.intp)
+    product_of[t1, t2] = product_of[t2, t1] = np.arange(len(t1))
+    column_of = np.concatenate([np.arange(q4), q4 + product_of.ravel(), [q4 + len(t1)]])
+    # a row's padding, coef 0 in every class, follows its terms
+    rows, blocks = _z3_blocks((coef != 0).any(axis=0).sum(axis=1).tolist(), q3)
     diag = pair_of[np.arange(p), np.arange(p)]
 
     def outer(x, y):
@@ -515,8 +573,10 @@ def _plan(p: int) -> _Plan:
         k4_m4=pair_of[a, b] * q2 + pair_of[c, d],
         k4_m2=(a * p + b, c * p + d, a * p + c, b * p + d, a * p + d, b * p + c),
         z3_b12=_sorted_position(p, 4)[np.ravel_multi_index(with_triple.T, (p,) * 4)],
-        z3_cols=cols,
         z3_coef=coef,
+        z3_rows=rows,
+        z3_cols=column_of[cols[rows]],
+        z3_blocks=blocks,
     )
 
 
@@ -534,38 +594,44 @@ def _z3_b22(sixth: np.ndarray, m3d: np.ndarray, k4: np.ndarray, weights, plan: _
     distinct coordinates.  The block is built in ``sixth``, which is
     returned.
 
-    The sums are gathered slot by slot over the lower triangle, in each
-    row's column order, and added to both triangles of ``sixth``.
+    The products of two third moments are formed on t1 <= t2 only, one
+    slab per t1.  Each entry's sum starts at +0.0 and is gathered slot by
+    slot in its row's column order, block by block (``_z3_blocks``); a
+    block's sums are put back in map order and added to both triangles of
+    ``sixth``, so no array of every entry's sum is formed.
     """
     nb, q3 = m3d.shape
     q4 = k4.shape[1]
     # one C-contiguous row per input, so that each gathered row is one copy
-    inputs = np.empty((q4 + q3 * q3 + 1, nb))
+    inputs = np.empty((q4 + q3 * (q3 + 1) // 2 + 1, nb))
     inputs[:q4] = k4.T
     m3t = m3d.T
-    np.multiply(m3t[:, None], m3t[None], out=inputs[q4:-1].reshape(q3, q3, nb))
+    lo = q4
+    for t in range(q3):
+        np.multiply(m3t[t], m3t[t:], out=inputs[lo:lo + q3 - t])
+        lo += q3 - t
     inputs[-1] = 1.0
     cols = plan.z3_cols
-    weights = np.tensordot(weights, plan.z3_coef, 1)
-    terms = np.zeros((len(cols), nb))
-    # Rows in blocks of 2^15 values, so that a block's gathers, scalings and
-    # sums stay in cache; the indices are in range, and mode "clip" only
-    # spares ``take`` a buffered copy of ``out``.
-    step = max(1, 2**15 // nb)
-    gathered = np.empty((min(step, len(cols)), nb))
-    for lo in range(0, len(cols), step):
-        block = terms[lo:lo + step]
-        part = gathered[:len(block)]
-        for slot in range(cols.shape[1]):
-            np.take(inputs, cols[lo:lo + step, slot], axis=0, out=part, mode="clip")
-            part *= weights[lo:lo + step, slot, None]
-            block += part
-    # row a of the lower triangle, entries (a, 0..a), and its mirror in column a
-    for a in range(q3):
-        start = a * (a + 1) // 2
-        row = terms[start:start + a + 1].T
-        sixth[:, a, :a + 1] += row
-        sixth[:, :a, a] += row[:, :a]
+    weights = np.tensordot(weights, plan.z3_coef, 1)[plan.z3_rows]
+    size = max(len(back) for *_, back in plan.z3_blocks)
+    gathered, summed = np.empty((size, nb)), np.empty((size, nb))
+    # the indices are in range, and mode "clip" only spares ``take`` a
+    # buffered copy of ``out``
+    for a0, a1, ends, back in plan.z3_blocks:
+        lo = a0 * (a0 + 1) // 2
+        block = summed[:len(back)]
+        block.fill(0.0)
+        for slot, end in enumerate(ends):
+            part = gathered[:end - lo]
+            np.take(inputs, cols[lo:end, slot], axis=0, out=part, mode="clip")
+            part *= weights[lo:end, slot, None]
+            block[:len(part)] += part
+        ordered = np.take(block, back, axis=0, out=gathered[:len(back)], mode="clip")
+        # row a of the lower triangle, entries (a, 0..a), and its mirror in column a
+        for a in range(a0, a1):
+            row = ordered[a * (a + 1) // 2 - lo:][:a + 1].T
+            sixth[:, a, :a + 1] += row
+            sixth[:, :a, a] += row[:, :a]
     return sixth
 
 
@@ -688,8 +754,10 @@ def _moments(y: np.ndarray, plan: _Plan, z3: bool):
 def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:
     """Evaluate statistics on a (B, n, p) stack of samples.
 
-    Returns one (B,) array per requested statistic.  Results are independent
-    of how replications are grouped into batches.
+    Returns one (B,) array per requested statistic (empty when B = 0).
+    Results are independent of how replications are grouped into batches.
+    The stack is dropped once it is copied, observation-major, so a caller
+    that passes it on without keeping it frees it then.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 3:
@@ -706,12 +774,15 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
         raise SampleSizeError(
             f"z3 statistics need n >= {third_order_threshold(p)} for p={p}, got n={n}"
         )
+    if nb == 0:
+        return {sid: np.empty(0) for sid in statistics}
     plan = _plan(p)
 
     # Observation-major from here on: every reduction and product runs along
     # rows of n contiguous values.
     xc = np.empty((nb, p, n))
     xc[...] = np.swapaxes(data, 1, 2)
+    del data
     xc -= xc.mean(axis=2, keepdims=True)
     # Each column in units of the power of two at its largest |value|: exact,
     # so the equilibrated covariance and y keep their bits, and the products

@@ -116,11 +116,14 @@ def timestamp() -> str:
     """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible outputs.
 
     A SOURCE_DATE_EPOCH that is set but is not an integer number of seconds
-    within the platform's time range raises ValueError naming the variable.
+    from 0 (1970-01-01T00:00:00Z) to 253402300799 (9999-12-31T23:59:59Z),
+    the range of four-digit years, raises ValueError naming the variable.
     """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
         t = int(epoch) if epoch else time.time()
+        if not 0 <= t <= 253402300799:
+            raise ValueError
         return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
     except (ValueError, OverflowError):
         raise ValueError(
@@ -163,9 +166,13 @@ def _chunk_values(statistics, task: tuple[SimulationJob, int, int]):
     stream coordinates that reproduce its sample.
     """
     (spec, n, rng, context, _), start, count = task
-    samples = generate_chunk(spec, n, stream_generators(rng, context, start, count), count)
     try:
-        return evaluate_batch(samples, statistics)
+        # passed on unnamed, so that ``evaluate_batch`` frees the samples
+        # once it has copied them
+        return evaluate_batch(
+            generate_chunk(spec, n, stream_generators(rng, context, start, count), count),
+            statistics,
+        )
     except BatchItemError as exc:
         if exc.item is None:
             raise

@@ -511,7 +511,7 @@ def test_bad_simulation_inputs_are_usage_errors(null_dir, tmp_path, capsys, args
 
 
 @pytest.mark.parametrize("command", ["calibrate", "tables"])
-@pytest.mark.parametrize("epoch", ["abc", "99999999999999999999"])
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999999", str(10**12), str(-10**12)])
 def test_bad_source_date_epoch_is_usage_error_before_any_work(
     tmp_path, monkeypatch, capsys, command, epoch
 ):

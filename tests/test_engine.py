@@ -23,6 +23,9 @@ from cancornorm.covblocks import (
 from cancornorm.engine import (
     CONDITION_LIMIT,
     _blocks,
+    _lower_inverse,
+    _plan,
+    _z3_b22,
     _z3_term_map,
     evaluate_batch,
     evaluate_population_batch,
@@ -90,8 +93,15 @@ def test_engine_peak_memory_one_chunk_p6():
     # products are formed in passes of at most PRODUCT_BUDGET bytes, so at
     # large n the peak is a few copies of the (B, n, p) input, however large
     # the products of the whole batch would be (98 MiB at (64, 4000, 5)).
+    # At (256, 100, 5) the z3 b22 block stage sets the peak, 7.2 MiB: its
+    # factor is inverted in place, its m3 products are formed on one
+    # triangle and no array holds every entry's term sum (9.1 MiB otherwise).
     rng = np.random.default_rng(9)
-    for shape, limit in [((256, 100, 6), 100 * 2**20), ((64, 4000, 5), 3 * 64 * 4000 * 5 * 8)]:
+    for shape, limit in [
+        ((256, 100, 6), 100 * 2**20),
+        ((64, 4000, 5), 3 * 64 * 4000 * 5 * 8),
+        ((256, 100, 5), 8 * 2**20),
+    ]:
         data = rng.standard_normal(shape)
         evaluate_batch(data[:2])  # builds the per-p program outside the traced call
         tracemalloc.start()
@@ -101,6 +111,19 @@ def test_engine_peak_memory_one_chunk_p6():
         finally:
             tracemalloc.stop()
         assert peak < limit, f"peak {peak / 2**20:.0f} MB at {shape}"
+
+
+def test_engine_empty_batch_gives_empty_values():
+    for statistics in (ALL_STATISTICS, (StatisticId.parse("mardia_kurt"),)):
+        out = evaluate_batch(np.zeros((0, 30, 3)), statistics)
+        assert list(out) == list(statistics)
+        for values in out.values():
+            assert values.shape == (0,) and values.dtype == np.float64
+    # the shape and sample-size checks come first
+    with pytest.raises(SampleSizeError):
+        evaluate_batch(np.zeros((0, 10, 3)))
+    with pytest.raises(ValueError, match="batch, n, p"):
+        evaluate_batch(np.zeros((0, 30)))
 
 
 def test_engine_subset_of_statistics():
@@ -247,6 +270,73 @@ def test_z3_term_map_matches_term_lists(p):
     for w in range(3):
         np.add.at(dense[w], (rows, cols), coef[w])
     assert_array_equal(dense, reference)
+
+
+def forward_substitution(chol):
+    """Inverse of each lower-triangular matrix of a stack, row by row into a
+    separate buffer."""
+    inv = np.zeros_like(chol)
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    for i in range(chol.shape[-1]):
+        inv[:, i, :i] = -(chol[:, i, None, :i] @ inv[:, :i, :i])[:, 0] / diag[:, i, None]
+        inv[:, i, i] = 1.0 / diag[:, i]
+    return inv
+
+
+def assert_same_bits(actual, desired):
+    """Equal bit for bit: +0.0 and -0.0 differ, and so do NaN payloads."""
+    assert actual.shape == desired.shape and actual.dtype == desired.dtype
+    assert_array_equal(actual.view(np.uint64), desired.view(np.uint64))
+
+
+@pytest.mark.parametrize("nb, k", [(1, 1), (1, 35), (7, 10), (256, 35), (3, 56)])
+def test_lower_inverse_in_place_matches_a_separate_buffer(nb, k):
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((nb, k, 2 * k))
+    chol = np.linalg.cholesky(a @ np.swapaxes(a, 1, 2))
+    expected = forward_substitution(chol)
+    work = chol.copy()
+    inv = _lower_inverse(work)
+    assert inv is work
+    assert_same_bits(inv, expected)
+    assert_allclose(inv @ chol, np.broadcast_to(np.eye(k), chol.shape), atol=1e-10)
+
+
+def dense_z3_b22(sixth, m3d, k4, weights, p):
+    """``sixth`` plus the z3 permutation sums, from ``_z3_term_map`` as it
+    stands: every product of two third moments, every slot of every row
+    (padding included) into one array of sums, then both triangles."""
+    cols, coef = _z3_term_map(p)
+    nb, q3 = m3d.shape
+    products = (m3d.T[:, None] * m3d.T[None]).reshape(q3 * q3, nb)
+    inputs = np.concatenate([k4.T, products, np.ones((1, nb))])
+    scaled = np.tensordot(weights, coef, 1)
+    sums = np.zeros((len(cols), nb))
+    for slot in range(cols.shape[1]):
+        sums += inputs[cols[:, slot]] * scaled[:, slot, None]
+    a, b = np.tril_indices(q3)
+    off = a != b
+    out = sixth.copy()
+    out[:, a, b] += sums.T
+    out[:, b[off], a[off]] += sums[off].T
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("nb", [1, 5])
+def test_z3_b22_matches_the_dense_term_map_bit_for_bit(p, nb):
+    rng = np.random.default_rng(10 * p + nb)
+    plan = _plan(p)
+    q3 = plan.triple_start[-1]
+    q4 = len(plan.k4_m4)
+    m3d = rng.standard_normal((nb, q3))
+    k4 = rng.standard_normal((nb, q4))
+    sixth = rng.standard_normal((nb, q3, q3))
+    # signed zeros among the inputs, so that the sign of every zero is compared too
+    m3d[:, 0], k4[:, -1], sixth[:, -1, 0] = -0.0, 0.0, -0.0
+    for weights in [(-1.0 / 60, 1.0 / 59, 60 / (59 * 58)), (-1.0, 1.0, 1.0)]:
+        expected = dense_z3_b22(sixth, m3d, k4, weights, p)
+        assert_same_bits(_z3_b22(sixth.copy(), m3d, k4, weights, plan), expected)
 
 
 def whitened_table(p, seed):

@@ -457,8 +457,24 @@ def _job(n, p, reps):
     return montecarlo.SimulationJob(alternative("normal", p), n, RngStream(0), 0, reps)
 
 
+@pytest.mark.parametrize(
+    "epoch, stamp", [("0", "1970-01-01T00:00:00Z"), ("253402300799", "9999-12-31T23:59:59Z")]
+)
+def test_timestamp_honors_source_date_epoch_to_its_bounds(monkeypatch, epoch, stamp):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert montecarlo.timestamp() == stamp
+
+
+@pytest.mark.parametrize("epoch", ["-1", "253402300800"])
+def test_timestamp_rejects_epochs_beyond_four_digit_years(monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    with pytest.raises(ValueError, match="SOURCE_DATE_EPOCH must be an integer"):
+        montecarlo.timestamp()
+
+
 def test_chunk_sizes_follow_working_set_and_workers():
-    # 8 n (p^2 + q3) bytes of pair and triple products per replication
+    # 8 n (C(p+1, 2) + C(p+2, 3)) bytes of pair and triple products per
+    # replication (engine.product_bytes)
     jobs = [_job(20, 2, 4096), _job(50, 2, 4096), _job(50, 3, 4096), _job(100, 6, 4096)]
     assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 1) == [1024, 512, 256, 256]
     assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 2) == [1024, 512, 256, 256]
