@@ -10,7 +10,18 @@ multivariate Laplace family, and contaminated normal mixtures.
 Samples are drawn a chunk at a time (``generate_chunk``): every replication
 draws its raw standard variates from its own generator into buffers shared
 by the chunk, and the construction's transform then runs once over the
-chunk.  ``generate`` is the one-sample case.
+chunk.  ``generate`` is the one-sample case.  Each kind is split into a
+draw plan (``draw_plan``: Generator method, shape and arguments of every
+raw array, in plain Python) and a transform that only reads the raw arrays.
+Consecutive plan entries with the same method and arguments are drawn in
+one call per sample (``draw_runs``), so alternatives whose runs are equal
+draw the same raw variates from the same generator, however each splits
+them: at p = 2 the 27 alternatives have 10 distinct runs (the 10 mixtures,
+the 5 asymmetric Laplace rows, the 3 lognormals, laplace1 with beta11 and
+beta22 with chisq8 share theirs).  ``generate_group`` draws such a group's
+raw variates once per replication and gives every alternative's samples,
+each bit-identical to its ``generate_chunk``; the Monte Carlo loop uses it
+when a power study's alternatives draw from the same streams.
 
 Every alternative is exchangeable in its coordinates, so a population
 central moment depends only on the sorted multiplicities of its index, its
@@ -326,23 +337,102 @@ def generate(spec: AlternativeSpec, n: int, rng: RngStream | np.random.Generator
     return generate_chunk(spec, n, (g,), 1)[0]
 
 
-def _raw_draws(generators, count: int, *plan) -> list[np.ndarray]:
-    """Raw variates of ``count`` samples, one (count, *shape) array per plan
-    entry (Generator method, shape, *args).
+def draw_plan(spec: AlternativeSpec, n: int) -> tuple[tuple[str, tuple[int, ...], tuple], ...]:
+    """The raw variates of one sample of ``spec`` at size n: one entry
+    (Generator method, shape, args) per array its transform reads, in the
+    order they are drawn.  Plain Python, so that plans can be compared
+    without drawing or transforming anything."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    kind = spec.kind
+    prm = dict(spec.params)
+    vec, mat = (n,), (n, spec.p)
+    if kind == "normal":
+        return (("standard_normal", mat, ()),)
+    if kind == "iid_exp":
+        return (("standard_exponential", mat, ()),)
+    if kind == "shared_product":
+        return (("standard_normal", vec, ()), ("standard_normal", mat, ()))
+    if kind == "shared_add":
+        return (
+            ("standard_gamma", vec, (prm["shape0"],)), ("standard_gamma", mat, (prm["shape"],)),
+        )
+    if kind == "laplace_product":
+        return (("standard_normal", vec, ()),) + (("standard_normal", mat, ()),) * 3
+    if kind == "gamma_ratio":
+        return (
+            ("standard_gamma", mat, (prm["alpha"],)), ("standard_gamma", vec, (prm["beta"],)),
+        )
+    if kind == "student_t":
+        return (("standard_normal", mat, ()), ("standard_gamma", vec, (prm["dof"] / 2.0,)))
+    if kind == "asym_laplace":
+        return (("standard_exponential", vec, ()), ("standard_normal", mat, ()))
+    if kind == "normal_mixture":
+        return (("random", vec, ()), ("standard_normal", mat, ()))
+    raise ValueError(f"unknown alternative kind {kind!r}")
 
-    Each generator in turn fills its row of every buffer, in plan order, so
-    sample i holds what the plan's calls, made in that order on the i-th
-    generator with ``size=shape``, would return.  A run of consecutive
-    entries with the same method and arguments is drawn in one call per
-    sample and then split: drawing k values and then m values leaves the
-    same numbers, and the same generator state, as drawing k + m at once.
-    """
-    runs = []  # (method, args, shapes) of each run of equal calls
-    for method, shape, *args in plan:
+
+def _transform(spec: AlternativeSpec, raw: list[np.ndarray]) -> np.ndarray:
+    """The samples, shape (count, n, p), that ``spec`` makes of its raw
+    variates: one (count, *shape) array per ``draw_plan`` entry.  The raw
+    arrays are only read, so alternatives that share them can each
+    transform them in turn."""
+    kind = spec.kind
+    prm = dict(spec.params)
+    if kind in ("normal", "iid_exp"):
+        return raw[0]
+    if kind == "shared_product":
+        sd = sqrt(prm["factor_logvar"])
+        z0, z = raw
+        return np.exp(sd * z0)[..., None] * np.exp(sd * z)
+    if kind == "shared_add":
+        g0, g = raw
+        return prm["scale"] * g + prm["sign"] * (prm["scale0"] * g0)[..., None]
+    if kind == "laplace_product":
+        x0, z1, z2, z3 = raw
+        return x0[..., None] * z1 + z2 * z3
+    if kind == "gamma_ratio":
+        x, x0 = raw
+        return x / (x + x0[..., None])
+    if kind == "student_t":
+        z, g = raw
+        return z / np.sqrt(2.0 * g / prm["dof"])[..., None]
+    chol = _mixing_factor(spec.p, prm["corr"])
+    if kind == "asym_laplace":
+        w, z = raw
+        return w[..., None] * prm["shift"] + np.sqrt(w)[..., None] * (z @ chol.T)
+    u, z = raw  # normal_mixture
+    contaminated = prm["shift"] + z @ chol.T
+    return np.where((u < prm["weight"])[..., None], z, contaminated)
+
+
+def _runs(plan) -> list[tuple[str, tuple, list[tuple[int, ...]]]]:
+    """(method, args, shapes) of each run of consecutive plan entries with
+    the same method and arguments.  A run is drawn in one call per sample
+    and then split: drawing k values and then m values leaves the same
+    numbers, and the same generator state, as drawing k + m at once."""
+    runs = []
+    for method, shape, args in plan:
         if runs and runs[-1][:2] == (method, args):
             runs[-1][2].append(shape)
         else:
             runs.append((method, args, [shape]))
+    return runs
+
+
+def draw_runs(spec: AlternativeSpec, n: int) -> tuple[tuple[str, tuple, int], ...]:
+    """The Generator calls one sample of ``spec`` at size n makes, as
+    (method, args, length) per run of its plan.  Alternatives with equal
+    runs draw the same raw variates from the same generator, however each
+    splits and transforms them (``generate_group``)."""
+    return tuple(
+        (method, args, sum(map(prod, shapes))) for method, args, shapes in _runs(draw_plan(spec, n))
+    )
+
+
+def _raw_draws(generators, count: int, runs) -> list[np.ndarray]:
+    """One (count, length) buffer per run: each of the first ``count``
+    generators in turn fills its row of every buffer, in run order."""
     bufs = [np.empty((count, sum(map(prod, shapes)))) for _, _, shapes in runs]
     calls = [
         (getattr(np.random.Generator, method), buf, args)
@@ -355,11 +445,18 @@ def _raw_draws(generators, count: int, *plan) -> list[np.ndarray]:
         drawn += 1
     if drawn != count:
         raise ValueError(f"{count} samples requested but only {drawn} generators given")
+    return bufs
+
+
+def _split(bufs, runs) -> list[np.ndarray]:
+    """The (count, *shape) arrays of a plan, in plan order, as views of the
+    buffers of its runs: sample i of each holds what the plan's calls, made
+    in order on the i-th generator with ``size=shape``, would return."""
     out = []
     for buf, (_, _, shapes) in zip(bufs, runs):
         start = 0
         for shape in shapes:
-            out.append(buf[:, start:start + prod(shape)].reshape(count, *shape))
+            out.append(buf[:, start:start + prod(shape)].reshape(len(buf), *shape))
             start += prod(shape)
     return out
 
@@ -371,65 +468,37 @@ def generate_chunk(spec: AlternativeSpec, n: int, generators, count: int) -> np.
     The generators may be one Generator re-keyed in place between samples,
     as ``stream_generators`` yields them.  Each draws its sample's raw
     variates (standard normal, exponential, gamma and uniform) into
-    preallocated buffers; the kind's transform then runs once over the whole
-    chunk.  Sample i is bit-identical to drawing it alone from the i-th
-    generator: ``normal(0, s)`` is ``s * standard_normal``, ``gamma(k, t)``
-    is ``t * standard_gamma(k)`` and ``chisquare(d)`` is
-    ``2 * standard_gamma(d / 2)``, computed by numpy in the same order.
+    preallocated buffers, one per run of ``draw_plan``; the kind's transform
+    then runs once over the whole chunk.  Sample i is bit-identical to
+    drawing it alone from the i-th generator: ``normal(0, s)`` is
+    ``s * standard_normal``, ``gamma(k, t)`` is ``t * standard_gamma(k)``
+    and ``chisquare(d)`` is ``2 * standard_gamma(d / 2)``, computed by numpy
+    in the same order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = spec.p
-    kind = spec.kind
-    prm = dict(spec.params)
-    vec, mat = (n,), (n, p)
-    if kind == "normal":
-        (z,) = _raw_draws(generators, count, ("standard_normal", mat))
-        return z
-    if kind == "iid_exp":
-        (e,) = _raw_draws(generators, count, ("standard_exponential", mat))
-        return e
-    if kind == "shared_product":
-        sd = sqrt(prm["factor_logvar"])
-        z0, z = _raw_draws(
-            generators, count, ("standard_normal", vec), ("standard_normal", mat)
-        )
-        return np.exp(sd * z0)[..., None] * np.exp(sd * z)
-    if kind == "shared_add":
-        g0, g = _raw_draws(
-            generators, count,
-            ("standard_gamma", vec, prm["shape0"]), ("standard_gamma", mat, prm["shape"]),
-        )
-        return prm["scale"] * g + prm["sign"] * (prm["scale0"] * g0)[..., None]
-    if kind == "laplace_product":
-        x0, z1, z2, z3 = _raw_draws(
-            generators, count, ("standard_normal", vec), *[("standard_normal", mat)] * 3
-        )
-        return x0[..., None] * z1 + z2 * z3
-    if kind == "gamma_ratio":
-        x, x0 = _raw_draws(
-            generators, count,
-            ("standard_gamma", mat, prm["alpha"]), ("standard_gamma", vec, prm["beta"]),
-        )
-        return x / (x + x0[..., None])
-    if kind == "student_t":
-        dof = prm["dof"]
-        z, g = _raw_draws(
-            generators, count, ("standard_normal", mat), ("standard_gamma", vec, dof / 2.0)
-        )
-        return z / np.sqrt(2.0 * g / dof)[..., None]
-    if kind == "asym_laplace":
-        chol = _mixing_factor(p, prm["corr"])
-        w, z = _raw_draws(
-            generators, count, ("standard_exponential", vec), ("standard_normal", mat)
-        )
-        return w[..., None] * prm["shift"] + np.sqrt(w)[..., None] * (z @ chol.T)
-    if kind == "normal_mixture":
-        chol = _mixing_factor(p, prm["corr"])
-        u, z = _raw_draws(generators, count, ("random", vec), ("standard_normal", mat))
-        contaminated = prm["shift"] + z @ chol.T
-        return np.where((u < prm["weight"])[..., None], z, contaminated)
-    raise ValueError(f"unknown alternative kind {kind!r}")
+    runs = _runs(draw_plan(spec, n))
+    return _transform(spec, _split(_raw_draws(generators, count, runs), runs))
+
+
+def generate_group(specs, n: int, generators, count: int) -> np.ndarray:
+    """``generate_chunk`` of each of ``specs``, which share p and
+    ``draw_runs``, on one set of generators, stacked spec by spec: shape
+    (len(specs) * count, n, p), sample i of ``specs[j]`` at row
+    j * count + i.
+
+    The raw variates are drawn once, into the buffers every spec's
+    ``generate_chunk`` would fill with the same numbers; each spec then
+    splits and transforms them as ``generate_chunk`` does, so every sample
+    is bit-identical to it.
+    """
+    specs = list(specs)
+    if len({(spec.p, draw_runs(spec, n)) for spec in specs}) != 1:
+        raise ValueError("alternatives of one group must share p and their draw runs")
+    runs = [_runs(draw_plan(spec, n)) for spec in specs]
+    bufs = _raw_draws(generators, count, runs[0])
+    out = np.empty((len(specs) * count, n, specs[0].p))
+    for j, (spec, spec_runs) in enumerate(zip(specs, runs)):
+        out[j * count:(j + 1) * count] = _transform(spec, _split(bufs, spec_runs))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ normal serves all normal distributions of that shape.  Replications are
 split into chunks keyed by replication index, each replication drawing from
 its own counter-derived random stream, and ``evaluate_batch`` gives the same
 bits for any grouping; results are therefore bit-identical for any worker
-count and any chunk size.
+count, any chunk size and any grouping of jobs into draw groups.
 
 A chunk holds ``CHUNK * 2**k`` replications, k <= 2: the largest such size
 whose distinct moment products (``engine.product_bytes`` per replication:
@@ -18,8 +18,9 @@ beyond it (at large (n, p), a chunk of ``CHUNK`` replications) is
 evaluated in passes that each fit the budget, or hold one replication
 where one alone exceeds it.  When the rule would leave a run with fewer
 than 4 chunks per worker, every chunk holds ``CHUNK`` replications, so that
-the workers still share the run.  The choice depends only on (n, p), the
-statistics, the replication counts and the worker count.
+the workers still share the run (the rule counts each job's chunks, before
+jobs are grouped).  The choice depends only on (n, p), the statistics, the
+replication counts and the worker count.
 
 A chunk computes the Philox keys of all its replications in one vectorized
 pass (``alternatives.stream_keys``) and re-keys a single generator before
@@ -29,15 +30,34 @@ would; ``alternatives.generate_chunk`` samples the whole chunk at once.
 A simulation is a ``SimulationJob``: one alternative at one sample size over
 a number of replications.  ``calibrate`` and ``power`` run one job each;
 ``power_study`` runs a whole power table (the calibration and every
-alternative, at each sample size) as one list of jobs.  Either way the
-chunks of all the jobs go through one map, so workers never wait at a
-barrier between jobs; each job's values are handed back, in job order, as
-soon as its last chunk is done, and the caller reduces them (to sorted null
-tables or a power report) and drops them.  A parallel run owns its process
-pool: it starts the pool once its per-p plans are built, so every worker
-inherits them, and shuts it down, cancelling the chunks not yet started,
-however the run ends (done, failed, or closed by its caller), so that no
-worker outlives the run.
+alternative, at each sample size) as one list of jobs.  Every alternative of
+a power table draws replication r at size n from the same stream (common
+random numbers), so jobs that also share context, replications, p and the
+Generator calls of a sample (``alternatives.draw_runs``) draw the same raw
+variates: they form a draw group, 10 at each n for the 27 alternatives at
+p = 2.  A task covers one replication range of a whole group of k jobs,
+ceil(chunk / k) replications of each, so that its batch and the values it
+sends back stay about one chunk; it re-keys and draws once for the group,
+each alternative splits and transforms the raw variates as
+``generate_chunk`` would (``alternatives.generate_group``), and one
+``evaluate_batch`` call evaluates the stacked samples.  A one-job group
+samples with ``generate_chunk``.
+
+The tasks of all the jobs go through one map, so workers never wait at a
+barrier between jobs.  Each task's values are handed back, range by range
+and in task order, and the caller reduces them and drops them: a
+calibration's ranges are joined and sorted into null tables once its last
+one is in, and a power job's rejections are counted range by range against
+each table's critical rank (``stats.critical_count``), which gives the
+fraction of p-values at most alpha, so a group's values are never held
+together.  ``power_study`` yields its reports in job order.  A replication
+that fails a numerical check stops the run with an error naming its
+alternative, r and the stream coordinates that replay its sample.
+
+A parallel run owns its process pool: it starts the pool once its per-p
+plans are built, so every worker inherits them, and shuts it down,
+cancelling the tasks not yet started, however the run ends (done, failed,
+or closed by its caller), so that no worker outlives the run.
 
 Each pool worker starts by freezing the objects it inherits from the
 parent (``gc.freeze``), so that its garbage collections never walk them and
@@ -64,17 +84,29 @@ from __future__ import annotations
 
 import ctypes
 import gc
+
+# Imported before any pool forks, for its workers to share: a worker's first
+# chunk imports numpy.random, which imports secrets and with it hashlib and
+# OpenSSL; a worker that loaded them itself would hold its own copy.
+import hashlib  # noqa: F401
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import islice
 from math import ceil, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, RngStream, alternative, generate_chunk, stream_generators
+from .alternatives import (
+    AlternativeSpec,
+    RngStream,
+    alternative,
+    draw_runs,
+    generate_chunk,
+    generate_group,
+    stream_generators,
+)
 from .engine import (
     PRODUCT_BUDGET,
     _plan,
@@ -84,7 +116,14 @@ from .engine import (
     third_order_threshold,
 )
 from .errors import BatchItemError, MissingTableError, SampleSizeError
-from .stats import StatisticId, check_alpha, check_table, empirical_pvalues
+from .stats import (  # noqa: F401 (empirical_pvalues is re-exported)
+    StatisticId,
+    check_alpha,
+    check_table,
+    critical_count,
+    empirical_pvalues,
+    rejections,
+)
 from .store import NullTable, PowerCell, PowerReport
 
 MIN_REPLICATIONS = 1000
@@ -158,29 +197,46 @@ def _chunk_sizes(jobs, statistics, workers: int) -> list[int]:
     return sizes
 
 
-def _chunk_values(statistics, task: tuple[SimulationJob, int, int]):
-    """Statistic values of replications start .. start + count - 1 of a job,
-    for a task (job, start, count).
+def _draw_groups(jobs) -> list[list[int]]:
+    """The indices of the jobs of each draw group, groups in the order of
+    their first job: jobs of one group share stream, context, replications,
+    n, p and ``draw_runs``, so each replication draws the same raw
+    variates for all of them."""
+    groups = {}
+    for i, job in enumerate(jobs):
+        key = (job.rng, job.context, job.reps, job.n, job.spec.p, draw_runs(job.spec, job.n))
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
-    A numerical check that fails on one replication is re-raised with the
-    stream coordinates that reproduce its sample.
+
+def _chunk_values(statistics, task: tuple[tuple[SimulationJob, ...], int, int]):
+    """Statistic values of replications start .. start + count - 1 of each
+    job of a draw group, for a task (jobs, start, count): those of jobs[j]
+    at j * count .. (j + 1) * count - 1.
+
+    A numerical check that fails on one replication is re-raised naming its
+    alternative and the stream coordinates that reproduce its sample.
     """
-    (spec, n, rng, context, _), start, count = task
+    jobs, start, count = task
+    spec, n, rng, context, _ = jobs[0]
+    generators = stream_generators(rng, context, start, count)
     try:
         # passed on unnamed, so that ``evaluate_batch`` frees the samples
         # once it has copied them
+        if len(jobs) == 1:
+            return evaluate_batch(generate_chunk(spec, n, generators, count), statistics)
         return evaluate_batch(
-            generate_chunk(spec, n, stream_generators(rng, context, start, count), count),
-            statistics,
+            generate_group([job.spec for job in jobs], n, generators, count), statistics
         )
     except BatchItemError as exc:
         if exc.item is None:
             raise
-        r = start + exc.item
+        spec = jobs[exc.item // count].spec
+        r = start + exc.item % count
         raise type(exc)(
-            f"{exc}: replication r={r} of seed={rng.seed}, path={rng.path}, "
-            f"context={context}; RngStream({rng.seed}, {rng.path}).child({context}, {r}) "
-            "replays it"
+            f"{exc}: alternative {spec.name} at n={n}, replication r={r} of seed={rng.seed}, "
+            f"path={rng.path}, context={context}; generate(alternative({spec.name!r}, {spec.p}), "
+            f"{n}, RngStream({rng.seed}, {rng.path}).child({context}, {r})) replays it"
         ) from exc
 
 
@@ -209,23 +265,25 @@ def _start_worker() -> None:
 
 
 def _simulate(jobs, statistics, workers):
-    """Yield the statistic values of each job, in job order, as soon as its
-    last chunk is done.
+    """Yield (group, values, last) for every task, in task order: the
+    indices of the jobs of its draw group; their values, one
+    (len(group), count) array per statistic whose row j holds one range of
+    replications of jobs[group[j]]; and whether that range is the group's
+    last.  A group's ranges come in replication order.
 
-    Every chunk of every job goes through one map, so workers go on to the
-    next job's chunks while the caller reduces the finished one.
+    Every task of every job goes through one map, so workers go on to the
+    next tasks while the caller reduces the finished ones.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = list(jobs)
     sizes = _chunk_sizes(jobs, statistics, workers)
-    job_starts = [range(0, job.reps, size) for job, size in zip(jobs, sizes)]
-    tasks = [
-        (job, start, min(starts.step, job.reps - start))
-        for job, starts in zip(jobs, job_starts)
-        for start in starts
-    ]
-    chunks_per_job = [len(starts) for starts in job_starts]
+    layout = []  # (group, start, count) of every task
+    for group in _draw_groups(jobs):
+        reps = jobs[group[0]].reps
+        step = ceil(sizes[group[0]] / len(group))
+        layout += [(group, start, min(step, reps - start)) for start in range(0, reps, step)]
+    tasks = [(tuple(jobs[i] for i in group), start, count) for group, start, count in layout]
     chunk = partial(_chunk_values, statistics)
     # Built here, before the pool forks, so that its workers inherit them.
     for p in {job.spec.p for job in jobs}:
@@ -233,20 +291,24 @@ def _simulate(jobs, statistics, workers):
     if workers > 1 and len(tasks) > 1:
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
         try:
-            yield from _by_job(chunks_per_job, pool.map(chunk, tasks), statistics)
+            yield from _by_group(jobs, layout, pool.map(chunk, tasks))
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        yield from _by_job(chunks_per_job, map(chunk, tasks), statistics)
+        yield from _by_group(jobs, layout, map(chunk, tasks))
 
 
-def _by_job(chunks_per_job, chunks, statistics):
-    """Regroup chunk results, in task order, into one array per statistic
-    and job, the jobs having ``chunks_per_job`` chunks each."""
-    chunks = iter(chunks)
-    for count in chunks_per_job:
-        parts = list(islice(chunks, count))
-        yield {sid: np.concatenate([c[sid] for c in parts]) for sid in statistics}
+def _by_group(jobs, layout, results):
+    """Each task's result, in task order, as ``_simulate`` yields it."""
+    for (group, start, count), values in zip(layout, results):
+        rows = {sid: v.reshape(len(group), count) for sid, v in values.items()}
+        yield group, rows, start + count == jobs[group[0]].reps
+
+
+def _joined(statistics, parts):
+    """The values of the first job of a group, one array per statistic,
+    joined from its tasks' values."""
+    return {sid: np.concatenate([part[sid][0] for part in parts]) for sid in statistics}
 
 
 def _calibration_job(statistics, n: int, p: int, replications: int, rng: RngStream):
@@ -294,8 +356,8 @@ def calibrate(
     statistics = tuple(statistics)
     job = _calibration_job(statistics, n, p, replications, rng)
     created = timestamp()
-    (values,) = _simulate([job], statistics, workers)
-    return _null_tables(statistics, job, values, created)
+    parts = [values for _, values, _ in _simulate([job], statistics, workers)]
+    return _null_tables(statistics, job, _joined(statistics, parts), created)
 
 
 def _power_job(alt: AlternativeSpec, n: int, p: int, alpha: float, reps: int, rng: RngStream):
@@ -308,11 +370,22 @@ def _power_job(alt: AlternativeSpec, n: int, p: int, alpha: float, reps: int, rn
     return SimulationJob(alt, n, rng, POWER_CONTEXT, reps)
 
 
-def _power_report(statistics, job: SimulationJob, alpha: float, tables, values) -> PowerReport:
+def _critical_counts(statistics, tables, alpha: float) -> dict[StatisticId, int]:
+    return {sid: critical_count(tables[sid], alpha) for sid in statistics}
+
+
+def _add_rejections(counts, values, tables, critical) -> None:
+    """Add the rejections of one task's values to the counts of its jobs,
+    one dict per statistic and job, in group order."""
+    for sid, k in critical.items():
+        for job_counts, rejected in zip(counts, rejections(values[sid], tables[sid], k).tolist()):
+            job_counts[sid] += rejected
+
+
+def _power_report(statistics, job: SimulationJob, alpha: float, rejected) -> PowerReport:
     cells = []
     for sid in statistics:
-        pvals = empirical_pvalues(values[sid], tables[sid])
-        est = float(np.mean(pvals <= alpha))
+        est = rejected[sid] / job.reps  # the mean of p <= alpha over the replications
         cells.append(
             PowerCell(
                 statistic=sid,
@@ -349,8 +422,11 @@ def power(
         if sid not in tables:
             raise MissingTableError(f"no null table for {sid.name} at (n={n}, p={p})")
         check_table(tables[sid], sid, n, p)
-    (values,) = _simulate([job], statistics, workers)
-    return _power_report(statistics, job, alpha, tables, values)
+    critical = _critical_counts(statistics, tables, alpha)
+    rejected = dict.fromkeys(statistics, 0)
+    for _, values, _ in _simulate([job], statistics, workers):
+        _add_rejections([rejected], values, tables, critical)
+    return _power_report(statistics, job, alpha, rejected)
 
 
 def power_study(
@@ -381,8 +457,28 @@ def power_study(
         jobs.append(_calibration_job(statistics, n, p, calibration_reps, rng.child(0, n)))
         jobs += [_power_job(alt, n, p, alpha, reps, rng.child(1, n)) for alt in alternatives]
     created = timestamp()
-    for job, values in zip(jobs, _simulate(jobs, statistics, workers), strict=True):
+    tables, critical = {}, {}  # by sample size
+    null_parts, rejected, reports = [], {}, {}
+    order = iter([i for i, job in enumerate(jobs) if job.context == POWER_CONTEXT])
+    following = next(order, None)
+    for group, values, last in _simulate(jobs, statistics, workers):
+        job = jobs[group[0]]  # the jobs of a group share context, n and replications
         if job.context == CALIBRATION_CONTEXT:
-            tables = _null_tables(statistics, job, values, created)
-        else:
-            yield _power_report(statistics, job, alpha, tables, values)
+            # a calibration group's jobs are equal (one per repeat of a size),
+            # so its first row serves them all
+            null_parts.append(values)
+            if last:
+                tables[job.n] = _null_tables(
+                    statistics, job, _joined(statistics, null_parts), created
+                )
+                critical[job.n] = _critical_counts(statistics, tables[job.n], alpha)
+                null_parts = []
+            continue
+        counts = [rejected.setdefault(i, dict.fromkeys(statistics, 0)) for i in group]
+        _add_rejections(counts, values, tables[job.n], critical[job.n])
+        if last:
+            for i in group:
+                reports[i] = _power_report(statistics, jobs[i], alpha, rejected.pop(i))
+        while following in reports:
+            yield reports.pop(following)
+            following = next(order, None)

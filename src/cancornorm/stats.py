@@ -20,8 +20,9 @@ A test decision lives here too: ``check_alpha`` decides whether a level is
 valid, ``check_table`` whether a ``store.NullTable`` serves a statistic at
 (n, p), ``empirical_pvalues`` reads an observed value against it and
 ``run_test`` returns a ``TestResult``, so that testing a dataset loads none
-of the simulation code (``montecarlo`` reads all three for its power
-estimates).
+of the simulation code.  ``montecarlo`` counts its power estimates' rejections
+with ``critical_count`` and ``rejections``, which decide as
+``empirical_pvalues`` does.
 """
 
 from __future__ import annotations
@@ -92,14 +93,35 @@ def compute_statistic(x, statistic: StatisticId) -> float:
     return compute_statistics(x, (statistic,))[statistic]
 
 
-def empirical_pvalues(observed, table: NullTable) -> np.ndarray:
-    """Monte Carlo p-values with the +1 correction, per the statistic's tail."""
+def _extreme_counts(observed, table: NullTable) -> np.ndarray:
+    """How many null values are at least as extreme as each observed value,
+    per the statistic's tail."""
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     v = table.values
-    r = table.replications
     if table.statistic.tail == "upper":
-        return (r - np.searchsorted(v, observed, side="left") + 1.0) / (r + 1.0)
-    return (np.searchsorted(v, observed, side="right") + 1.0) / (r + 1.0)
+        return table.replications - np.searchsorted(v, observed, side="left")
+    return np.searchsorted(v, observed, side="right")
+
+
+def empirical_pvalues(observed, table: NullTable) -> np.ndarray:
+    """Monte Carlo p-values with the +1 correction, per the statistic's tail."""
+    return (_extreme_counts(observed, table) + 1.0) / (table.replications + 1.0)
+
+
+def critical_count(table: NullTable, alpha: float) -> int:
+    """The table's critical rank at level alpha: an observed value's
+    ``empirical_pvalues`` is at most alpha exactly when fewer than this many
+    null values are at least as extreme.  Each p-value (k + 1) / (R + 1),
+    k = 0 .. R, is compared with alpha in the same arithmetic."""
+    r = table.replications
+    return int(np.count_nonzero(np.arange(1.0, r + 2.0) / (r + 1.0) <= alpha))
+
+
+def rejections(observed, table: NullTable, critical: int) -> np.ndarray:
+    """How many values of each row of ``observed`` (its last axis) the test
+    rejects, given the table's ``critical_count`` at the test level: the
+    count of their ``empirical_pvalues`` at most alpha."""
+    return np.count_nonzero(_extreme_counts(observed, table) < critical, axis=-1)
 
 
 def check_alpha(alpha: float) -> None:

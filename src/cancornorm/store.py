@@ -8,7 +8,9 @@ A null-table file is a single JSON header line followed by the raw table
 payload as little-endian 64-bit floats.  The header stays human-inspectable
 (``head -1 file``) while the payload is compact and exact; a SHA-256 over
 the payload guards against corruption, and ``library_version`` records
-``cancornorm.__version__``.  Unknown format versions are a hard
+``cancornorm.__version__``.  ``hashlib`` is imported where a checksum is
+taken, so that a command that reads and writes no table does not load
+OpenSSL.  Unknown format versions are a hard
 error rather than a silent migration.
 
 A power report is written as CSV rows (``report_rows``, one per statistic
@@ -21,7 +23,6 @@ population tables and the results of ``test --json``.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,6 +87,8 @@ class PowerReport:
 
 
 def save_null(table: NullTable, path) -> None:
+    import hashlib  # loads OpenSSL, which only a checksum needs
+
     payload = np.ascontiguousarray(table.values, dtype="<f8").tobytes()
     header = {
         "format_version": FORMAT_VERSION,
@@ -114,6 +117,8 @@ def _header_field(path, header: dict, key: str, kind: type):
 
 
 def load_null(path) -> NullTable:
+    import hashlib  # loads OpenSSL, which only a checksum needs
+
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()

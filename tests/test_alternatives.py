@@ -21,9 +21,12 @@ from cancornorm.alternatives import (
     RngStream,
     alternative,
     available_alternatives,
+    draw_plan,
+    draw_runs,
     equicorrelation,
     generate,
     generate_chunk,
+    generate_group,
     population_moments,
     population_value,
     population_values,
@@ -154,6 +157,50 @@ def test_chunk_sampler_needs_a_generator_per_sample():
         generate_chunk(spec, 20, stream_generators(RngStream(1), 0, 0, 3), 4)
     with pytest.raises(ValueError, match="n must be"):
         generate_chunk(spec, 0, stream_generators(RngStream(1), 0, 0, 3), 3)
+
+
+def _groups_of_equal_draws(p, n):
+    """Every alternative, in groups of equal ``draw_runs``, in registry order."""
+    groups = {}
+    for name in available_alternatives():
+        spec = alternative(name, p)
+        groups.setdefault(draw_runs(spec, n), []).append(spec)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_group_sampler_matches_chunk_sampler(p):
+    # 103 replications are a full range of a ten-job group under a chunk of
+    # 1024, and 73 the ragged last range of 1000
+    rng = RngStream(17, (3,))
+    for n in (20, 50):
+        groups = _groups_of_equal_draws(p, n)
+        assert len(groups) == 11  # the normal and 10 among the 27 alternatives
+        for specs in groups:
+            for start, count in ((0, 103), (927, 73)):
+                group = generate_group(specs, n, stream_generators(rng, 1, start, count), count)
+                expected = np.concatenate([
+                    generate_chunk(spec, n, stream_generators(rng, 1, start, count), count)
+                    for spec in specs
+                ])
+                assert group.shape == (len(specs) * count, n, p)
+                assert group.tobytes() == expected.tobytes(), ([s.name for s in specs], n)
+
+
+def test_draw_plans_are_plain_python():
+    for name in available_alternatives():
+        for method, shape, args in draw_plan(alternative(name, 3), 20):
+            assert type(method) is str and callable(getattr(np.random.Generator, method))
+            assert shape in ((20,), (20, 3))
+            assert all(type(a) is float for a in args), (name, args)
+
+
+def test_group_sampler_needs_equal_draws():
+    generators = stream_generators(RngStream(1), 0, 0, 4)
+    for names, p in ((("laplace1", "chisq2"), (2, 2)), (("normal", "normal"), (2, 3))):
+        specs = [alternative(name, q) for name, q in zip(names, p)]
+        with pytest.raises(ValueError, match="share p and their draw runs"):
+            generate_group(specs, 20, generators, 4)
 
 
 @pytest.mark.parametrize("seed, path", [(-1, ()), (0, (2, -1)), (1.5, ()), (0, (1.0,)), ("3", ())])

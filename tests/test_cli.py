@@ -463,13 +463,17 @@ def test_cmd_tables_bit_identical_across_workers(table2_runs):
 
 
 def test_cmd_tables_cells_equal_standalone_power(table2_runs):
-    # one chunk queue for the whole run gives what separate calls give
+    # one chunk queue for the whole run, with one raw draw per draw group,
+    # gives what separate calls give: a one-job group (indep_exp) and members
+    # of the groups of the lognormals, of laplace1 with beta11, of beta22
+    # with chisq8, of the AL rows and of the mixtures
     with open(table2_runs[2], newline="") as fh:
         rows = list(csv.DictReader(fh))
     rng = RngStream(4)
+    names = ("indep_exp", "mix75_m2_r05", "logn_05", "beta11", "chisq8", "al1_r09", "mix90_m1_r0")
     for n in (20, 50):
         tables = calibrate(ALL_STATISTICS, n, 2, 1000, rng.child(0, n))
-        for name in ("indep_exp", "mix75_m2_r05"):
+        for name in names:
             report = power(alternative(name, 2), ALL_STATISTICS, n, 2, 0.05, 300, tables,
                            rng.child(1, n))
             cells = {r["statistic"]: r for r in rows
@@ -710,6 +714,36 @@ def test_calibrate_loads_no_package_metadata(tmp_path):
     )
     assert _run_python(code).splitlines()[-1] == "False"
     assert len(list(out.glob("*.null"))) == 12
+
+
+def test_popvalues_loads_no_openssl(tmp_path):
+    # hashlib, which loads OpenSSL (_hashlib), serves only null-table checksums
+    code = (
+        "import sys; from cancornorm.cli import main; "
+        f"assert main(['popvalues', '--p', '3', '--out', {str(tmp_path / 'pop.csv')!r}]) == 0; "
+        "print('_hashlib' in sys.modules)"
+    )
+    assert _run_python(code).splitlines()[-1] == "False"
+
+
+def test_parallel_calibrate_loads_openssl_before_its_pool(tmp_path):
+    # a worker's first chunk needs hashlib (numpy.random imports secrets);
+    # loaded before the fork, its pages are shared with the parent
+    out = tmp_path / "nulls"
+    code = (
+        "import sys\n"
+        "from cancornorm import montecarlo\n"
+        "from cancornorm.cli import main\n"
+        "Pool, loaded = montecarlo.ProcessPoolExecutor, []\n"
+        "def pool(*args, **kwargs):\n"
+        "    loaded.append('_hashlib' in sys.modules)\n"
+        "    return Pool(*args, **kwargs)\n"
+        "montecarlo.ProcessPoolExecutor = pool\n"
+        "assert main(['calibrate', '--n', '20', '--p', '2', '--reps', '1000', "
+        f"'--workers', '2', '--out-dir', {str(out)!r}]) == 0\n"
+        "print(loaded)\n"
+    )
+    assert _run_python(code).splitlines()[-1] == "[True]"
 
 
 def test_package_import_loads_no_numpy():

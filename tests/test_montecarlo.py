@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cancornorm import montecarlo
+from cancornorm import alternatives, montecarlo
 from cancornorm.alternatives import (
+    ALL_ALTERNATIVE_NAMES,
     RngStream,
     alternative,
     available_alternatives,
     generate,
     generate_chunk,
+    generate_group,
     population_moments,
     population_value,
     population_values,
@@ -37,7 +39,14 @@ from cancornorm.montecarlo import (
     power,
     power_study,
 )
-from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics, run_test
+from cancornorm.stats import (
+    ALL_STATISTICS,
+    StatisticId,
+    compute_statistics,
+    critical_count,
+    rejections,
+    run_test,
+)
 
 from covblocks_oracle import functional_value
 
@@ -335,7 +344,7 @@ from cancornorm.stats import ALL_STATISTICS
 def chunk_minor_faults(start):
     job = montecarlo.SimulationJob(alternative("normal", 5), 100, RngStream(3), 0, 4096)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    montecarlo._chunk_values(ALL_STATISTICS, (job, start, 256))
+    montecarlo._chunk_values(ALL_STATISTICS, ((job,), start, 256))
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 pool = ProcessPoolExecutor(1, initializer=montecarlo._start_worker)
@@ -536,6 +545,135 @@ def test_failing_replication_in_a_large_chunk_is_named(monkeypatch):
     )
     assert info.value.__cause__.item == bad - size
     assert starts == [0, size]
+
+
+def _power_table_jobs(p, n, reps):
+    """The jobs ``power_study`` runs at one sample size, for every alternative."""
+    rng = RngStream(5)
+    return [montecarlo._calibration_job(ALL_STATISTICS, n, p, 1000, rng.child(0, n))] + [
+        montecarlo._power_job(alternative(name, p), n, p, 0.05, reps, rng.child(1, n))
+        for name in ALL_ALTERNATIVE_NAMES
+    ]
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_power_table_has_ten_draw_groups(n):
+    jobs = _power_table_jobs(2, n, 1000)
+    groups = [[jobs[i].spec.name for i in group] for group in montecarlo._draw_groups(jobs)]
+    assert groups == [
+        ["normal"],  # the calibration draws from its own stream
+        ["indep_exp"],
+        ["logn_2", "logn_1", "logn_05"],
+        ["laplace1", "beta11"],
+        ["laplace2"],
+        ["beta12"],
+        ["beta22", "chisq8"],
+        ["chisq2"],
+        ["t2"],
+        ["al0_r0", "al1_r0", "al3_r0", "al1_r05", "al1_r09"],
+        [name for name, *_ in alternatives._MIXTURES],
+    ]
+
+
+def test_power_study_draws_each_group_range_once(monkeypatch):
+    # One raw draw per draw group and replication range: chunks of 1024 at
+    # n = 20 give the 10 mixtures ranges of 103 replications (3 for 300),
+    # the 5 AL rows ranges of 205 (2) and every other group one range.
+    draws = []
+
+    def counted(generators, count, runs):
+        draws.append(count)
+        return raw_draws(generators, count, runs)
+
+    raw_draws = alternatives._raw_draws
+    monkeypatch.setattr(alternatives, "_raw_draws", counted)
+    statistics = (Z2HL, KURT)
+    reports = list(power_study(
+        [alternative(name, 2) for name in ALL_ALTERNATIVE_NAMES], statistics, (20,), 2, 0.05,
+        300, 1000, RngStream(6),
+    ))
+    assert len(reports) == 27
+    assert len(draws) == 14
+    assert sum(draws) == 1000 + 10 * 300  # not 1000 + 27 * 300
+    assert sorted(draws)[:2] == [94, 95]  # the ragged last ranges of the mixtures and AL rows
+
+
+def constant_column_group_sampler(target, name, failing):
+    """A ``generate_group`` that gives the replication of alternative
+    ``name`` drawn by the generator ``target`` a constant column, appending
+    that sample, as drawn, to ``failing``."""
+    target_key = target.bit_generator.state["state"]["key"]
+
+    def group_with_constant_column(specs, n, generators, count):
+        hits = []
+
+        def watched():
+            for i, g in enumerate(generators):
+                if np.array_equal(g.bit_generator.state["state"]["key"], target_key):
+                    hits.append(i)
+                yield g
+
+        x = generate_group(specs, n, watched(), count)
+        names = [spec.name for spec in specs]
+        for i in hits:
+            row = names.index(name) * count + i
+            failing.append(x[row].copy())
+            x[row, :, 1] = 2.0
+        return x
+
+    return group_with_constant_column
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_replication_of_a_draw_group_is_named(monkeypatch, workers):
+    # Replication 250 of mix75_m1_r05, the 9th of the 10 mixtures, is row
+    # 8 * 94 + 44 of the last group task (replications 206 .. 299).
+    rng, bad, name = RngStream(5, (2,)), 250, "mix75_m1_r05"
+    stream = rng.child(1, 20)
+    failing = []
+    monkeypatch.setattr(montecarlo, "generate_group", constant_column_group_sampler(
+        stream.child(montecarlo.POWER_CONTEXT, bad).generator(), name, failing
+    ))
+    mixtures = [alternative(mix, 2) for mix, *_ in alternatives._MIXTURES]
+    with pytest.raises(DegenerateSampleError) as info:
+        list(power_study(mixtures, (Z2HL, KURT), (20,), 2, 0.05, 300, 1000, rng,
+                         workers=workers))
+    message = str(info.value)
+    assert (
+        f"alternative {name} at n=20, replication r={bad} of seed=5, path=(2, 1, 20), "
+        f"context={montecarlo.POWER_CONTEXT}; generate(alternative('{name}', 2), 20, "
+        f"RngStream(5, (2, 1, 20)).child({montecarlo.POWER_CONTEXT}, {bad})) replays it"
+    ) in message
+    replay = generate(alternative(name, 2), 20,
+                      RngStream(5, (2, 1, 20)).child(montecarlo.POWER_CONTEXT, bad))
+    if workers == 1:  # a pool worker's cause and list stay in the worker
+        assert info.value.__cause__.item == 8 * 94 + 44
+        assert len(failing) == 1
+        assert_array_equal(replay, failing[0])
+    replay[:, 1] = 2.0
+    with pytest.raises(DegenerateSampleError):
+        compute_statistics(replay)
+
+
+@pytest.mark.parametrize("statistic", [Z2HL, Z2W])
+@pytest.mark.parametrize("reps", [1000, 777])
+def test_rejection_counts_equal_the_mean_of_pvalues_at_most_alpha(statistic, reps):
+    rng = np.random.default_rng(reps)
+    values = np.sort(rng.integers(0, 60, reps).astype(float))  # many ties
+    table = NullTable(statistic=statistic, n=20, p=2, replications=reps, seed=0, stream=(),
+                      values=values, created_at="t")
+    observed = np.concatenate([rng.integers(-5, 65, 500).astype(float), values])
+    alphas = [0.05, 0.1, 0.01, 0.5, 1.0 / (reps + 1), 0.999 / (reps + 1), 0.3 / reps]
+    for alpha in alphas:
+        k = critical_count(table, alpha)
+        # ties at the critical value: observed values equal to the null value
+        # that holds the critical rank, on either side of the decision
+        cut = values[min(reps - k, reps - 1)] if statistic.tail == "upper" else values[max(k - 1, 0)]
+        sample = np.concatenate([observed, [cut, cut, np.nextafter(cut, np.inf)]])
+        expected = float(np.mean(empirical_pvalues(sample, table) <= alpha))
+        assert rejections(sample, table, k) / len(sample) == expected, alpha
+    assert critical_count(table, 0.999 / (reps + 1)) == 0
+    assert critical_count(table, 1.0 / (reps + 1)) == 1
 
 
 def test_power_missing_table(small_tables):
