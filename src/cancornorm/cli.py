@@ -130,50 +130,65 @@ def _output_file(text: str) -> str:
 
 
 def _parse_statistics(text: str | None) -> tuple[StatisticId, ...]:
+    """The statistics of a ``--statistics`` list; an unknown or repeated name
+    (``StatisticId.parse`` folds case, so ``z2_hl`` repeats ``Z2_HL``) is a
+    usage error."""
     if not text:
         return ALL_STATISTICS
     try:
-        return tuple(StatisticId.parse(part) for part in text.split(","))
+        statistics = tuple(StatisticId.parse(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for i, sid in enumerate(statistics):
+        if sid in statistics[:i]:
+            raise UsageError(f"statistic {sid.name} is listed more than once")
+    return statistics
 
 
 def read_csv_sample(path) -> np.ndarray:
-    """Read an n x p numeric CSV, auto-detecting a single header row."""
+    """Read an n x p numeric CSV, auto-detecting a single header row.
+
+    Blank lines are skipped; an error names the row by its line in the file
+    (the line a quoted multi-line row ends on)."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+            reader = csv.reader(fh)
+            rows, lines = [], []
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except OSError as exc:
         raise DataFileError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataFileError(f"{path}: no data rows")
 
-    def parse_row(row, number):
+    def parse_row(i):
         out = []
-        for j, cell in enumerate(row):
+        for j, cell in enumerate(rows[i]):
             try:
                 out.append(float(cell))
             except ValueError:
                 raise DataFileError(
-                    f"{path}: row {number}, column {j + 1}: not numeric: {cell.strip()!r}"
+                    f"{path}: row {lines[i]}, column {j + 1}: not numeric: {cell.strip()!r}"
                 ) from None
         return out
 
     start = 0
     try:
-        first = parse_row(rows[0], 1)
+        first = parse_row(0)
     except DataFileError:
         start = 1  # header row
         if len(rows) == 1:
             raise DataFileError(f"{path}: only a header row, no data")
-        first = parse_row(rows[1], 2)
+        first = parse_row(1)
     width = len(first)
     data = [first]
     for i in range(start + 1, len(rows)):
-        row = parse_row(rows[i], i + 1)
+        row = parse_row(i)
         if len(row) != width:
             raise DataFileError(
-                f"{path}: row {i + 1} has {len(row)} columns, expected {width}"
+                f"{path}: row {lines[i]} has {len(row)} columns, expected {width}"
             )
         data.append(row)
     data = np.asarray(data)
@@ -181,7 +196,8 @@ def read_csv_sample(path) -> np.ndarray:
     if len(bad):
         i, j = bad[0]
         raise DataFileError(
-            f"{path}: row {start + i + 1}, column {j + 1}: not finite: {rows[start + i][j].strip()!r}"
+            f"{path}: row {lines[start + i]}, column {j + 1}: not finite: "
+            f"{rows[start + i][j].strip()!r}"
         )
     return data
 

@@ -44,15 +44,17 @@ each alternative splits and transforms the raw variates as
 samples with ``generate_chunk``.
 
 The tasks of all the jobs go through one map, so workers never wait at a
-barrier between jobs.  Each task's values are handed back, range by range
-and in task order, and the caller reduces them and drops them: a
-calibration's ranges are joined and sorted into null tables once its last
-one is in, and a power job's rejections are counted range by range against
-each table's critical rank (``stats.critical_count``), which gives the
-fraction of p-values at most alpha, so a group's values are never held
-together.  ``power_study`` yields its reports in job order.  A replication
-that fails a numerical check stops the run with an error naming its
-alternative, r and the stream coordinates that replay its sample.
+barrier between jobs.  Each task's values come back as one array, a row
+per statistic, range by range and in task order, and the caller reduces
+them and drops them: a calibration's ranges are joined and sorted into null
+tables once its last one is in, and a power job's rejections are counted
+range by range, each value compared once with the null value that holds
+its table's critical rank (``stats.critical_count`` and
+``stats.rejections``), which gives the fraction of p-values at most alpha,
+so a group's values are never held together.  ``power_study`` yields its
+reports in job order.  A replication that fails a numerical check stops the
+run with an error naming its alternative, r and the stream coordinates that
+replay its sample.
 
 A parallel run owns its process pool: it starts the pool once its per-p
 plans are built, so every worker inherits them, and shuts it down,
@@ -209,10 +211,12 @@ def _draw_groups(jobs) -> list[list[int]]:
     return list(groups.values())
 
 
-def _chunk_values(statistics, task: tuple[tuple[SimulationJob, ...], int, int]):
+def _chunk_values(statistics, task: tuple[tuple[SimulationJob, ...], int, int]) -> np.ndarray:
     """Statistic values of replications start .. start + count - 1 of each
-    job of a draw group, for a task (jobs, start, count): those of jobs[j]
-    at j * count .. (j + 1) * count - 1.
+    job of a draw group, for a task (jobs, start, count), as one
+    C-contiguous (len(statistics), len(jobs) * count) array: row s holds
+    statistics[s], those of jobs[j] at j * count .. (j + 1) * count - 1.
+    One buffer is what a pool worker pickles and the parent unpickles.
 
     A numerical check that fails on one replication is re-raised naming its
     alternative and the stream coordinates that reproduce its sample.
@@ -224,10 +228,11 @@ def _chunk_values(statistics, task: tuple[tuple[SimulationJob, ...], int, int]):
         # passed on unnamed, so that ``evaluate_batch`` frees the samples
         # once it has copied them
         if len(jobs) == 1:
-            return evaluate_batch(generate_chunk(spec, n, generators, count), statistics)
-        return evaluate_batch(
-            generate_group([job.spec for job in jobs], n, generators, count), statistics
-        )
+            values = evaluate_batch(generate_chunk(spec, n, generators, count), statistics)
+        else:
+            values = evaluate_batch(
+                generate_group([job.spec for job in jobs], n, generators, count), statistics
+            )
     except BatchItemError as exc:
         if exc.item is None:
             raise
@@ -238,6 +243,7 @@ def _chunk_values(statistics, task: tuple[tuple[SimulationJob, ...], int, int]):
             f"path={rng.path}, context={context}; generate(alternative({spec.name!r}, {spec.p}), "
             f"{n}, RngStream({rng.seed}, {rng.path}).child({context}, {r})) replays it"
         ) from exc
+    return np.stack([values[sid] for sid in statistics])
 
 
 def _steady_heap() -> bool:
@@ -266,10 +272,11 @@ def _start_worker() -> None:
 
 def _simulate(jobs, statistics, workers):
     """Yield (group, values, last) for every task, in task order: the
-    indices of the jobs of its draw group; their values, one
-    (len(group), count) array per statistic whose row j holds one range of
-    replications of jobs[group[j]]; and whether that range is the group's
-    last.  A group's ranges come in replication order.
+    indices of the jobs of its draw group; their values, a
+    (len(statistics), len(group), count) array whose [s, j] row holds
+    statistics[s] over one range of replications of jobs[group[j]]; and
+    whether that range is the group's last.  A group's ranges come in
+    replication order.
 
     Every task of every job goes through one map, so workers go on to the
     next tasks while the caller reduces the finished ones.
@@ -301,14 +308,16 @@ def _simulate(jobs, statistics, workers):
 def _by_group(jobs, layout, results):
     """Each task's result, in task order, as ``_simulate`` yields it."""
     for (group, start, count), values in zip(layout, results):
-        rows = {sid: v.reshape(len(group), count) for sid, v in values.items()}
-        yield group, rows, start + count == jobs[group[0]].reps
+        last = start + count == jobs[group[0]].reps
+        yield group, values.reshape(len(values), len(group), count), last
 
 
 def _joined(statistics, parts):
     """The values of the first job of a group, one array per statistic,
     joined from its tasks' values."""
-    return {sid: np.concatenate([part[sid][0] for part in parts]) for sid in statistics}
+    return {
+        sid: np.concatenate([part[s, 0] for part in parts]) for s, sid in enumerate(statistics)
+    }
 
 
 def _calibration_job(statistics, n: int, p: int, replications: int, rng: RngStream):
@@ -375,10 +384,12 @@ def _critical_counts(statistics, tables, alpha: float) -> dict[StatisticId, int]
 
 
 def _add_rejections(counts, values, tables, critical) -> None:
-    """Add the rejections of one task's values to the counts of its jobs,
-    one dict per statistic and job, in group order."""
-    for sid, k in critical.items():
-        for job_counts, rejected in zip(counts, rejections(values[sid], tables[sid], k).tolist()):
+    """Add the rejections of one task's values, as ``_simulate`` yields
+    them, to the counts of its jobs, one dict per job in group order keyed
+    by statistic; ``critical`` holds the critical ranks in the order of the
+    values' statistics."""
+    for row, (sid, k) in zip(values, critical.items()):
+        for job_counts, rejected in zip(counts, rejections(row, tables[sid], k).tolist()):
             job_counts[sid] += rejected
 
 

@@ -21,7 +21,9 @@ valid, ``check_table`` whether a ``store.NullTable`` serves a statistic at
 (n, p), ``empirical_pvalues`` reads an observed value against it and
 ``run_test`` returns a ``TestResult``, so that testing a dataset loads none
 of the simulation code.  ``montecarlo`` counts its power estimates' rejections
-with ``critical_count`` and ``rejections``, which decide as
+with ``critical_count``, the table's critical rank at the test level, and
+``rejections``, which compares each simulated value once with the null value
+of that rank instead of searching the table; both decide as
 ``empirical_pvalues`` does.
 """
 
@@ -119,9 +121,25 @@ def critical_count(table: NullTable, alpha: float) -> int:
 
 def rejections(observed, table: NullTable, critical: int) -> np.ndarray:
     """How many values of each row of ``observed`` (its last axis) the test
-    rejects, given the table's ``critical_count`` at the test level: the
-    count of their ``empirical_pvalues`` at most alpha."""
-    return np.count_nonzero(_extreme_counts(observed, table) < critical, axis=-1)
+    rejects, given the table's ``critical_count`` k at the test level: the
+    count of their ``empirical_pvalues`` at most alpha.
+
+    Fewer than k null values are at least as extreme as an observed value
+    exactly when it lies beyond the null value of rank k from its tail, so
+    each value takes one comparison with that value: an upper-tail value is
+    rejected when it is not ``<= values[R - k]`` (NaN included, as
+    ``np.searchsorted`` sorts it last), a lower-tail one when it is
+    ``< values[k - 1]``.
+    """
+    observed = np.atleast_1d(np.asarray(observed, dtype=float))
+    v = table.values
+    if critical == 0:
+        rejected = np.zeros(observed.shape, dtype=bool)
+    elif table.statistic.tail == "upper":
+        rejected = ~(observed <= v[table.replications - critical])
+    else:
+        rejected = observed < v[critical - 1]
+    return rejected.sum(axis=-1)  # faster than count_nonzero along an axis
 
 
 def check_alpha(alpha: float) -> None:

@@ -154,6 +154,20 @@ def test_csv_reader_errors_name_location(tmp_path):
             read_csv_sample(nonfinite)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,2\n\n3,x\n", "row 4, column 2: not numeric: 'x'"),
+    ("1,2\n\n \n3\n", "row 4 has 1 columns, expected 2"),
+    ("\nx,y\n\n1,2\n3,inf\n", "row 5, column 2: not finite: 'inf'"),
+])
+def test_csv_reader_errors_name_the_line_of_the_file(tmp_path, text, message):
+    # blank lines are skipped but still counted
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    with pytest.raises(DataFileError) as info:
+        read_csv_sample(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_cmd_test_normal_data(null_dir, tmp_path, capsys):
     data = generate(alternative("normal", 2), 20, RngStream(42))
     csv_path = tmp_path / "data.csv"
@@ -512,6 +526,36 @@ def test_bad_simulation_inputs_are_usage_errors(null_dir, tmp_path, capsys, args
     assert f"error: {message}" in err
     assert "done:" not in err
     assert not list(tmp_path.glob("calibrated/*")) and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "test", "power"])
+@pytest.mark.parametrize("names, repeated", [
+    ("z2_hl,z2_hl", "z2_hl"),
+    ("z2_hl,mardia_kurt,Z2_HL", "z2_hl"),
+    ("z3_w, mardia_skew,Mardia_Skew ", "mardia_skew"),
+])
+def test_repeated_statistics_are_usage_errors_before_any_work(
+    tmp_path, monkeypatch, capsys, command, names, repeated
+):
+    def no_simulation(*args):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(montecarlo, "_simulate", no_simulation)
+    # an absent dataset and an absent table directory: a read would be a
+    # data error (exit 3)
+    args = {
+        "calibrate": ["--n", "20", "--p", "2", "--reps", "1000", "--workers", "1",
+                      "--out-dir", str(tmp_path / "nulls")],
+        "test": ["--data", str(tmp_path / "absent.csv"), "--null-dir", str(tmp_path)],
+        "power": ["--alt", "indep_exp", "--n", "20", "--p", "2", "--workers", "1",
+                  "--null-dir", str(tmp_path / "absent")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--statistics", names]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: statistic {repeated} is listed more than once\n"
+    assert out == ""
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["calibrate", "tables"])

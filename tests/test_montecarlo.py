@@ -29,7 +29,7 @@ from cancornorm.alternatives import (
     stream_generators,
 )
 from cancornorm.covblocks import cancor_sq, lambda_blocks, psi_blocks
-from cancornorm.engine import _plan, _z3_term_map
+from cancornorm.engine import _plan, _z3_term_map, evaluate_batch
 from cancornorm.errors import DegenerateSampleError, SampleSizeError, TableMismatchError
 from cancornorm.montecarlo import (
     MissingTableError,
@@ -662,8 +662,12 @@ def test_rejection_counts_equal_the_mean_of_pvalues_at_most_alpha(statistic, rep
     values = np.sort(rng.integers(0, 60, reps).astype(float))  # many ties
     table = NullTable(statistic=statistic, n=20, p=2, replications=reps, seed=0, stream=(),
                       values=values, created_at="t")
-    observed = np.concatenate([rng.integers(-5, 65, 500).astype(float), values])
-    alphas = [0.05, 0.1, 0.01, 0.5, 1.0 / (reps + 1), 0.999 / (reps + 1), 0.3 / reps]
+    observed = np.concatenate([rng.integers(-5, 65, 500).astype(float), values,
+                               [np.inf, -np.inf, np.nan]])
+    alphas = [0.05, 0.1, 0.01, 0.5, 1.0 / (reps + 1), 0.999 / (reps + 1), 0.3 / reps,
+              reps / (reps + 1), (reps - 0.5) / (reps + 1)]  # k = R and k = R - 1
+    assert critical_count(table, alphas[-2]) == reps
+    assert critical_count(table, alphas[-1]) == reps - 1
     for alpha in alphas:
         k = critical_count(table, alpha)
         # ties at the critical value: observed values equal to the null value
@@ -674,6 +678,49 @@ def test_rejection_counts_equal_the_mean_of_pvalues_at_most_alpha(statistic, rep
         assert rejections(sample, table, k) / len(sample) == expected, alpha
     assert critical_count(table, 0.999 / (reps + 1)) == 0
     assert critical_count(table, 1.0 / (reps + 1)) == 1
+
+
+def test_power_counts_rejections_without_searching_the_tables(small_tables, monkeypatch):
+    from cancornorm import stats
+
+    def searched(*args):
+        raise AssertionError("a table was searched")
+
+    spec = alternative("laplace2", 2)
+    report = power(spec, ALL_STATISTICS, 20, 2, 0.05, 300, small_tables, RngStream(17))
+    monkeypatch.setattr(stats, "_extreme_counts", searched)
+    again = power(spec, ALL_STATISTICS, 20, 2, 0.05, 300, small_tables, RngStream(17))
+    assert again == report
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_power_counts_equal_the_pvalues_of_each_replication(small_tables, workers):
+    # The oracle never calls ``rejections``: each replication is sampled and
+    # evaluated on its own and read against the tables as ``test`` reads data.
+    spec, reps, alpha, rng = alternative("indep_exp", 2), 60, 0.1, RngStream(18)
+    report = power(spec, ALL_STATISTICS, 20, 2, alpha, reps, small_tables, rng,
+                   workers=workers)
+    expected = dict.fromkeys(ALL_STATISTICS, 0)
+    for r in range(reps):
+        values = compute_statistics(generate(spec, 20, rng.child(montecarlo.POWER_CONTEXT, r)))
+        for sid in ALL_STATISTICS:
+            expected[sid] += int(empirical_pvalues(values[sid], small_tables[sid])[0] <= alpha)
+    assert {cell.statistic: round(cell.power * reps) for cell in report.cells} == expected
+    assert 0 < sum(expected.values()) < 12 * reps
+
+
+def test_chunk_values_are_one_array_in_statistics_order():
+    statistics = (KURT, Z2W, StatisticId.parse("z3_hl"), Z2HL)
+    rng, names = RngStream(19), ["logn_2", "logn_1", "logn_05"]
+    jobs = tuple(montecarlo._power_job(alternative(name, 2), 20, 2, 0.05, 100, rng)
+                 for name in names)
+    values = montecarlo._chunk_values(statistics, (jobs, 30, 7))
+    assert values.shape == (4, 3 * 7) and values.flags.c_contiguous
+    generators = stream_generators(rng, montecarlo.POWER_CONTEXT, 30, 7)
+    expected = evaluate_batch(generate_group([job.spec for job in jobs], 20, generators, 7),
+                              statistics)
+    for row, sid in zip(values, statistics):
+        assert_array_equal(row, expected[sid])
 
 
 def test_power_missing_table(small_tables):
