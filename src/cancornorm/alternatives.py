@@ -7,21 +7,22 @@ construction with Laplace marginals.  The second group is purely
 multivariate: the t distribution with 2 degrees of freedom, the asymmetric
 multivariate Laplace family, and contaminated normal mixtures.
 
-Samples are drawn a chunk at a time (``generate_chunk``): every replication
+Samples are drawn a chunk at a time (``generate_group``): every replication
 draws its raw standard variates from its own generator into buffers shared
 by the chunk, and the construction's transform then runs once over the
-chunk.  ``generate`` is the one-sample case.  Each kind is split into a
-draw plan (``draw_plan``: Generator method, shape and arguments of every
-raw array, in plain Python) and a transform that only reads the raw arrays.
-Consecutive plan entries with the same method and arguments are drawn in
-one call per sample (``draw_runs``), so alternatives whose runs are equal
-draw the same raw variates from the same generator, however each splits
-them: at p = 2 the 27 alternatives have 10 distinct runs (the 10 mixtures,
-the 5 asymmetric Laplace rows, the 3 lognormals, laplace1 with beta11 and
-beta22 with chisq8 share theirs).  ``generate_group`` draws such a group's
-raw variates once per replication and gives every alternative's samples,
-each bit-identical to its ``generate_chunk``; the Monte Carlo loop uses it
-when a power study's alternatives draw from the same streams.
+chunk.  ``generate`` is the one-sample case.  Each kind is split into a draw
+plan (``draw_plan``: Generator method, shape and arguments of every raw
+array, in plain Python) and a transform that only reads the raw arrays.
+Consecutive plan entries with the same method and arguments are drawn in one
+call per sample (``draw_runs``), so alternatives whose runs are equal draw
+the same raw variates from the same generator, however each splits them: at
+p = 2 the 27 alternatives have 10 distinct runs (the 10 mixtures, the 5
+asymmetric Laplace rows, the 3 lognormals, laplace1 with beta11 and beta22
+with chisq8 share theirs).  ``generate_group`` draws such a group's raw
+variates once per replication and gives every alternative's samples, each
+bit-identical to drawing it alone; the Monte Carlo loop samples every chunk
+with it, for one alternative or for a power study's alternatives that draw
+from the same streams.
 
 Every alternative is exchangeable in its coordinates, so a population
 central moment depends only on the sorted multiplicities of its index, its
@@ -331,10 +332,10 @@ def generate(spec: AlternativeSpec, n: int, rng: RngStream | np.random.Generator
 
     ``rng`` is a stream, or a Generator already in the stream's starting
     state (see ``stream_generators``).  This is the one-sample case of
-    ``generate_chunk``.
+    ``generate_group``.
     """
     g = rng if isinstance(rng, np.random.Generator) else rng.generator()
-    return generate_chunk(spec, n, (g,), 1)[0]
+    return generate_group((spec,), n, (g,), 1)[0]
 
 
 def draw_plan(spec: AlternativeSpec, n: int) -> tuple[tuple[str, tuple[int, ...], tuple], ...]:
@@ -461,40 +462,27 @@ def _split(bufs, runs) -> list[np.ndarray]:
     return out
 
 
-def generate_chunk(spec: AlternativeSpec, n: int, generators, count: int) -> np.ndarray:
-    """Draw ``count`` samples of n i.i.d. p-vectors, shape (count, n, p);
-    sample i comes from the i-th of ``generators``.
-
-    The generators may be one Generator re-keyed in place between samples,
-    as ``stream_generators`` yields them.  Each draws its sample's raw
-    variates (standard normal, exponential, gamma and uniform) into
-    preallocated buffers, one per run of ``draw_plan``; the kind's transform
-    then runs once over the whole chunk.  Sample i is bit-identical to
-    drawing it alone from the i-th generator: ``normal(0, s)`` is
-    ``s * standard_normal``, ``gamma(k, t)`` is ``t * standard_gamma(k)``
-    and ``chisquare(d)`` is ``2 * standard_gamma(d / 2)``, computed by numpy
-    in the same order.
-    """
-    runs = _runs(draw_plan(spec, n))
-    return _transform(spec, _split(_raw_draws(generators, count, runs), runs))
-
-
 def generate_group(specs, n: int, generators, count: int) -> np.ndarray:
-    """``generate_chunk`` of each of ``specs``, which share p and
-    ``draw_runs``, on one set of generators, stacked spec by spec: shape
-    (len(specs) * count, n, p), sample i of ``specs[j]`` at row
-    j * count + i.
+    """``count`` samples of n i.i.d. p-vectors of each of ``specs``, which
+    share p and ``draw_runs``: shape (len(specs) * count, n, p), sample i of
+    ``specs[j]`` at row j * count + i, drawn by the i-th of ``generators``
+    (one Generator re-keyed in place, as ``stream_generators`` yields them).
 
-    The raw variates are drawn once, into the buffers every spec's
-    ``generate_chunk`` would fill with the same numbers; each spec then
-    splits and transforms them as ``generate_chunk`` does, so every sample
-    is bit-identical to it.
+    The raw variates are drawn once, into one buffer per run of
+    ``draw_plan``; each spec's transform splits them and runs once over the
+    chunk, and a single spec's samples are not copied.  Sample i is
+    bit-identical to drawing it alone from the i-th generator:
+    ``normal(0, s)`` is ``s * standard_normal``, ``gamma(k, t)`` is
+    ``t * standard_gamma(k)`` and ``chisquare(d)`` is
+    ``2 * standard_gamma(d / 2)``, computed by numpy in the same order.
     """
     specs = list(specs)
     if len({(spec.p, draw_runs(spec, n)) for spec in specs}) != 1:
         raise ValueError("alternatives of one group must share p and their draw runs")
     runs = [_runs(draw_plan(spec, n)) for spec in specs]
     bufs = _raw_draws(generators, count, runs[0])
+    if len(specs) == 1:
+        return _transform(specs[0], _split(bufs, runs[0]))
     out = np.empty((len(specs) * count, n, specs[0].p))
     for j, (spec, spec_runs) in enumerate(zip(specs, runs)):
         out[j * count:(j + 1) * count] = _transform(spec, _split(bufs, spec_runs))

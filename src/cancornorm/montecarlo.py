@@ -25,7 +25,7 @@ replication counts and the worker count.
 A chunk computes the Philox keys of all its replications in one vectorized
 pass (``alternatives.stream_keys``) and re-keys a single generator before
 each one, drawing exactly what ``RngStream.child(context, r).generator()``
-would; ``alternatives.generate_chunk`` samples the whole chunk at once.
+would; ``alternatives.generate_group`` samples the whole chunk at once.
 
 A simulation is a ``SimulationJob``: one alternative at one sample size over
 a number of replications.  ``calibrate`` and ``power`` run one job each;
@@ -38,23 +38,22 @@ variates: they form a draw group, 10 at each n for the 27 alternatives at
 p = 2.  A task covers one replication range of a whole group of k jobs,
 ceil(chunk / k) replications of each, so that its batch and the values it
 sends back stay about one chunk; it re-keys and draws once for the group,
-each alternative splits and transforms the raw variates as
-``generate_chunk`` would (``alternatives.generate_group``), and one
-``evaluate_batch`` call evaluates the stacked samples.  A one-job group
-samples with ``generate_chunk``.
+each alternative splits and transforms the raw variates
+(``alternatives.generate_group``, whatever the group's size), and one
+``evaluate_batch`` call evaluates the stacked samples.
 
 The tasks of all the jobs go through one map, so workers never wait at a
-barrier between jobs.  Each task's values come back as one array, a row
-per statistic, range by range and in task order, and the caller reduces
-them and drops them: a calibration's ranges are joined and sorted into null
-tables once its last one is in, and a power job's rejections are counted
-range by range, each value compared once with the null value that holds
-its table's critical rank (``stats.critical_count`` and
-``stats.rejections``), which gives the fraction of p-values at most alpha,
-so a group's values are never held together.  ``power_study`` yields its
-reports in job order.  A replication that fails a numerical check stops the
-run with an error naming its alternative, r and the stream coordinates that
-replay its sample.
+barrier between jobs.  Each task's values come back as one array, a row per
+statistic, range by range and in task order, and one loop (``_results``)
+reduces them and drops them, whatever the run: a calibration's ranges are
+joined and sorted into null tables once its last one is in, and a power
+job's rejections are counted range by range, each value compared once with
+the null value that holds its table's critical rank
+(``stats.critical_count`` and ``stats.rejections``), which gives the
+fraction of p-values at most alpha, so a group's values are never held
+together.  The loop yields each job's result in job order.  A replication
+that fails a numerical check stops the run with an error naming its
+alternative, r and the stream coordinates that replay its sample.
 
 A parallel run owns its process pool: it starts the pool once its per-p
 plans are built, so every worker inherits them, and shuts it down,
@@ -105,7 +104,6 @@ from .alternatives import (
     RngStream,
     alternative,
     draw_runs,
-    generate_chunk,
     generate_group,
     stream_generators,
 )
@@ -168,8 +166,8 @@ def timestamp() -> str:
         return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
     except (ValueError, OverflowError):
         raise ValueError(
-            "SOURCE_DATE_EPOCH must be an integer number of seconds within the "
-            f"platform's time range, got {epoch!r}"
+            "SOURCE_DATE_EPOCH must be an integer number of seconds from 0 to "
+            f"253402300799, got {epoch!r}"
         ) from None
 
 
@@ -222,17 +220,14 @@ def _chunk_values(statistics, task: tuple[tuple[SimulationJob, ...], int, int]) 
     alternative and the stream coordinates that reproduce its sample.
     """
     jobs, start, count = task
-    spec, n, rng, context, _ = jobs[0]
+    _, n, rng, context, _ = jobs[0]
     generators = stream_generators(rng, context, start, count)
     try:
         # passed on unnamed, so that ``evaluate_batch`` frees the samples
         # once it has copied them
-        if len(jobs) == 1:
-            values = evaluate_batch(generate_chunk(spec, n, generators, count), statistics)
-        else:
-            values = evaluate_batch(
-                generate_group([job.spec for job in jobs], n, generators, count), statistics
-            )
+        values = evaluate_batch(
+            generate_group([job.spec for job in jobs], n, generators, count), statistics
+        )
     except BatchItemError as exc:
         if exc.item is None:
             raise
@@ -312,14 +307,6 @@ def _by_group(jobs, layout, results):
         yield group, values.reshape(len(values), len(group), count), last
 
 
-def _joined(statistics, parts):
-    """The values of the first job of a group, one array per statistic,
-    joined from its tasks' values."""
-    return {
-        sid: np.concatenate([part[s, 0] for part in parts]) for s, sid in enumerate(statistics)
-    }
-
-
 def _calibration_job(statistics, n: int, p: int, replications: int, rng: RngStream):
     """The null simulation behind ``calibrate``, once its inputs are checked."""
     spec = alternative("normal", p)
@@ -332,7 +319,9 @@ def _calibration_job(statistics, n: int, p: int, replications: int, rng: RngStre
     return SimulationJob(spec, n, rng, CALIBRATION_CONTEXT, replications)
 
 
-def _null_tables(statistics, job: SimulationJob, values, created: str):
+def _null_tables(statistics, job: SimulationJob, parts, created: str):
+    """A calibration job's tables, from its tasks' values as ``_simulate``
+    yields them; the first row serves the group, whose jobs are equal."""
     return {
         sid: NullTable(
             statistic=sid,
@@ -341,32 +330,11 @@ def _null_tables(statistics, job: SimulationJob, values, created: str):
             replications=job.reps,
             seed=job.rng.seed,
             stream=job.rng.path,
-            values=np.sort(values[sid]),
+            values=np.sort(np.concatenate([part[s, 0] for part in parts])),
             created_at=created,
         )
-        for sid in statistics
+        for s, sid in enumerate(statistics)
     }
-
-
-def calibrate(
-    statistics,
-    n: int,
-    p: int,
-    replications: int,
-    rng: RngStream,
-    workers: int = 1,
-) -> dict[StatisticId, NullTable]:
-    """Simulate the null distribution of each statistic under normality.
-
-    All statistics are evaluated on the same simulated samples, one
-    evaluation per replication, and the sorted values are returned as one
-    table per statistic.
-    """
-    statistics = tuple(statistics)
-    job = _calibration_job(statistics, n, p, replications, rng)
-    created = timestamp()
-    parts = [values for _, values, _ in _simulate([job], statistics, workers)]
-    return _null_tables(statistics, job, _joined(statistics, parts), created)
 
 
 def _power_job(alt: AlternativeSpec, n: int, p: int, alpha: float, reps: int, rng: RngStream):
@@ -377,10 +345,6 @@ def _power_job(alt: AlternativeSpec, n: int, p: int, alpha: float, reps: int, rn
         raise ValueError(f"reps must be >= 1, got {reps}")
     check_alpha(alpha)
     return SimulationJob(alt, n, rng, POWER_CONTEXT, reps)
-
-
-def _critical_counts(statistics, tables, alpha: float) -> dict[StatisticId, int]:
-    return {sid: critical_count(tables[sid], alpha) for sid in statistics}
 
 
 def _add_rejections(counts, values, tables, critical) -> None:
@@ -410,6 +374,62 @@ def _power_report(statistics, job: SimulationJob, alpha: float, rejected) -> Pow
     )
 
 
+def _results(jobs, statistics, workers, alpha=None, tables=None):
+    """Yield each job's result, in job order, from one simulation run: a
+    calibration job's null tables, keyed by statistic, and a power job's
+    report at level ``alpha``, against the tables at its n from ``tables``
+    (keyed by n) or from the calibration at that n earlier in ``jobs``.
+
+    Each job is reduced as its ranges come in, and its values are dropped.
+    The tables' timestamp is read before the first chunk runs, and only
+    when ``jobs`` hold a calibration."""
+    tables = dict(tables or {})
+    created = timestamp() if any(job.context == CALIBRATION_CONTEXT for job in jobs) else None
+    critical, null_parts, rejected, results = {}, [], {}, {}
+    following = 0
+    for group, values, last in _simulate(jobs, statistics, workers):
+        job = jobs[group[0]]  # the jobs of a group share context, n and replications
+        if job.context == CALIBRATION_CONTEXT:
+            null_parts.append(values)
+            if last:
+                tables[job.n] = _null_tables(statistics, job, null_parts, created)
+                results.update(dict.fromkeys(group, tables[job.n]))
+                null_parts = []
+        else:
+            if job.n not in critical:
+                critical[job.n] = {
+                    sid: critical_count(tables[job.n][sid], alpha) for sid in statistics
+                }
+            counts = [rejected.setdefault(i, dict.fromkeys(statistics, 0)) for i in group]
+            _add_rejections(counts, values, tables[job.n], critical[job.n])
+            if last:
+                for i in group:
+                    results[i] = _power_report(statistics, jobs[i], alpha, rejected.pop(i))
+        while following in results:
+            yield results.pop(following)
+            following += 1
+
+
+def calibrate(
+    statistics,
+    n: int,
+    p: int,
+    replications: int,
+    rng: RngStream,
+    workers: int = 1,
+) -> dict[StatisticId, NullTable]:
+    """Simulate the null distribution of each statistic under normality.
+
+    All statistics are evaluated on the same simulated samples, one
+    evaluation per replication, and the sorted values are returned as one
+    table per statistic.
+    """
+    statistics = tuple(statistics)
+    job = _calibration_job(statistics, n, p, replications, rng)
+    (tables,) = _results([job], statistics, workers)
+    return tables
+
+
 def power(
     alt: AlternativeSpec,
     statistics,
@@ -433,11 +453,8 @@ def power(
         if sid not in tables:
             raise MissingTableError(f"no null table for {sid.name} at (n={n}, p={p})")
         check_table(tables[sid], sid, n, p)
-    critical = _critical_counts(statistics, tables, alpha)
-    rejected = dict.fromkeys(statistics, 0)
-    for _, values, _ in _simulate([job], statistics, workers):
-        _add_rejections([rejected], values, tables, critical)
-    return _power_report(statistics, job, alpha, rejected)
+    (report,) = _results([job], statistics, workers, alpha, {n: tables})
+    return report
 
 
 def power_study(
@@ -458,38 +475,17 @@ def power_study(
     alternatives are simulated on ``rng.child(1, n)``, so each report equals
     ``power(alt, statistics, n, p, alpha, reps, tables, rng.child(1, n))``
     with the tables of ``calibrate(statistics, n, p, calibration_reps,
-    rng.child(0, n))``.  Every job is checked before the first chunk runs;
-    each is reduced, to null tables or to a report, as soon as it completes,
-    and its values are then dropped.
+    rng.child(0, n))``.  Every job is checked before the first chunk runs.
     """
     statistics = tuple(statistics)
     jobs = []
     for n in sizes:
         jobs.append(_calibration_job(statistics, n, p, calibration_reps, rng.child(0, n)))
         jobs += [_power_job(alt, n, p, alpha, reps, rng.child(1, n)) for alt in alternatives]
-    created = timestamp()
-    tables, critical = {}, {}  # by sample size
-    null_parts, rejected, reports = [], {}, {}
-    order = iter([i for i, job in enumerate(jobs) if job.context == POWER_CONTEXT])
-    following = next(order, None)
-    for group, values, last in _simulate(jobs, statistics, workers):
-        job = jobs[group[0]]  # the jobs of a group share context, n and replications
-        if job.context == CALIBRATION_CONTEXT:
-            # a calibration group's jobs are equal (one per repeat of a size),
-            # so its first row serves them all
-            null_parts.append(values)
-            if last:
-                tables[job.n] = _null_tables(
-                    statistics, job, _joined(statistics, null_parts), created
-                )
-                critical[job.n] = _critical_counts(statistics, tables[job.n], alpha)
-                null_parts = []
-            continue
-        counts = [rejected.setdefault(i, dict.fromkeys(statistics, 0)) for i in group]
-        _add_rejections(counts, values, tables[job.n], critical[job.n])
-        if last:
-            for i in group:
-                reports[i] = _power_report(statistics, jobs[i], alpha, rejected.pop(i))
-        while following in reports:
-            yield reports.pop(following)
-            following = next(order, None)
+    run = _results(jobs, statistics, workers, alpha)
+    try:
+        for result, job in zip(run, jobs):
+            if job.context == POWER_CONTEXT:
+                yield result
+    finally:
+        run.close()

@@ -58,8 +58,8 @@ class NullTable:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.replications,):
             raise ValueError("null table length disagrees with replication count")
-        if np.any(v[:-1] > v[1:]):
-            raise ValueError("null table values must be sorted ascending")
+        if np.isnan(v).any() or np.any(v[:-1] > v[1:]):
+            raise ValueError("null table values must be sorted ascending, without NaN")
         object.__setattr__(self, "values", v)
 
 
@@ -159,7 +159,7 @@ def load_null(path) -> NullTable:
             values=np.frombuffer(payload, dtype="<f8").astype(float),
             created_at=created_at,
         )
-    except ValueError as exc:  # an unknown statistic or an unsorted payload
+    except ValueError as exc:  # an unknown statistic, or an unsorted or NaN payload
         raise NullTableFormatError(f"{path}: {exc}") from exc
 
 

@@ -2,8 +2,9 @@
 distributions (``normal``, ``gamma``, ``chisquare``) and transformed per
 sample.
 
-``alternatives.generate_chunk`` must reproduce it byte for byte, sample by
-sample, over any sequence of generators.
+``alternatives.generate_group`` must reproduce it byte for byte, sample by
+sample, over any sequence of generators, for one alternative or for a group
+that shares its draws.
 """
 
 from math import sqrt

@@ -5,6 +5,7 @@ estimates of the same constructions; dependence structure is checked against
 correlations derived by hand from the shared-factor representations.
 """
 
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -25,7 +26,6 @@ from cancornorm.alternatives import (
     draw_runs,
     equicorrelation,
     generate,
-    generate_chunk,
     generate_group,
     population_moments,
     population_value,
@@ -140,7 +140,7 @@ def test_chunk_sampler_matches_per_sample_oracle(name):
     for p, n in product((2, 3, 5), (20, 50, 100)):
         spec = alternative(name, p)
         for start, count in ((0, 256), (256, 232)):
-            chunk = generate_chunk(spec, n, stream_generators(rng, 1, start, count), count)
+            chunk = generate_group((spec,), n, stream_generators(rng, 1, start, count), count)
             expected = np.stack(
                 [generate_reference(spec, n, g) for g in stream_generators(rng, 1, start, count)]
             )
@@ -154,9 +154,9 @@ def test_chunk_sampler_matches_per_sample_oracle(name):
 def test_chunk_sampler_needs_a_generator_per_sample():
     spec = alternative("normal", 2)
     with pytest.raises(ValueError, match="only 3 generators"):
-        generate_chunk(spec, 20, stream_generators(RngStream(1), 0, 0, 3), 4)
+        generate_group((spec,), 20, stream_generators(RngStream(1), 0, 0, 3), 4)
     with pytest.raises(ValueError, match="n must be"):
-        generate_chunk(spec, 0, stream_generators(RngStream(1), 0, 0, 3), 3)
+        generate_group((spec,), 0, stream_generators(RngStream(1), 0, 0, 3), 3)
 
 
 def _groups_of_equal_draws(p, n):
@@ -170,7 +170,8 @@ def _groups_of_equal_draws(p, n):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_group_sampler_matches_chunk_sampler(p):
-    # 103 replications are a full range of a ten-job group under a chunk of
+    # A group's samples equal each alternative's chunk sampled alone.  103
+    # replications are a full range of a ten-job group under a chunk of
     # 1024, and 73 the ragged last range of 1000
     rng = RngStream(17, (3,))
     for n in (20, 50):
@@ -180,11 +181,30 @@ def test_group_sampler_matches_chunk_sampler(p):
             for start, count in ((0, 103), (927, 73)):
                 group = generate_group(specs, n, stream_generators(rng, 1, start, count), count)
                 expected = np.concatenate([
-                    generate_chunk(spec, n, stream_generators(rng, 1, start, count), count)
+                    generate_group((spec,), n, stream_generators(rng, 1, start, count), count)
                     for spec in specs
                 ])
                 assert group.shape == (len(specs) * count, n, p)
                 assert group.tobytes() == expected.tobytes(), ([s.name for s in specs], n)
+
+
+def test_group_sampler_does_not_copy_one_alternative():
+    # One alternative's samples are its transform itself: a normal chunk is
+    # the buffer its generators drew into, with no stacked copy beside it.
+    spec, rng = alternative("normal", 5), RngStream(29)
+
+    def chunk():
+        return generate_group((spec,), 100, stream_generators(rng, 0, 0, 256), 256)
+
+    chunk()  # warm: plans, keys and numpy's own first-call state
+    tracemalloc.start()
+    try:
+        sample = chunk()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sample.nbytes == 256 * 100 * 5 * 8
+    assert peak < 1.5 * sample.nbytes, peak / sample.nbytes
 
 
 def test_draw_plans_are_plain_python():

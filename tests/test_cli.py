@@ -578,8 +578,8 @@ def test_bad_source_date_epoch_is_usage_error_before_any_work(
     assert main([command, *args]) == 2
     out, err = capsys.readouterr()
     assert err == (
-        "error: SOURCE_DATE_EPOCH must be an integer number of seconds within the "
-        f"platform's time range, got {epoch!r}\n"
+        "error: SOURCE_DATE_EPOCH must be an integer number of seconds from 0 to "
+        f"253402300799, got {epoch!r}\n"
     )
     assert out == ""
     assert not list(tmp_path.iterdir())

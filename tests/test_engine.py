@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cancornorm.alternatives import RngStream, alternative, generate_chunk, stream_generators
+from cancornorm.alternatives import RngStream, alternative, generate_group, stream_generators
 from cancornorm.covblocks import (
     MomentTable,
     cancor_sq,
@@ -72,7 +72,9 @@ def test_engine_matches_per_sample_path():
 def test_engine_batch_grouping_irrelevant():
     rng = np.random.default_rng(2)
     # a study-size chunk of a heavy-tailed alternative, with a stack of one
-    logn = generate_chunk(alternative("logn_2", 2), 20, stream_generators(RngStream(2), 1, 0, 1000), 1000)
+    logn = generate_group(
+        (alternative("logn_2", 2),), 20, stream_generators(RngStream(2), 1, 0, 1000), 1000
+    )
     for data, splits in [
         (rng.standard_normal((12, 20, 2)), (5, 7)),
         (rng.standard_normal((12, 40, 5)), (5, 7)),

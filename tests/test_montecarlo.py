@@ -21,7 +21,6 @@ from cancornorm.alternatives import (
     alternative,
     available_alternatives,
     generate,
-    generate_chunk,
     generate_group,
     population_moments,
     population_value,
@@ -94,7 +93,7 @@ def no_sampling(monkeypatch):
     def sample(*args):
         raise AssertionError("a chunk was sampled")
 
-    monkeypatch.setattr(montecarlo, "generate_chunk", sample)
+    monkeypatch.setattr(montecarlo, "generate_group", sample)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -278,7 +277,7 @@ def test_each_parallel_run_owns_its_pool(fresh_pool, small_tables, monkeypatch):
         leaves_no_worker(run)
         with monkeypatch.context() as m:
             # the pool forks after this patch, so its workers sample with it
-            m.setattr(montecarlo, "generate_chunk",
+            m.setattr(montecarlo, "generate_group",
                       constant_column_sampler(spoiled.generator(), []))
             leaves_no_worker(run, DegenerateSampleError)
         with monkeypatch.context() as m:
@@ -414,13 +413,13 @@ def test_steady_heap_without_mallopt_changes_nothing(monkeypatch):
     assert montecarlo._steady_heap() is False
 
 
-def constant_column_sampler(target, failing):
-    """A ``generate_chunk`` that gives the replication drawn by the
-    generator ``target`` a constant column, appending that sample to
-    ``failing``."""
+def constant_column_sampler(target, failing, name="normal"):
+    """A ``generate_group`` that gives the replication of alternative
+    ``name`` drawn by the generator ``target`` a constant column, appending
+    that sample, as drawn, to ``failing``."""
     target_key = target.bit_generator.state["state"]["key"]
 
-    def chunk_with_constant_column(spec, n, generators, count):
+    def group_with_constant_column(specs, n, generators, count):
         hits = []
 
         def watched():
@@ -429,13 +428,15 @@ def constant_column_sampler(target, failing):
                     hits.append(i)
                 yield g
 
-        x = generate_chunk(spec, n, watched(), count)
+        x = generate_group(specs, n, watched(), count)
+        names = [spec.name for spec in specs]
         for i in hits:
-            x[i, :, 1] = 2.0
-            failing.append(x[i])
+            row = names.index(name) * count + i
+            failing.append(x[row].copy())
+            x[row, :, 1] = 2.0
         return x
 
-    return chunk_with_constant_column
+    return group_with_constant_column
 
 
 def test_failing_replication_is_named_by_its_stream(monkeypatch):
@@ -443,21 +444,21 @@ def test_failing_replication_is_named_by_its_stream(monkeypatch):
     # still aborts, with the coordinates that replay that replication.
     rng, bad = RngStream(5, (2,)), 300
     failing = []
-    chunk_with_constant_column = constant_column_sampler(
+    group_with_constant_column = constant_column_sampler(
         rng.child(montecarlo.CALIBRATION_CONTEXT, bad).generator(), failing
     )
-    monkeypatch.setattr(montecarlo, "generate_chunk", chunk_with_constant_column)
+    monkeypatch.setattr(montecarlo, "generate_group", group_with_constant_column)
     with pytest.raises(DegenerateSampleError) as info:
         calibrate((Z2HL, KURT), 20, 2, 1000, rng)
     message = str(info.value)
     assert f"r={bad} of seed=5, path=(2,), context={montecarlo.CALIBRATION_CONTEXT}" in message
     assert info.value.__cause__.item == bad - montecarlo.CHUNK
     replay_stream = RngStream(5, (2,)).child(montecarlo.CALIBRATION_CONTEXT, bad)
-    replay = chunk_with_constant_column(
-        alternative("normal", 2), 20, [replay_stream.generator()], 1
+    replay = group_with_constant_column(
+        (alternative("normal", 2),), 20, [replay_stream.generator()], 1
     )[0]
     assert len(failing) == 2
-    assert_array_equal(replay, failing[0])
+    assert_array_equal(failing[1], failing[0])  # the replay draws the run's sample
     with pytest.raises(DegenerateSampleError):
         compute_statistics(replay)
 
@@ -530,14 +531,14 @@ def test_failing_replication_in_a_large_chunk_is_named(monkeypatch):
         starts.append(start)
         return stream_generators(rng, context, start, count)
 
-    def chunk_with_constant_column(spec, n, generators, count):
-        x = generate_chunk(spec, n, generators, count)
+    def group_with_constant_column(specs, n, generators, count):
+        x = generate_group(specs, n, generators, count)
         if 0 <= bad - starts[-1] < count:
             x[bad - starts[-1], :, 1] = 2.0
         return x
 
     monkeypatch.setattr(montecarlo, "stream_generators", generators)
-    monkeypatch.setattr(montecarlo, "generate_chunk", chunk_with_constant_column)
+    monkeypatch.setattr(montecarlo, "generate_group", group_with_constant_column)
     with pytest.raises(DegenerateSampleError) as info:
         calibrate((Z2HL, KURT), 20, 2, 4096, rng)
     assert f"r={bad} of seed=5, path=(2,), context={montecarlo.CALIBRATION_CONTEXT}" in str(
@@ -598,30 +599,23 @@ def test_power_study_draws_each_group_range_once(monkeypatch):
     assert sorted(draws)[:2] == [94, 95]  # the ragged last ranges of the mixtures and AL rows
 
 
-def constant_column_group_sampler(target, name, failing):
-    """A ``generate_group`` that gives the replication of alternative
-    ``name`` drawn by the generator ``target`` a constant column, appending
-    that sample, as drawn, to ``failing``."""
-    target_key = target.bit_generator.state["state"]["key"]
-
-    def group_with_constant_column(specs, n, generators, count):
-        hits = []
-
-        def watched():
-            for i, g in enumerate(generators):
-                if np.array_equal(g.bit_generator.state["state"]["key"], target_key):
-                    hits.append(i)
-                yield g
-
-        x = generate_group(specs, n, watched(), count)
-        names = [spec.name for spec in specs]
-        for i in hits:
-            row = names.index(name) * count + i
-            failing.append(x[row].copy())
-            x[row, :, 1] = 2.0
-        return x
-
-    return group_with_constant_column
+@pytest.mark.parametrize("workers", [1, 2])
+def test_power_study_with_a_repeated_sample_size(workers):
+    # A repeated n puts both calibrations, and both jobs of each alternative,
+    # in one draw group; each report is still the one-job runs' report.
+    rng, statistics, sizes = RngStream(23), (Z2HL, KURT), (20, 50, 20)
+    alts = [alternative("indep_exp", 2), alternative("chisq2", 2)]
+    calibrations = [montecarlo._calibration_job(statistics, n, 2, 1000, rng.child(0, n))
+                    for n in sizes]
+    assert [len(group) for group in montecarlo._draw_groups(calibrations)] == [2, 1]
+    reports = list(power_study(alts, statistics, sizes, 2, 0.05, 100, 1000, rng, workers=workers))
+    assert [(r.alternative, r.n) for r in reports] == [
+        (alt.name, n) for n in sizes for alt in alts
+    ]
+    assert reports[4:] == reports[:2]
+    tables = {n: calibrate(statistics, n, 2, 1000, rng.child(0, n)) for n in sizes}
+    for report, (n, alt) in zip(reports, product(sizes, alts)):
+        assert report == power(alt, statistics, n, 2, 0.05, 100, tables[n], rng.child(1, n))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -631,8 +625,8 @@ def test_failing_replication_of_a_draw_group_is_named(monkeypatch, workers):
     rng, bad, name = RngStream(5, (2,)), 250, "mix75_m1_r05"
     stream = rng.child(1, 20)
     failing = []
-    monkeypatch.setattr(montecarlo, "generate_group", constant_column_group_sampler(
-        stream.child(montecarlo.POWER_CONTEXT, bad).generator(), name, failing
+    monkeypatch.setattr(montecarlo, "generate_group", constant_column_sampler(
+        stream.child(montecarlo.POWER_CONTEXT, bad).generator(), failing, name
     ))
     mixtures = [alternative(mix, 2) for mix, *_ in alternatives._MIXTURES]
     with pytest.raises(DegenerateSampleError) as info:

@@ -126,6 +126,28 @@ def test_unsorted_payload_is_format_error(tmp_path):
         load_null(path)
 
 
+def test_nan_values_are_rejected():
+    # NaN compares false both ways, so an order check alone would pass it
+    for values in ([1.0, np.nan, 0.0], [0.0, 1.0, np.nan], [np.nan]):
+        with pytest.raises(ValueError, match="without NaN"):
+            NullTable(statistic=Z2HL, n=20, p=2, replications=len(values), seed=0, stream=(),
+                      values=np.array(values), created_at="t")
+
+
+def test_nan_payload_is_format_error(tmp_path):
+    # a payload whose checksum holds, but which no calibration writes
+    path = tmp_path / "t.null"
+    save_null(make_table(), path)
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[10] = np.nan
+    payload = values.tobytes()
+    header = {**json.loads(header_line), "payload_sha256": hashlib.sha256(payload).hexdigest()}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(NullTableFormatError, match="t.null: .*without NaN"):
+        load_null(path)
+
+
 def test_saved_table_usable_by_run_test(tmp_path):
     tables = calibrate((Z2HL,), 20, 2, 1000, RngStream(4))
     path = tmp_path / null_table_filename(Z2HL, 20, 2)
