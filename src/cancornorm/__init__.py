@@ -11,14 +11,15 @@ Importing the package loads nothing else: each name below is imported from
 its submodule on first access (PEP 562), so a command loads only the code
 it runs.  The batched evaluation (``evaluate_batch``) and the term lists of
 the permutation sums (``permutation_scheme``) live in ``engine``; the
-samples, the statistics of one sample and the test decision (``Sample``,
-``compute_statistics``, ``run_test``, ``TestResult``) in ``stats``; the
-null-table and power-report types in ``store``; the simulation
-(``calibrate``, ``power``) in ``montecarlo``; the generators and population
-values (``generate``, ``population_moments``, ``population_value``) in
-``alternatives``; and the scalar reference path, from ``central_moments``
-and ``MomentTable`` through ``lambda_blocks``/``psi_blocks`` to
-``cancor_sq``, in ``covblocks``, which no command loads.
+samples, the statistics of one sample and the test decisions (``Sample``,
+``compute_statistics``, ``run_tests``, ``run_test``, ``TestResult``) in
+``stats``; the null-table and power-report types in ``store``; the
+simulation (``calibrate``, ``power``) in ``montecarlo``; the generators
+and population values (``generate``, ``population_moments``,
+``population_value``) in ``alternatives``; and the scalar reference path,
+from ``central_moments`` and ``MomentTable`` through
+``lambda_blocks``/``psi_blocks`` to ``cancor_sq``, in ``covblocks``, which
+no command loads.
 """
 
 from importlib import import_module
@@ -40,8 +41,8 @@ _EXPORTS = {
     "montecarlo": ("calibrate", "power"),
     "stats": (
         "ALL_STATISTICS", "Sample", "StatisticId", "TestResult", "compute_statistic",
-        "compute_statistics", "mardia_b1p", "mardia_b2p", "run_test", "z2_statistics",
-        "z3_statistics",
+        "compute_statistics", "mardia_b1p", "mardia_b2p", "run_test", "run_tests",
+        "z2_statistics", "z3_statistics",
     ),
     "store": ("NullTable", "PowerReport", "export_report", "load_null", "save_null"),
 }

@@ -59,7 +59,7 @@ from .errors import (  # noqa: E402
     SingularBlockError,
     TableMismatchError,
 )
-from .stats import ALL_STATISTICS, StatisticId, _test_result, compute_statistics  # noqa: E402
+from .stats import ALL_STATISTICS, StatisticId, check_alpha, run_tests  # noqa: E402
 from .store import (  # noqa: E402
     REPORT_FIELDS,
     export_report,
@@ -232,14 +232,12 @@ def cmd_calibrate(ns) -> int:
 
 
 def cmd_test(ns) -> int:
+    check_alpha(ns.alpha)  # before any file is read
     statistics = _parse_statistics(ns.statistics)
     data = read_csv_sample(ns.data)
     n, p = data.shape
     tables = {sid: find_null(ns.null_dir, sid, n, p) for sid in statistics}
-    values = compute_statistics(data, statistics)
-    results = [
-        _test_result(sid, values[sid], tables[sid], (n, p), ns.alpha) for sid in statistics
-    ]
+    results = run_tests(data, tables, ns.alpha).values()
     print(f"dataset: {ns.data}  (n={n}, p={p}, alpha={ns.alpha})")
     print(f"{'statistic':<14}{'value':>16}{'p-value':>12}  decision")
     for r in results:

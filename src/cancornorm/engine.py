@@ -376,6 +376,22 @@ def third_order_threshold(p: int) -> int:
     return 2 * p + p * (p - 1) + p * (p - 1) * (p - 2) // 6
 
 
+def required_sample_size(statistic: StatisticId, p: int) -> int:
+    if statistic.family == "z2":
+        return second_order_threshold(p)
+    if statistic.family == "z3":
+        return third_order_threshold(p)
+    return p + 1  # classical statistics only need a nonsingular covariance
+
+
+def check_sample_size(statistics, n: int, p: int) -> None:
+    """Raise ``SampleSizeError`` unless every statistic is defined at (n, p)."""
+    for sid in statistics:
+        need = required_sample_size(sid, p)
+        if n < need:
+            raise SampleSizeError(f"{sid.name} needs n >= {need} for p={p}, got n={n}")
+
+
 def product_bytes(n: int, p: int, z3: bool) -> int:
     """Bytes of the distinct pair products of one sample of size n, and of
     its distinct triple products when ``z3`` statistics are evaluated:
@@ -764,16 +780,8 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
         raise ValueError("evaluate_batch expects a (batch, n, p) array")
     nb, n, p = data.shape
     statistics = tuple(statistics)
-    need_z2 = any(s.family == "z2" for s in statistics)
+    check_sample_size(statistics, n, p)
     need_z3 = any(s.family == "z3" for s in statistics)
-    if need_z2 and n < second_order_threshold(p):
-        raise SampleSizeError(
-            f"z2 statistics need n >= {second_order_threshold(p)} for p={p}, got n={n}"
-        )
-    if need_z3 and n < third_order_threshold(p):
-        raise SampleSizeError(
-            f"z3 statistics need n >= {third_order_threshold(p)} for p={p}, got n={n}"
-        )
     if nb == 0:
         return {sid: np.empty(0) for sid in statistics}
     plan = _plan(p)

@@ -74,11 +74,11 @@ unchanged.
 
 The result types live with their persistence (``NullTable``, ``PowerCell``
 and ``PowerReport`` in ``store``) and the test decision with ``TestResult``
-(``check_alpha``, ``check_table``, ``empirical_pvalues`` and ``run_test`` in
-``stats``), so that testing a dataset loads neither this module nor
-``alternatives``.  The large-n population values live in ``alternatives``,
-so that ``popvalues`` loads neither this module nor its worker-pool
-machinery.
+(``check_alpha``, ``check_table``, ``empirical_pvalues``, ``run_tests`` and
+``run_test`` in ``stats``), so that testing a dataset loads neither this
+module nor ``alternatives``.  The large-n population values live in
+``alternatives``, so that ``popvalues`` loads neither this module nor its
+worker-pool machinery.
 """
 
 from __future__ import annotations
@@ -110,12 +110,11 @@ from .alternatives import (
 from .engine import (
     PRODUCT_BUDGET,
     _plan,
+    check_sample_size,
     evaluate_batch,
     product_bytes,
-    second_order_threshold,
-    third_order_threshold,
 )
-from .errors import BatchItemError, MissingTableError, SampleSizeError
+from .errors import BatchItemError, MissingTableError
 from .stats import (  # noqa: F401 (empirical_pvalues is re-exported)
     StatisticId,
     check_alpha,
@@ -141,14 +140,6 @@ WORKER_TRIM_THRESHOLD = 256 * 2**20
 # under the same root seed.
 CALIBRATION_CONTEXT = 0
 POWER_CONTEXT = 1
-
-
-def required_sample_size(statistic: StatisticId, p: int) -> int:
-    if statistic.family == "z2":
-        return second_order_threshold(p)
-    if statistic.family == "z3":
-        return third_order_threshold(p)
-    return p + 1  # classical statistics only need a nonsingular covariance
 
 
 def timestamp() -> str:
@@ -312,10 +303,7 @@ def _calibration_job(statistics, n: int, p: int, replications: int, rng: RngStre
     spec = alternative("normal", p)
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"replications must be >= {MIN_REPLICATIONS}, got {replications}")
-    for sid in statistics:
-        need = required_sample_size(sid, p)
-        if n < need:
-            raise SampleSizeError(f"{sid.name} needs n >= {need} for p={p}, got n={n}")
+    check_sample_size(statistics, n, p)
     return SimulationJob(spec, n, rng, CALIBRATION_CONTEXT, replications)
 
 
@@ -383,6 +371,8 @@ def _results(jobs, statistics, workers, alpha=None, tables=None):
     Each job is reduced as its ranges come in, and its values are dropped.
     The tables' timestamp is read before the first chunk runs, and only
     when ``jobs`` hold a calibration."""
+    if not statistics:
+        raise ValueError("statistics must not be empty")
     tables = dict(tables or {})
     created = timestamp() if any(job.context == CALIBRATION_CONTEXT for job in jobs) else None
     critical, null_parts, rejected, results = {}, [], {}, {}

@@ -19,11 +19,12 @@ separately, from scalar central moments, by the test oracle
 A test decision lives here too: ``check_alpha`` decides whether a level is
 valid, ``check_table`` whether a ``store.NullTable`` serves a statistic at
 (n, p), ``empirical_pvalues`` reads an observed value against it and
-``run_test`` returns a ``TestResult``, so that testing a dataset loads none
-of the simulation code.  ``montecarlo`` counts its power estimates' rejections
-with ``critical_count``, the table's critical rank at the test level, and
-``rejections``, which compares each simulated value once with the null value
-of that rank instead of searching the table; both decide as
+``run_tests`` returns a ``TestResult`` per statistic from one evaluation
+(``run_test`` is its one-statistic case), so that testing a dataset loads
+none of the simulation code.  ``montecarlo`` counts its power estimates'
+rejections with ``critical_count``, the table's critical rank at the test
+level, and ``rejections``, which compares each simulated value once with the
+null value of that rank instead of searching the table; both decide as
 ``empirical_pvalues`` does.
 """
 
@@ -162,31 +163,31 @@ def check_table(table: NullTable, statistic: StatisticId, n: int, p: int) -> Non
         )
 
 
-def _test_result(
-    statistic: StatisticId, value: float, table: NullTable, shape: tuple[int, int], alpha: float
-) -> TestResult:
-    """Check alpha and the table against the statistic and the (n, p) of the
-    data, then turn an observed value into a test decision."""
+def run_tests(
+    x, tables: dict[StatisticId, NullTable], alpha: float = 0.05
+) -> dict[StatisticId, TestResult]:
+    """Test one dataset against a calibrated null table per statistic.
+
+    ``tables`` maps each statistic to its table; the results come back in
+    its order.  The sample, alpha and every table are checked before the
+    statistics are evaluated, all of them in one ``compute_statistics`` call.
+    """
+    s = as_sample(x)
     check_alpha(alpha)
-    check_table(table, statistic, *shape)
-    p_value = float(empirical_pvalues(value, table)[0])
-    return TestResult(
-        statistic=statistic, value=value, p_value=p_value, alpha=alpha,
-        reject=bool(p_value <= alpha),
-    )
+    for sid, table in tables.items():
+        check_table(table, sid, s.n, s.p)
+    values = compute_statistics(s, tuple(tables))
+    results = {}
+    for sid, table in tables.items():
+        p_value = float(empirical_pvalues(values[sid], table)[0])
+        results[sid] = TestResult(sid, values[sid], p_value, alpha, bool(p_value <= alpha))
+    return results
 
 
 def run_test(x, statistic: StatisticId, table: NullTable, alpha: float = 0.05) -> TestResult:
-    """Test one dataset against a calibrated null table.
-
-    Each call evaluates the statistic's whole family, so looping over the
-    twelve statistics re-evaluates each family (about 7x the work of one
-    evaluation, the traced ``run_test_redundancy``).  To test several
-    statistics on one dataset, evaluate them with one ``compute_statistics``
-    call and take each p-value from ``empirical_pvalues`` instead.
-    """
-    s = as_sample(x)
-    return _test_result(statistic, compute_statistic(s, statistic), table, (s.n, s.p), alpha)
+    """Test one dataset against a calibrated null table: ``run_tests`` of one
+    statistic."""
+    return run_tests(x, {statistic: table}, alpha)[statistic]
 
 
 def _family(x, family: str) -> dict[str, float]:

@@ -511,10 +511,13 @@ def test_cmd_tables_cells_equal_standalone_power(table2_runs):
     (["tables", "--alpha", "1.5"], "alpha must be in (0, 1)"),
     (["tables", "--reps", "0"], "reps must be >= 1"),
     (["tables", "--workers", "0"], "workers must be >= 1"),
+    (["test", "--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
 ])
 def test_bad_simulation_inputs_are_usage_errors(null_dir, tmp_path, capsys, args, message):
     command, *flags = args
     common = {
+        # an absent dataset and table directory: reading either is a data error
+        "test": ["--data", str(tmp_path / "absent.csv"), "--null-dir", str(tmp_path / "absent")],
         "power": ["--alt", "indep_exp", "--n", "20", "--p", "2", "--null-dir", str(null_dir)],
         "calibrate": ["--n", "20", "--p", "2", "--reps", "1000",
                       "--out-dir", str(tmp_path / "calibrated")],
@@ -801,7 +804,7 @@ def test_package_exports_resolve_lazily():
         "unlisted = sorted(set(cancornorm.__all__) - set(dir(cancornorm))); "
         "print(len(cancornorm.__all__), missing, unlisted)"
     )
-    assert _run_python(code) == "43 [] []"
+    assert _run_python(code) == "44 [] []"
     import cancornorm
     from cancornorm import montecarlo, store
 

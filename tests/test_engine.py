@@ -138,8 +138,12 @@ def test_engine_subset_of_statistics():
 
 def test_engine_threshold_errors():
     rng = np.random.default_rng(4)
-    with pytest.raises(SampleSizeError):
+    with pytest.raises(SampleSizeError, match=r"^z2_hl needs n >= 5 for p=2, got n=4$"):
         evaluate_batch(rng.standard_normal((2, 4, 2)))
+    # Mardia's statistics need n >= p + 1: at n = p the rule says so before
+    # the covariance is found singular
+    with pytest.raises(SampleSizeError, match=r"^mardia_kurt needs n >= 3 for p=2, got n=2$"):
+        evaluate_batch(rng.standard_normal((2, 2, 2)), (StatisticId.parse("mardia_kurt"),))
     with pytest.raises(SampleSizeError):
         evaluate_batch(
             rng.standard_normal((2, 10, 3)),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cancornorm import alternatives, montecarlo
+from cancornorm import alternatives, montecarlo, stats
 from cancornorm.alternatives import (
     ALL_ALTERNATIVE_NAMES,
     RngStream,
@@ -45,6 +45,7 @@ from cancornorm.stats import (
     critical_count,
     rejections,
     run_test,
+    run_tests,
 )
 
 from covblocks_oracle import functional_value
@@ -82,8 +83,13 @@ def test_calibrate_seed_changes_values(small_tables):
 def test_calibrate_validates_inputs():
     with pytest.raises(ValueError):
         calibrate((Z2HL,), 20, 2, 999, RngStream(0))
-    with pytest.raises(SampleSizeError):
-        calibrate((StatisticId.parse("z3_hl"),), 12, 3, 1000, RngStream(0))
+    # one rule and one message, whether a calibration or an evaluation asks
+    z3hl = StatisticId.parse("z3_hl")
+    message = r"^z3_hl needs n >= 13 for p=3, got n=12$"
+    with pytest.raises(SampleSizeError, match=message):
+        calibrate((z3hl,), 12, 3, 1000, RngStream(0))
+    with pytest.raises(SampleSizeError, match=message):
+        compute_statistics(np.random.default_rng(0).standard_normal((12, 3)), (z3hl,))
 
 
 @pytest.fixture()
@@ -128,6 +134,7 @@ def test_power_study_checks_every_job_before_sampling(no_sampling):
         ({"reps": 0}, "reps must be >= 1"),
         ({"calibration_reps": 999}, "replications must be"),
         ({"workers": 0}, "workers must be >= 1"),
+        ({"statistics": ()}, "statistics must not be empty"),
     ]
     for change, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -199,6 +206,40 @@ def test_run_test_shape_mismatch(small_tables):
     x = generate(alternative("normal", 2), 20, RngStream(8))
     with pytest.raises(TableMismatchError):
         run_test(x, Z2W, small_tables[Z2HL])
+
+
+def test_run_tests_evaluates_once_and_matches_run_test(small_tables, monkeypatch):
+    x = generate(alternative("indep_exp", 2), 20, RngStream(9))
+    one_by_one = {sid: run_test(x, sid, small_tables[sid], alpha=0.1) for sid in ALL_STATISTICS}
+    calls = []
+    evaluate_batch = stats.evaluate_batch
+
+    def counting(data, statistics):
+        calls.append(tuple(statistics))
+        return evaluate_batch(data, statistics)
+
+    monkeypatch.setattr(stats, "evaluate_batch", counting)
+    tables = {sid: small_tables[sid] for sid in reversed(ALL_STATISTICS)}
+    results = run_tests(x, tables, alpha=0.1)
+    assert calls == [tuple(tables)]
+    assert list(results) == list(tables)  # in the mapping's order
+    for sid, result in results.items():
+        assert result == one_by_one[sid]
+
+
+def test_run_tests_checks_before_evaluating(small_tables, monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("the sample was evaluated")
+
+    monkeypatch.setattr(stats, "evaluate_batch", no_evaluation)
+    x = generate(alternative("normal", 2), 20, RngStream(10))
+    z3min = StatisticId.parse("z3_min")
+    with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\), got 1.5$"):
+        run_tests(x, small_tables, alpha=1.5)
+    with pytest.raises(TableMismatchError, match="^table holds z2_hl, not z3_min$"):
+        run_tests(x, {**small_tables, z3min: small_tables[Z2HL]})
+    with pytest.raises(TableMismatchError, match=r"but the data is \(n=25, p=2\)"):
+        run_tests(generate(alternative("normal", 2), 25, RngStream(10)), small_tables)
 
 
 def test_power_structure_and_size(small_tables):
