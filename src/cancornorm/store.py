@@ -56,6 +56,8 @@ class NullTable:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        if self.replications < 1:  # no value would ever reject
+            raise ValueError("null table needs at least one replication")
         if v.shape != (self.replications,):
             raise ValueError("null table length disagrees with replication count")
         if np.isnan(v).any() or np.any(v[:-1] > v[1:]):
@@ -159,7 +161,7 @@ def load_null(path) -> NullTable:
             values=np.frombuffer(payload, dtype="<f8").astype(float),
             created_at=created_at,
         )
-    except ValueError as exc:  # an unknown statistic, or an unsorted or NaN payload
+    except ValueError as exc:  # an unknown statistic, or an empty, unsorted or NaN payload
         raise NullTableFormatError(f"{path}: {exc}") from exc
 
 

@@ -148,6 +148,24 @@ def test_nan_payload_is_format_error(tmp_path):
         load_null(path)
 
 
+def test_empty_table_is_rejected():
+    # no observed value could ever reach the rejection region of no values
+    with pytest.raises(ValueError, match="at least one replication"):
+        NullTable(statistic=Z2HL, n=20, p=2, replications=0, seed=0, stream=(),
+                  values=np.empty(0), created_at="t")
+
+
+def test_empty_payload_is_format_error(tmp_path):
+    # an empty payload whose checksum holds
+    path = tmp_path / "t.null"
+    save_null(make_table(), path)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    header.update(replications=0, payload_sha256=hashlib.sha256(b"").hexdigest())
+    path.write_bytes(json.dumps(header).encode() + b"\n")
+    with pytest.raises(NullTableFormatError, match="t.null: .*at least one replication"):
+        load_null(path)
+
+
 def test_saved_table_usable_by_run_test(tmp_path):
     tables = calibrate((Z2HL,), 20, 2, 1000, RngStream(4))
     path = tmp_path / null_table_filename(Z2HL, 20, 2)
