@@ -15,9 +15,9 @@ samples, the statistics of one sample and the test decisions (``Sample``,
 ``compute_statistics``, ``run_tests``, ``run_test``, ``TestResult``) in
 ``stats``; the null-table and power-report types in ``store``; the
 simulation (``calibrate``, ``power``) in ``montecarlo``; the generators
-and population values (``generate``, ``population_moments``,
-``population_value``) in ``alternatives``; and the scalar reference path,
-from ``central_moments`` and ``MomentTable`` through
+and population values (``generate``, ``population_value``) in
+``alternatives``; and the scalar reference path, from ``central_moments``,
+``population_moments`` and ``MomentTable`` through
 ``lambda_blocks``/``psi_blocks`` to ``cancor_sq``, in ``covblocks``, which
 no command loads.
 """
@@ -29,11 +29,11 @@ __version__ = "0.1.0"  # the one source of the version: pyproject.toml reads it
 _EXPORTS = {
     "alternatives": (
         "AlternativeSpec", "RngStream", "alternative", "available_alternatives", "generate",
-        "population_moments", "population_value",
+        "population_value",
     ),
     "covblocks": (
         "CanCorSq", "CovBlocks", "MomentTable", "cancor_sq", "central_moments", "lambda_blocks",
-        "psi_blocks", "sample_mean", "sixth_order_term",
+        "population_moments", "psi_blocks", "sample_mean", "sixth_order_term",
     ),
     "engine": ("evaluate_batch", "permutation_scheme"),
     "errors": ("MomentsUndefinedError",),

@@ -45,9 +45,9 @@ each alternative's rule runs once per count pattern, the results are
 gathered into dense moment tensors through a per-(p, order) map from dense
 index to count pattern, and ``engine.evaluate_population_batch`` evaluates
 the whole stack at once.  ``population_values`` and ``population_value``
-are its one-alternative cases, and ``population_moments`` reads the same
-dense tensors into a ``MomentTable`` of the scalar reference ``covblocks``,
-which it imports when called, so that no command loads the reference.
+are its one-alternative cases.  The scalar reference ``covblocks`` reads
+the same dense tensors (``_population_tensors``) into its ``MomentTable``
+(``covblocks.population_moments``); this module never imports it.
 """
 
 from __future__ import annotations
@@ -58,15 +58,11 @@ from itertools import combinations, product
 from math import comb, exp, factorial, gamma, pi, prod, sqrt
 from numbers import Integral
 from operator import index
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .engine import ALL_STATISTICS, StatisticId, _matchings, evaluate_population_batch
 from .errors import BatchItemError, MomentsUndefinedError
-
-if TYPE_CHECKING:
-    from .covblocks import MomentTable
 
 
 @dataclass(frozen=True)
@@ -765,24 +761,6 @@ def _population_tensors(spec: AlternativeSpec, orders) -> list[np.ndarray]:
         patterns, inverse = _count_patterns(spec.p, order)
         tensors.append(np.array([rule(counts) for counts in patterns])[inverse])
     return tensors
-
-
-def population_moments(spec: AlternativeSpec, max_order: int = 6) -> MomentTable:
-    """Population central moments of an alternative, orders 2 .. max_order:
-    its dense moment tensors (see ``_population_tensors``) read at every
-    sorted multi-index.  Exact for the closed forms, quadrature-grade for
-    the gamma ratios."""
-    from .covblocks import MomentTable, sorted_multi_indices
-
-    if not 2 <= max_order <= 6:
-        raise ValueError("max_order must be in 2..6")
-    orders = range(2, max_order + 1)
-    values = {
-        idx: float(tensor[idx])
-        for order, tensor in zip(orders, _population_tensors(spec, orders))
-        for idx in sorted_multi_indices(spec.p, order)
-    }
-    return MomentTable(p=spec.p, max_order=max_order, values=values)
 
 
 def population_values_batch(specs, statistics=ALL_STATISTICS) -> dict[StatisticId, np.ndarray]:

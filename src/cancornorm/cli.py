@@ -8,6 +8,8 @@ table ``altpop``) at a configurable replication count.
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable CSV, missing
 or corrupt table files), 4 computation error (thresholds, singular data).
+An exception's base class in ``errors`` decides its code (``DataError`` or
+``ComputeError``; any other ``ValueError`` is a usage error).
 An output path whose directory is missing, or that names a directory, is a
 usage error reported before any replication runs or any file is read.
 
@@ -47,18 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from .errors import (  # noqa: E402
-    DegenerateSampleError,
-    EigenvalueRangeError,
-    FunctionalDomainError,
-    MomentsUndefinedError,
-    NullTableFormatError,
-    NullTableIntegrityError,
-    NullTableLengthError,
-    SampleSizeError,
-    SingularBlockError,
-    TableMismatchError,
-)
+from .errors import ComputeError, DataError  # noqa: E402
 from .stats import ALL_STATISTICS, StatisticId, check_alpha, run_tests  # noqa: E402
 from .store import (  # noqa: E402
     REPORT_FIELDS,
@@ -99,8 +90,8 @@ class UsageError(Exception):
     this one like every other usage error."""
 
 
-class DataFileError(ValueError):
-    pass
+class DataFileError(DataError):
+    """An unreadable or malformed CSV dataset."""
 
 
 def _default_null_dir() -> str:
@@ -332,11 +323,11 @@ def cmd_popvalues(ns) -> int:
 
 
 def cmd_tables(ns) -> int:
-    from .alternatives import ALL_ALTERNATIVE_NAMES, RngStream, alternative
+    from .alternatives import ALL_ALTERNATIVE_NAMES, RngStream, alternative, available_alternatives
 
     out = ns.out or _output_file(f"table_{ns.which}.csv")
     if ns.which == "altpop":
-        rows = _population_rows(["normal"] + list(ALL_ALTERNATIVE_NAMES), [2, 3])
+        rows = _population_rows(available_alternatives(), [2, 3])
         fieldnames = POPULATION_FIELDS
     else:
         from .montecarlo import _steady_heap, power_study
@@ -429,25 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-DATA_ERRORS = (
-    DataFileError,
-    TableMismatchError,
-    NullTableFormatError,
-    NullTableIntegrityError,
-    NullTableLengthError,
-    FileNotFoundError,
-)
-COMPUTE_ERRORS = (
-    SampleSizeError,
-    DegenerateSampleError,
-    SingularBlockError,
-    EigenvalueRangeError,
-    FunctionalDomainError,
-    MomentsUndefinedError,
-    np.linalg.LinAlgError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -456,10 +428,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DATA_ERRORS as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except COMPUTE_ERRORS as exc:
+    except (ComputeError, np.linalg.LinAlgError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as exc:

@@ -1,13 +1,15 @@
 """The scalar reference path, from moments to blocks to canonical
 correlations, one sample or population at a time on dicts in Python loops.
-No command runs it; the tests compare ``engine`` with it, and
-``alternatives.population_moments`` returns its ``MomentTable``.
+No command runs it; the tests compare ``engine`` with it.
 
-Moments.  Central moments up to order six are indexed by nondecreasing
-multi-indices (0-based coordinates); accessors sort their argument, so any
-permutation of an index retrieves the same stored value.  Sums over
-observations are computed on sorted addends, which makes every moment
-invariant, bit for bit, under permutations of the rows of the data matrix.
+Moments.  Central moments up to order six, of a sample (``central_moments``)
+or of an alternative (``population_moments``, from the dense tensors that
+``alternatives`` builds its population values from), are indexed by
+nondecreasing multi-indices (0-based coordinates); accessors sort their
+argument, so any permutation of an index retrieves the same stored value.
+Sums over observations are computed on sorted addends, which makes every
+sample moment invariant, bit for bit, under permutations of the rows of the
+data matrix.
 
 Blocks.  The covariance blocks of (mean vector, distinct covariances) and
 (mean vector, distinct third moments) have, for sample size n and central
@@ -33,8 +35,8 @@ engine's kernel (``engine.checked_factor``, ``engine.cancor_eigs``), then
 counts the eigenvalues outside [0, 1] within tolerance and clips them; the
 engine clips without counting.
 
-This module imports from ``engine`` and ``stats``; no runtime module
-imports it at load.
+This module imports from ``alternatives``, ``engine`` and ``stats``; no
+runtime module imports it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .alternatives import AlternativeSpec, _population_tensors
 from .engine import (
     cancor_eigs,
     checked_factor,
@@ -139,6 +142,22 @@ def central_moments(x, max_order: int) -> MomentTable:
             if order >= 2:
                 values[idx] = _ordered_sum(prod) / s.n
     return MomentTable(p=s.p, max_order=max_order, values=values)
+
+
+def population_moments(spec: AlternativeSpec, max_order: int = 6) -> MomentTable:
+    """Population central moments of an alternative, orders 2 .. max_order:
+    its dense moment tensors (``alternatives._population_tensors``) read at
+    every sorted multi-index.  Exact for the closed forms, quadrature-grade
+    for the gamma ratios."""
+    if not 2 <= max_order <= MAX_MOMENT_ORDER:
+        raise ValueError(f"max_order must be in 2..{MAX_MOMENT_ORDER}")
+    orders = range(2, max_order + 1)
+    values = {
+        idx: float(tensor[idx])
+        for order, tensor in zip(orders, _population_tensors(spec, orders))
+        for idx in sorted_multi_indices(spec.p, order)
+    }
+    return MomentTable(p=spec.p, max_order=max_order, values=values)
 
 
 @dataclass(frozen=True)

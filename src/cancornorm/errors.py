@@ -1,17 +1,28 @@
 """Exception types raised by the numerical core (``engine``, and the scalar
-reference ``covblocks`` that shares its checks), and every other exception
-that ``cli.main`` maps to an exit code, so that the CLI reads them without
-loading the modules that raise them (which re-export them).  ``engine``
+reference ``covblocks`` that shares its checks), the table store, the
+simulation and the population moments.  A type's base decides its exit
+code: ``DataError`` 3 (unreadable or mismatched input files),
+``ComputeError`` 4 (thresholds, singular data), any other ``ValueError`` 2
+(usage).  ``cli.main`` reads only the two bases, so a new error class needs
+no CLI edit.  The modules that raise these re-export them.  ``engine``
 imports nothing else from the package."""
 
 from __future__ import annotations
 
 
-class SampleSizeError(ValueError):
+class DataError(ValueError):
+    """Input data or a table file that cannot be used (exit code 3)."""
+
+
+class ComputeError(ValueError):
+    """A computation that cannot proceed on valid input files (exit code 4)."""
+
+
+class SampleSizeError(ComputeError):
     """Sample size below the threshold required by a statistic or block family."""
 
 
-class BatchItemError(ValueError):
+class BatchItemError(ComputeError):
     """A numerical check failed on a stack of matrices or samples.
 
     ``item`` is the index, within the stack that was checked, of the first
@@ -42,11 +53,11 @@ class FunctionalDomainError(BatchItemError):
     (eigenvalue at 1 makes the ratio trace blow up)."""
 
 
-class MomentsUndefinedError(ValueError):
+class MomentsUndefinedError(ComputeError):
     """The alternative has no finite population moments of the needed order."""
 
 
-class TableMismatchError(ValueError):
+class TableMismatchError(DataError):
     """A null table does not match the statistic or sample shape it is used for."""
 
 
@@ -54,13 +65,13 @@ class MissingTableError(ValueError):
     """No null table is available for a requested (statistic, n, p)."""
 
 
-class NullTableFormatError(ValueError):
+class NullTableFormatError(DataError):
     """Unparseable header or unsupported format version."""
 
 
-class NullTableLengthError(ValueError):
+class NullTableLengthError(DataError):
     """Payload length disagrees with the replication count in the header."""
 
 
-class NullTableIntegrityError(ValueError):
+class NullTableIntegrityError(DataError):
     """Payload checksum does not match the header."""

@@ -1,7 +1,7 @@
 """Reference population moments: every sorted multi-index evaluated on its
 own, by the construction's expansion over that index's slots.
 
-``alternatives.population_moments`` evaluates one rule per count pattern
+``covblocks.population_moments`` evaluates one rule per count pattern
 instead.  It must reproduce this table bit for bit on the shared-factor
 kinds, whose arithmetic per pattern is the same, and within rounding on the
 Gaussian kinds, where an index and the pattern's representative sum their

@@ -27,7 +27,6 @@ from cancornorm.alternatives import (
     equicorrelation,
     generate,
     generate_group,
-    population_moments,
     population_value,
     population_values,
     population_values_batch,
@@ -35,7 +34,7 @@ from cancornorm.alternatives import (
     stream_keys,
     _ratio_moment,
 )
-from cancornorm.covblocks import sorted_multi_indices
+from cancornorm.covblocks import population_moments, sorted_multi_indices
 from cancornorm.engine import ALL_STATISTICS, evaluate_population_batch
 from cancornorm.errors import SingularBlockError
 from population_oracle import population_moments_reference

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cancornorm.covblocks import CanCorSq, CovBlocks, cancor_sq, lambda_blocks
+from cancornorm.covblocks import CanCorSq, CovBlocks, cancor_sq, lambda_blocks, population_moments
 from cancornorm.engine import CONDITION_LIMIT
 from cancornorm.errors import (
     EigenvalueRangeError,
@@ -42,7 +42,7 @@ def test_scalar_case_is_squared_pearson():
 
 
 def test_population_indep_exp_p2_is_half_half():
-    from cancornorm.alternatives import alternative, population_moments
+    from cancornorm.alternatives import alternative
 
     blocks = lambda_blocks(population_moments(alternative("indep_exp", 2), 4), None)
     c = cancor_sq(blocks)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from cancornorm.cli import DataFileError, _population_rows, main, read_csv_sample
-from cancornorm.alternatives import ALL_ALTERNATIVE_NAMES, RngStream, alternative, generate
-from cancornorm import montecarlo
+from cancornorm.alternatives import RngStream, alternative, available_alternatives, generate
+from cancornorm import cli, errors, montecarlo
 from cancornorm.montecarlo import calibrate, power
 from cancornorm.stats import ALL_STATISTICS
 
@@ -302,7 +302,7 @@ def test_population_rows_make_one_engine_call_per_p(monkeypatch):
         return evaluate(m2, *args, **kwargs)
 
     monkeypatch.setattr(cancornorm.alternatives, "evaluate_population_batch", counting)
-    rows = _population_rows(["normal"] + list(ALL_ALTERNATIVE_NAMES), [2, 3])
+    rows = _population_rows(available_alternatives(), [2, 3])
     assert len(rows) == 2 * 28 * 12
     assert stacks == [(27, 2, 2), (27, 3, 3)]  # every alternative but t2, once per p
 
@@ -716,6 +716,32 @@ def test_exit_code_usage():
             main(argv)
         assert exc.value.code == 2
 
+
+
+EXIT_CODES = [
+    *[(error, 3, "data error") for error in (
+        DataFileError, errors.TableMismatchError, errors.NullTableFormatError,
+        errors.NullTableIntegrityError, errors.NullTableLengthError, FileNotFoundError,
+    )],
+    *[(error, 4, "computation error") for error in (
+        errors.SampleSizeError, errors.DegenerateSampleError, errors.SingularBlockError,
+        errors.EigenvalueRangeError, errors.FunctionalDomainError,
+        errors.MomentsUndefinedError, np.linalg.LinAlgError,
+    )],
+    (errors.MissingTableError, 2, "error"),
+    (ValueError, 2, "error"),
+]
+
+
+@pytest.mark.parametrize("error, code, prefix", EXIT_CODES,
+                         ids=[error.__name__ for error, _, _ in EXIT_CODES])
+def test_each_error_type_exits_with_its_code(monkeypatch, capsys, error, code, prefix):
+    def failing(ns):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_popvalues", failing)
+    assert main(["popvalues", "--p", "2"]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 def test_calibrate_subprocess_exits_with_pool_alive(tmp_path):
     # a parallel run in a process the CLI owns shuts its pool down and exits

@@ -20,6 +20,7 @@ from cancornorm.covblocks import (
     centered_fourth,
     lambda_blocks,
     pair_indices,
+    population_moments,
     psi_blocks,
     sixth_order_term,
     triple_indices,
@@ -198,7 +199,7 @@ def test_lambda_blocks_match_formula_oracle():
 
 
 def test_lambda_blocks_gaussian_population():
-    from cancornorm.alternatives import alternative, population_moments
+    from cancornorm.alternatives import alternative
 
     m = population_moments(alternative("normal", 2), 4)
     blocks = lambda_blocks(m, 10)

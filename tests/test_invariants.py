@@ -59,8 +59,10 @@ CASES = {
     "power-p3": Case(WORKERS, 1, lambda w: [
         f"tables --which 4 --reps 200 --calib-reps 1000 --seed 5 --workers {w} --out power.csv",
     ]),
+    # 4096 replications run as 4 chunks of 1024 on one worker, as 16 of 256
+    # on two, so the reports must not depend on the batch size either
     "power-reports": Case(WORKERS, 2, lambda w: [
-        f"power --alt laplace2 --n 20 --p 2 --reps 2000 --null-dir ../nulls --format {fmt} "
+        f"power --alt laplace2 --n 20 --p 2 --reps 4096 --null-dir ../nulls --format {fmt} "
         f"--workers {w} --out report.{fmt}" for fmt in ("csv", "json")
     ], setup=("calibrate --n 20 --p 2 --reps 1000 --seed 3 --workers 2 --out-dir nulls",)),
     # one sample and its rows reversed, each saved as data.csv in its own

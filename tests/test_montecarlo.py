@@ -22,12 +22,11 @@ from cancornorm.alternatives import (
     available_alternatives,
     generate,
     generate_group,
-    population_moments,
     population_value,
     population_values,
     stream_generators,
 )
-from cancornorm.covblocks import cancor_sq, lambda_blocks, psi_blocks
+from cancornorm.covblocks import cancor_sq, lambda_blocks, population_moments, psi_blocks
 from cancornorm.engine import _plan, _z3_term_map, evaluate_batch
 from cancornorm.errors import DegenerateSampleError, SampleSizeError, TableMismatchError
 from cancornorm.montecarlo import (

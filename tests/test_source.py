@@ -124,40 +124,29 @@ def test_every_import_is_used_or_a_marked_reexport(path):
     assert not unused, f"imported but never used: {unused}"
 
 
-def package_imports(path: Path, at_load: bool) -> set[str]:
-    """The package modules that ``path`` imports: the module of every
+def package_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports anywhere (at load, in a
+    function body or under ``if TYPE_CHECKING:``): the module of every
     relative or ``cancornorm.`` import, and the names of ``from . import``
-    and ``from cancornorm import``.  With ``at_load``, only the imports that
-    run when the module loads: none in a function body or under
-    ``if TYPE_CHECKING:``."""
+    and ``from cancornorm import``."""
     found = set()
-
-    def visit(nodes):
-        for node in nodes:
-            if at_load and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if at_load and isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-                visit(node.orelse)
-                continue
-            if isinstance(node, ast.ImportFrom) and (node.level or _is_package(node.module or "")):
-                module = (node.module or "").removeprefix("cancornorm").lstrip(".")
-                found.update([module] if module else [a.name for a in node.names])
-            elif isinstance(node, ast.Import):
-                found.update(a.name.split(".")[1] for a in node.names
-                             if a.name.startswith("cancornorm."))
-            visit(ast.iter_child_nodes(node))
-
-    visit(ast.parse(path.read_text(), filename=str(path)).body)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or _is_package(node.module or "")):
+            module = (node.module or "").removeprefix("cancornorm").lstrip(".")
+            found.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("cancornorm."))
     return found
 
 
 def test_the_reference_depends_on_the_runtime_and_never_back():
     # engine, the numerical core, imports nothing from the package but errors
-    engine = package_imports(PACKAGE / "engine.py", at_load=False)
+    engine = package_imports(PACKAGE / "engine.py")
     assert engine <= {"errors"}, f"engine imports {sorted(engine - {'errors'})}"
-    # and no module loads the scalar reference but the reference itself (the
-    # package's lazy exports import it on first use)
-    loaders = [path.name for path in sorted(PACKAGE.glob("*.py"))
-               if path.stem not in ("covblocks", "__init__")
-               and "covblocks" in package_imports(path, at_load=True)]
-    assert not loaders, f"covblocks is imported at load by {loaders}"
+    # and no module imports the scalar reference but the reference itself
+    # (the package's lazy exports import it on first use)
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.stem not in ("covblocks", "__init__")
+                 and "covblocks" in package_imports(path)]
+    assert not importers, f"covblocks is imported by {importers}"
