@@ -38,13 +38,20 @@ statistics are requested) are formed in passes over consecutive items, each
 holding at most ``PRODUCT_BUDGET`` bytes of them (``product_bytes`` per
 item, one item a pass if one exceeds it) in buffers that every pass
 reuses, and each pass writes its items' rows of the moments.  So the
-products, once the largest temporaries, no longer grow with B; the steps up
-to y run on the whole batch, and y is dropped before the second step.  A
-batch within the budget takes one pass.  The simulation sizes its chunks
-by the same budget and the same ``product_bytes``.  A population's dense
-moment tensors are whitened by the same factor of its covariance, each
-population of a stack by its own, and read at the same distinct
-coordinates.
+products, once the largest temporaries, no longer grow with B.  The steps
+up to y run on the whole batch.  The moments and the second step run on
+consecutive items, in ceil(B ``_block_bytes`` / PRODUCT_BUDGET) block
+passes of even size, each holding about PRODUCT_BUDGET bytes or fewer of
+pair Grams and, for z3, sixth moments; the product passes run within each.
+So the q3 x q3 blocks and their factors, q3^2 per item, no longer grow with
+B either: a (256, 100, 5) batch runs as 2 x 128 and a (256, 100, 6) batch
+as 4 x 64, while the simulation's chunks at p <= 4 take one pass.  A check
+that fails in a pass names the item by its index in the whole batch.  A
+batch within the budget takes one pass of each kind.  The simulation sizes
+its chunks by the same budget and the same ``product_bytes``.  A
+population's dense moment tensors are whitened by the same factor of its
+covariance, each population of a stack by its own, and read at the same
+distinct coordinates.
 
 The second step builds the covariance blocks of both families from these
 whitened moments, under the weights of a sample size n or of the large-n
@@ -85,6 +92,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    BatchItemError,
     DegenerateSampleError,
     EigenvalueRangeError,
     FunctionalDomainError,
@@ -399,6 +407,21 @@ def product_bytes(n: int, p: int, z3: bool) -> int:
     return 8 * n * (comb(p + 1, 2) + (comb(p + 2, 3) if z3 else 0))
 
 
+def _block_bytes(p: int, z3: bool) -> int:
+    """Bytes of the pair Gram of one sample, and of its sixth moments on
+    pairs of triples when ``z3`` statistics are evaluated:
+    8 C(p+1, 2)^2, plus 8 C(p+2, 3)^2 for z3."""
+    return 8 * (comb(p + 1, 2) ** 2 + (comb(p + 2, 3) ** 2 if z3 else 0))
+
+
+def _in_batch(exc: BatchItemError, first: int) -> BatchItemError:
+    """``exc``, raised on the items of a batch from item ``first`` on, with
+    the item it names, in ``item`` and in its message, counted in the whole
+    batch."""
+    item = exc.item + first
+    return type(exc)(str(exc).replace(f"item {exc.item}", f"item {item}", 1), item=item)
+
+
 def _sorted_indices(p: int, order: int) -> np.ndarray:
     """The nondecreasing index tuples of an order over 0..p-1, one per row,
     in lexicographic order."""
@@ -512,7 +535,7 @@ class _Plan(NamedTuple):
     z3_coef: np.ndarray  # ``_z3_term_map`` coef, in its row order
     z3_rows: np.ndarray  # term-map rows in ``_z3_blocks`` order
     z3_cols: np.ndarray  # their columns over [k4 (q4), m3 m3 on t1 <= t2, 1]
-    z3_blocks: tuple  # (a0, a1, slot ends, back) of each block, see ``_z3_blocks``
+    z3_blocks: tuple  # (lo, slot ends, lower, strict, upper) of each block, see ``_z3_blocks``
 
 
 # Most entries of the z3 b22 in one block of ``_z3_b22`` (see ``_z3_blocks``):
@@ -529,13 +552,16 @@ def _z3_blocks(terms: list[int], q3: int) -> tuple[np.ndarray, tuple]:
     a alone has more, and its map rows are ordered by descending term count,
     ties in map order, so that each slot of the map runs over a prefix of
     the block and its padding is never gathered.  Returns that order of the
-    map rows and, per block, (a0, a1, ends, back): its rows a0 <= a < a1,
-    the end of each nonempty slot's prefix in that order, and the position
-    in the block of each of its map rows.
+    map rows and, per block, (lo, ends, lower, strict, upper): its first map
+    row, the end of each nonempty slot's prefix in that order, the flat
+    index a q3 + b in b22 of the entry (a, b) of each of its map rows, the
+    positions in the block of the rows off the diagonal, a > b, and the
+    flat index b q3 + a of their mirrors.
     """
     # Python lists, not numpy sorts and counts, which would page in code that
     # nothing else a run does uses (~0.4 MB of resident memory).
     start = [a * (a + 1) // 2 for a in range(q3 + 1)]
+    entry = [(a, b) for a in range(q3) for b in range(a + 1)]  # of each map row
     order, blocks = [], []
     a0 = 0
     while a0 < q3:
@@ -545,9 +571,13 @@ def _z3_blocks(terms: list[int], q3: int) -> tuple[np.ndarray, tuple]:
         lo, hi = start[a0], start[a1]
         rows = sorted(range(lo, hi), key=lambda r: -terms[r])
         ends = tuple(lo + sum(terms[r] > slot for r in rows) for slot in range(terms[rows[0]]))
-        back = sorted(range(len(rows)), key=rows.__getitem__)
+        pairs = [entry[r] for r in rows]
+        lower = [a * q3 + b for a, b in pairs]
+        strict = [k for k, (a, b) in enumerate(pairs) if a > b]
+        upper = [b * q3 + a for a, b in (pairs[k] for k in strict)]
         order += rows
-        blocks.append((a0, a1, ends, np.array(back)))
+        index = (np.array(i, dtype=np.intp) for i in (lower, strict, upper))
+        blocks.append((lo, ends, *index))
         a0 = a1
     return np.array(order), tuple(blocks)
 
@@ -607,14 +637,14 @@ def _z3_b22(sixth: np.ndarray, m3d: np.ndarray, k4: np.ndarray, weights, plan: _
     """The third-order b22 block: ``sixth`` plus the permutation sums of
     ``_z3_term_map``, each sum class weighted by its entry of ``weights``,
     from the (B, q3) third moments and (B, q4) fourth cumulants on the
-    distinct coordinates.  The block is built in ``sixth``, which is
-    returned.
+    distinct coordinates.  The block is built in ``sixth`` (in a copy of it
+    if it is not C-contiguous) and returned.
 
     The products of two third moments are formed on t1 <= t2 only, one
     slab per t1.  Each entry's sum starts at +0.0 and is gathered slot by
     slot in its row's column order, block by block (``_z3_blocks``); a
-    block's sums are put back in map order and added to both triangles of
-    ``sixth``, so no array of every entry's sum is formed.
+    block's sums are added to their entries of both triangles of ``sixth``,
+    each entry once, so no array of every entry's sum is formed.
     """
     nb, q3 = m3d.shape
     q4 = k4.shape[1]
@@ -629,26 +659,24 @@ def _z3_b22(sixth: np.ndarray, m3d: np.ndarray, k4: np.ndarray, weights, plan: _
     inputs[-1] = 1.0
     cols = plan.z3_cols
     weights = np.tensordot(weights, plan.z3_coef, 1)[plan.z3_rows]
-    size = max(len(back) for *_, back in plan.z3_blocks)
+    size = max(len(lower) for _, _, lower, *_ in plan.z3_blocks)
     gathered, summed = np.empty((size, nb)), np.empty((size, nb))
+    flat = sixth.reshape(nb, q3 * q3)
     # the indices are in range, and mode "clip" only spares ``take`` a
     # buffered copy of ``out``
-    for a0, a1, ends, back in plan.z3_blocks:
-        lo = a0 * (a0 + 1) // 2
-        block = summed[:len(back)]
+    for lo, ends, lower, strict, upper in plan.z3_blocks:
+        block = summed[:len(lower)]
         block.fill(0.0)
         for slot, end in enumerate(ends):
             part = gathered[:end - lo]
             np.take(inputs, cols[lo:end, slot], axis=0, out=part, mode="clip")
             part *= weights[lo:end, slot, None]
             block[:len(part)] += part
-        ordered = np.take(block, back, axis=0, out=gathered[:len(back)], mode="clip")
-        # row a of the lower triangle, entries (a, 0..a), and its mirror in column a
-        for a in range(a0, a1):
-            row = ordered[a * (a + 1) // 2 - lo:][:a + 1].T
-            sixth[:, a, :a + 1] += row
-            sixth[:, :a, a] += row[:, :a]
-    return sixth
+        # the entries (a, b), a >= b, and the mirrors (b, a) of those off the
+        # diagonal, each indexed once, so each gets one addition
+        flat[:, lower] += block.T
+        flat[:, upper] += block[strict].T
+    return flat.reshape(nb, q3, q3)
 
 
 def _blocks(m2, m3, m4, sixth, n: int | None, families) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -773,7 +801,10 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     Returns one (B,) array per requested statistic (empty when B = 0).
     Results are independent of how replications are grouped into batches.
     The stack is dropped once it is copied, observation-major, so a caller
-    that passes it on without keeping it frees it then.
+    that passes it on without keeping it frees it then.  A check of the
+    block stage that fails names the first failing item of the first block
+    pass that fails, by its index in the stack, and counts the failing items
+    of that pass.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 3:
@@ -803,9 +834,22 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     _check_condition(cond, DegenerateSampleError, "rank-deficient sample covariance")
     y = np.matmul(whitening, xc, out=buf)
     del xc, buf
-    m2, m3, m4, sixth = _moments(y, plan, need_z3)
-    del y  # the block stage holds only the moments
-    return _moment_values(m2, m3, m4, sixth, n, statistics)
+    # The moments and the blocks, in passes of even size over consecutive
+    # items that each hold about PRODUCT_BUDGET bytes or fewer of pair Grams
+    # and sixth moments.
+    passes = -(-nb * _block_bytes(p, need_z3) // PRODUCT_BUDGET)
+    step = -(-nb // passes)
+    out = {sid: np.empty(nb) for sid in statistics}
+    for lo in range(0, nb, step):
+        try:
+            values = _moment_values(*_moments(y[lo:lo + step], plan, need_z3), n, statistics)
+        except BatchItemError as exc:
+            if lo == 0 or exc.item is None:
+                raise
+            raise _in_batch(exc, lo) from exc
+        for sid in statistics:
+            out[sid][lo:lo + step] = values[sid]
+    return out
 
 
 def _along_every_axis(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:

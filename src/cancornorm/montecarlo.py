@@ -13,14 +13,19 @@ whose distinct moment products (``engine.product_bytes`` per replication:
 the pair products, and the triple products when z3 statistics are
 evaluated) fit in ``engine.PRODUCT_BUDGET`` bytes at the job's (n, p), so
 that small problems pay the fixed cost of sampling and evaluating a chunk
-fewer times.  A chunk within the budget is evaluated in one pass; one
-beyond it (at large (n, p), a chunk of ``CHUNK`` replications) is
-evaluated in passes that each fit the budget, or hold one replication
-where one alone exceeds it.  When the rule would leave a run with fewer
-than 4 chunks per worker, every chunk holds ``CHUNK`` replications, so that
-the workers still share the run (the rule counts each job's chunks, before
-jobs are grouped).  The choice depends only on (n, p), the statistics, the
-replication counts and the worker count.
+fewer times.  A chunk within the budget forms its products in one pass;
+one beyond it (at large (n, p), a chunk of ``CHUNK`` replications) forms
+them in passes that each fit the budget, or hold one replication where one
+alone exceeds it.  The chunk's moments and covariance blocks are built in
+block passes of even size that each hold about the same budget of pair
+Grams and, with z3 statistics, sixth moments (``engine.evaluate_batch``),
+so that a z3 chunk of 256 takes 2 passes of 128 at p = 5 and 4 of 64 at
+p = 6, while every chunk at p <= 4 takes one.  When the rule would
+leave a run with fewer than 4 chunks per worker, every chunk holds
+``CHUNK`` replications, so that the workers still share the run (the rule
+counts each job's chunks, before jobs are grouped).  The choice depends
+only on (n, p), the statistics, the replication counts and the worker
+count.
 
 A chunk computes the Philox keys of all its replications in one vectorized
 pass (``alternatives.stream_keys``) and re-keys a single generator before

@@ -142,10 +142,8 @@ def load_null(path) -> NullTable:
         )
     if hashlib.sha256(payload).hexdigest() != _header_field(path, header, "payload_sha256", str):
         raise NullTableIntegrityError(f"{path}: payload checksum mismatch")
-    stream = header.get("stream", [])
-    if not isinstance(stream, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in stream
-    ):
+    stream = _header_field(path, header, "stream", list)
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in stream):
         raise NullTableFormatError(f"{path}: header field 'stream' is {stream!r}, expected ints")
     name = _header_field(path, header, "statistic", str)
     n, p, seed = (_header_field(path, header, key, int) for key in ("n", "p", "seed"))

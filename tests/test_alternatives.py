@@ -5,6 +5,7 @@ estimates of the same constructions; dependence structure is checked against
 correlations derived by hand from the shared-factor representations.
 """
 
+import hashlib
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -204,6 +205,78 @@ def test_group_sampler_does_not_copy_one_alternative():
         tracemalloc.stop()
     assert sample.nbytes == 256 * 100 * 5 * 8
     assert peak < 1.5 * sample.nbytes, peak / sample.nbytes
+
+
+# The first 16 hex digits of the SHA-256 of each run's raw variates, as
+# ``_raw_draws`` fills them for replications 0..3 of RngStream(29) in
+# context 0 (a (4, length) little-endian float64 buffer per run), for every
+# distinct ``draw_runs`` at n = 20, keyed by (p, draw_runs).  They pin the
+# numbers numpy's Generator methods give: a null table or power report is
+# reproducible only under the numpy version that drew its variates.
+RAW_DRAW_DIGESTS = {
+    (2, (("random", (), 20), ("standard_normal", (), 40))):
+        ("9c5b6a56f1c3b0b1", "d3a9f746cb0213fc"),
+    (2, (("standard_exponential", (), 20), ("standard_normal", (), 40))):
+        ("e82726fa4e3c7828", "667badde0e8caa7f"),
+    (2, (("standard_exponential", (), 40),)):
+        ("ad84cd92c4c1aa02",),
+    (2, (("standard_gamma", (0.5,), 60),)):
+        ("0501eb3adecdbd01",),
+    (2, (("standard_gamma", (1.0,), 40), ("standard_gamma", (2.0,), 20))):
+        ("ad84cd92c4c1aa02", "92711b735a0d621b"),
+    (2, (("standard_gamma", (1.0,), 60),)):
+        ("1c8004f4821a9f5e",),
+    (2, (("standard_gamma", (2.0,), 60),)):
+        ("ee1ed211654b21a3",),
+    (2, (("standard_normal", (), 40),)):
+        ("503589f544bc1f20",),
+    (2, (("standard_normal", (), 40), ("standard_gamma", (1.0,), 20))):
+        ("503589f544bc1f20", "ff241d1949d1133c"),
+    (2, (("standard_normal", (), 60),)):
+        ("777ae2ba63fa3f0f",),
+    (2, (("standard_normal", (), 140),)):
+        ("0561d825886f168c",),
+    (3, (("random", (), 20), ("standard_normal", (), 60))):
+        ("9c5b6a56f1c3b0b1", "dd823d059952d895"),
+    (3, (("standard_exponential", (), 20), ("standard_normal", (), 60))):
+        ("e82726fa4e3c7828", "3f5ba25532df0bc9"),
+    (3, (("standard_exponential", (), 60),)):
+        ("1c8004f4821a9f5e",),
+    (3, (("standard_gamma", (0.5,), 80),)):
+        ("bdb4589c8edc2497",),
+    (3, (("standard_gamma", (1.0,), 60), ("standard_gamma", (2.0,), 20))):
+        ("1c8004f4821a9f5e", "e7197c57a717e73f"),
+    (3, (("standard_gamma", (1.0,), 80),)):
+        ("7d1e9fd36db84475",),
+    (3, (("standard_gamma", (2.0,), 80),)):
+        ("82055e61969453ca",),
+    (3, (("standard_normal", (), 60),)):
+        ("777ae2ba63fa3f0f",),
+    (3, (("standard_normal", (), 60), ("standard_gamma", (1.0,), 20))):
+        ("777ae2ba63fa3f0f", "e9f67c658f99b92b"),
+    (3, (("standard_normal", (), 80),)):
+        ("34354d7a512cc041",),
+    (3, (("standard_normal", (), 200),)):
+        ("38a468bf768270a7",),
+}
+
+
+def test_raw_variates_are_pinned():
+    signatures = {
+        (p, draw_runs(alternative(name, p), 20)) for p in (2, 3) for name in available_alternatives()
+    }
+    assert signatures == set(RAW_DRAW_DIGESTS)
+    for (p, runs), digests in RAW_DRAW_DIGESTS.items():
+        bufs = alternatives_module._raw_draws(
+            stream_generators(RngStream(29), 0, 0, 4), 4,
+            [(method, args, [(length,)]) for method, args, length in runs],
+        )
+        for (method, args, length), buf, digest in zip(runs, bufs, digests):
+            got = hashlib.sha256(np.ascontiguousarray(buf, "<f8").tobytes()).hexdigest()[:16]
+            assert got == digest, (
+                f"Generator.{method}{args} of {length} values (p={p}, runs {runs}) drew other "
+                f"variates under numpy {np.__version__}: digest {got}, committed {digest}"
+            )
 
 
 def test_draw_plans_are_plain_python():

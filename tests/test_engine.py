@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from cancornorm import engine, montecarlo
 from cancornorm.alternatives import RngStream, alternative, generate_group, stream_generators
 from cancornorm.covblocks import (
     MomentTable,
@@ -27,11 +28,13 @@ from cancornorm.engine import (
     _plan,
     _z3_b22,
     _z3_term_map,
+    checked_factor,
     evaluate_batch,
     evaluate_population_batch,
     permutation_scheme,
 )
 from cancornorm.errors import DegenerateSampleError, SampleSizeError, SingularBlockError
+from cancornorm.montecarlo import calibrate
 from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
 
 from covblocks_oracle import functionals, oracle_lambda_blocks, oracle_third_cov
@@ -80,6 +83,8 @@ def test_engine_batch_grouping_irrelevant():
         (rng.standard_normal((12, 40, 5)), (5, 7)),
         # products in two passes of the whole batch and in one of each part
         (rng.standard_normal((12, 600, 5)), (5, 7)),
+        # blocks in two passes of 128 and in one of each part
+        (rng.standard_normal((256, 40, 5)), (100, 200)),
         (logn, (1, 8)),
     ]:
         whole = evaluate_batch(data)
@@ -90,19 +95,20 @@ def test_engine_batch_grouping_irrelevant():
 
 
 def test_engine_peak_memory_one_chunk_p6():
-    # A (256, 100, 6) chunk must stay under 100 MB: a p^6 sixth-moment tensor
-    # for it would take 96 MB on its own.  The distinct pair and triple
-    # products are formed in passes of at most PRODUCT_BUDGET bytes, so at
-    # large n the peak is a few copies of the (B, n, p) input, however large
-    # the products of the whole batch would be (98 MiB at (64, 4000, 5)).
-    # At (256, 100, 5) the z3 b22 block stage sets the peak, 7.2 MiB: its
-    # factor is inverted in place, its m3 products are formed on one
-    # triangle and no array holds every entry's term sum (9.1 MiB otherwise).
+    # A p^6 sixth-moment tensor for a (256, 100, 6) chunk would take 96 MB on
+    # its own.  The distinct pair and triple products are formed in passes of
+    # at most PRODUCT_BUDGET bytes, so at large n the peak is a few copies of
+    # the (B, n, p) input, however large the products of the whole batch
+    # would be (98 MiB at (64, 4000, 5)).  The moments and blocks are built in
+    # passes of about PRODUCT_BUDGET bytes of pair Grams and sixth moments,
+    # 2 x 128 at (256, 100, 5) and 4 x 64 at (256, 100, 6), so the z3 b22
+    # stage no longer grows with the chunk: the peaks are 4.8 and 5.5 MiB
+    # (7.2 and 16.7 MiB with the whole chunk in one pass).
     rng = np.random.default_rng(9)
     for shape, limit in [
-        ((256, 100, 6), 100 * 2**20),
+        ((256, 100, 6), 8 * 2**20),
         ((64, 4000, 5), 3 * 64 * 4000 * 5 * 8),
-        ((256, 100, 5), 8 * 2**20),
+        ((256, 100, 5), 5.5 * 2**20),
     ]:
         data = rng.standard_normal(shape)
         evaluate_batch(data[:2])  # builds the per-p program outside the traced call
@@ -168,6 +174,54 @@ def test_engine_degenerate_batch_errors():
     with pytest.raises(DegenerateSampleError, match="first item 2") as info:
         evaluate_batch(np.stack([good, good, constant]))
     assert info.value.item == 2
+
+
+def failing_in_pass(fail_pass, fail_item):
+    """A ``checked_factor`` that fails item ``fail_item`` of the (35, 35) z3
+    b22 blocks of p = 5 in the ``fail_pass``-th block pass (from 0), as a
+    singular block fails, and is the real one otherwise; and the list of the
+    sizes of the passes it has seen, counted by their b11 blocks."""
+    passes = []
+
+    def checked(name, block):
+        if name.startswith("b11"):
+            passes.append(len(block))
+        if len(passes) == fail_pass + 1 and block.shape[-1] == 35:
+            figure = np.zeros(len(block))
+            figure[fail_item] = np.inf
+            engine._check_condition(figure, SingularBlockError, f"{name} block is singular")
+        return checked_factor(name, block)
+
+    return checked, passes
+
+
+def test_block_pass_failure_names_its_batch_item(monkeypatch):
+    # Real data does not fail the block stage (the small-sample correction
+    # keeps even a two-valued column's z2 b22 regular), so item 72 of the
+    # second pass of a (256, 100, 5) batch, its item 200, is failed by hand.
+    checked, passes = failing_in_pass(1, 72)
+    monkeypatch.setattr(engine, "checked_factor", checked)
+    data = np.random.default_rng(6).standard_normal((256, 100, 5))
+    with pytest.raises(SingularBlockError, match=r"in 1 batch item\(s\), first item 200$") as info:
+        evaluate_batch(data)
+    assert info.value.item == 200
+    assert passes == [128, 128]
+
+
+def test_block_pass_failure_names_its_replication(monkeypatch):
+    # A serial calibration at (100, 5) runs chunks of 256 in block passes of
+    # 128; item 72 of the fourth pass is item 200 of the second chunk.
+    checked, passes = failing_in_pass(3, 72)
+    monkeypatch.setattr(engine, "checked_factor", checked)
+    statistics = (StatisticId.parse("mardia_kurt"), StatisticId.parse("z3_w"))
+    with pytest.raises(SingularBlockError) as info:
+        calibrate(statistics, 100, 5, 1000, RngStream(8, (1,)))
+    assert (
+        "first item 200: alternative normal at n=100, replication r=456 of seed=8, path=(1,), "
+        f"context={montecarlo.CALIBRATION_CONTEXT};"
+    ) in str(info.value)
+    assert info.value.__cause__.item == 200
+    assert passes == [128] * 4
 
 
 def equilibrated_condition_exact(x):

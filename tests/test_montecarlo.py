@@ -560,6 +560,26 @@ def test_values_do_not_depend_on_chunk_size(monkeypatch, size):
         assert list(power_study(**study, workers=workers)) == reports
 
 
+def test_draw_group_reports_do_not_depend_on_the_batch_size():
+    # One draw group of three alternatives: a serial run evaluates batches
+    # of 3 x 342 of them, a run on two workers batches of 3 x 86, since its
+    # 4 jobs of one chunk each fall back to CHUNK.
+    alts = [alternative(name, 2) for name in ("al0_r0", "al1_r0", "al3_r0")]
+    rng = RngStream(31)
+    jobs = [montecarlo._calibration_job(ALL_STATISTICS, 20, 2, 1024, rng.child(0, 20))] + [
+        montecarlo._power_job(alt, 20, 2, 0.05, 1024, rng.child(1, 20)) for alt in alts
+    ]
+    assert [len(group) for group in montecarlo._draw_groups(jobs)] == [1, 3]
+    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 1) == [1024] * 4
+    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 2) == [256] * 4
+    reports = [
+        list(power_study(alts, ALL_STATISTICS, (20,), 2, 0.05, 1024, 1024, rng, workers=workers))
+        for workers in (1, 2)
+    ]
+    assert len(reports[0]) == 3
+    assert reports[1] == reports[0]
+
+
 def test_failing_replication_in_a_large_chunk_is_named(monkeypatch):
     # Under the default rule this run has chunks of 4 * CHUNK replications;
     # replication 1300 is item 276 of the second one.

@@ -115,6 +115,21 @@ def test_garbage_header_is_format_error(tmp_path):
             load_null(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "stream"},
+    lambda h: {**h, "stream": None},
+    lambda h: {**h, "stream": [1, "2"]},
+    lambda h: {**h, "stream": [1, True]},
+], ids=["absent", "null", "string", "bool"])
+def test_stream_field_is_required(tmp_path, edit):
+    # save_null always writes it; a header without it is not read as stream ()
+    path = tmp_path / "t.null"
+    save_null(make_table(), path)
+    rewrite_header(path, edit)
+    with pytest.raises(NullTableFormatError, match="t.null: header field 'stream' is"):
+        load_null(path)
+
+
 def test_unsorted_payload_is_format_error(tmp_path):
     path = tmp_path / "t.null"
     save_null(make_table(), path)
