@@ -98,6 +98,14 @@ def _default_null_dir() -> str:
     return os.environ.get(NULL_DIR_ENV, "nulltables")
 
 
+def _default_workers() -> int:
+    """The CPUs this process may run on (its affinity mask, which ``taskset``
+    and cpusets narrow), or the host's count where the platform has no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(text: str) -> int:
     """argparse type of ``--workers``: an integer >= 1."""
     try:
@@ -365,8 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
         if workers:
             sp.add_argument(
-                "--workers", type=_worker_count, default=os.cpu_count() or 1,
-                help="parallel workers; results do not depend on this",
+                "--workers", type=_worker_count, default=_default_workers(),
+                help="parallel workers (default: the CPUs this process may use); "
+                "results do not depend on this",
             )
 
     sp = sub.add_parser("calibrate", help="simulate null tables under normality")

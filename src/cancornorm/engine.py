@@ -45,13 +45,13 @@ passes of even size, each holding about PRODUCT_BUDGET bytes or fewer of
 pair Grams and, for z3, sixth moments; the product passes run within each.
 So the q3 x q3 blocks and their factors, q3^2 per item, no longer grow with
 B either: a (256, 100, 5) batch runs as 2 x 128 and a (256, 100, 6) batch
-as 4 x 64, while the simulation's chunks at p <= 4 take one pass.  A check
-that fails in a pass names the item by its index in the whole batch.  A
-batch within the budget takes one pass of each kind.  The simulation sizes
-its chunks by the same budget and the same ``product_bytes``.  A
-population's dense moment tensors are whitened by the same factor of its
-covariance, each population of a stack by its own, and read at the same
-distinct coordinates.
+as 4 x 64, while the simulation's chunks at p = 2, of up to 4096 items,
+take one pass.  A check that fails in a pass names the item by its index
+in the whole batch.  A batch within the budget takes one pass of each
+kind.  The simulation sizes its chunks by the same budget and the same
+``product_bytes``.  A population's dense moment tensors are whitened by the
+same factor of its covariance, each population of a stack by its own, and
+read at the same distinct coordinates.
 
 The second step builds the covariance blocks of both families from these
 whitened moments, under the weights of a sample size n or of the large-n

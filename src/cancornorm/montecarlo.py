@@ -8,24 +8,26 @@ its own counter-derived random stream, and ``evaluate_batch`` gives the same
 bits for any grouping; results are therefore bit-identical for any worker
 count, any chunk size and any grouping of jobs into draw groups.
 
-A chunk holds ``CHUNK * 2**k`` replications, k <= 2: the largest such size
+A chunk holds ``CHUNK * 2**k`` replications, k <= 4: the largest such size
 whose distinct moment products (``engine.product_bytes`` per replication:
-the pair products, and the triple products when z3 statistics are
-evaluated) fit in ``engine.PRODUCT_BUDGET`` bytes at the job's (n, p), so
-that small problems pay the fixed cost of sampling and evaluating a chunk
-fewer times.  A chunk within the budget forms its products in one pass;
-one beyond it (at large (n, p), a chunk of ``CHUNK`` replications) forms
-them in passes that each fit the budget, or hold one replication where one
-alone exceeds it.  The chunk's moments and covariance blocks are built in
-block passes of even size that each hold about the same budget of pair
-Grams and, with z3 statistics, sixth moments (``engine.evaluate_batch``),
-so that a z3 chunk of 256 takes 2 passes of 128 at p = 5 and 4 of 64 at
-p = 6, while every chunk at p <= 4 takes one.  When the rule would
-leave a run with fewer than 4 chunks per worker, every chunk holds
-``CHUNK`` replications, so that the workers still share the run (the rule
-counts each job's chunks, before jobs are grouped).  The choice depends
-only on (n, p), the statistics, the replication counts and the worker
-count.
+the pair products, and the triple products when z3 statistics are evaluated)
+fill at most four passes of ``engine.PRODUCT_BUDGET`` bytes at the job's
+(n, p), so that small problems pay the fixed cost of a chunk (the numpy
+calls on small blocks, the stream keys, the sampler set-up, pickling a task
+and reducing its values) fewer times: 4096 replications at (20, 2), 2048 at
+(50, 2), 1024 at (50, 3) and 256 for z3 at (100, 5).  The engine forms a
+chunk's products in passes that each fit the budget, or hold one replication
+where one alone exceeds it, and builds its moments and covariance blocks in
+block passes of even size that each hold about the same budget of pair Grams
+and, with z3 statistics, sixth moments (``engine.evaluate_batch``), so that
+a z3 chunk of 256 takes 2 passes of 128 at p = 5 and 4 of 64 at p = 6; the
+chunk size bounds the number of passes, not the memory of one.  While the
+rule would leave a run with fewer than 4 chunks per worker, every chunk size
+above ``CHUNK`` is halved, so that the workers still share the run (the rule
+counts each job's chunks, before jobs are grouped): 10000 replications at
+(20, 2) on 2 workers run in chunks of 1024, and 2048 at (100, 5) keep their
+8 chunks of 256.  The choice depends only on (n, p), the statistics, the
+replication counts and the worker count.
 
 A chunk computes the Philox keys of all its replications in one vectorized
 pass (``alternatives.stream_keys``) and re-keys a single generator before
@@ -179,17 +181,23 @@ class SimulationJob(NamedTuple):
 
 
 def _chunk_sizes(jobs, statistics, workers: int) -> list[int]:
-    """Replications per chunk of each job (see the module docstring)."""
+    """Replications per chunk of each job: the largest ``CHUNK * 2**k``,
+    k <= 4, whose distinct products fill at most four product passes at the
+    job's (n, p); then, while the run has fewer than 4 chunks per worker,
+    every size above ``CHUNK`` is halved (see the module docstring)."""
     z3 = any(sid.family == "z3" for sid in statistics)
     sizes = []
     for job in jobs:
         rep_bytes = product_bytes(job.n, job.spec.p, z3)
         size = CHUNK
-        while size < 4 * CHUNK and 2 * size * rep_bytes <= PRODUCT_BUDGET:
+        while size < 16 * CHUNK and 2 * size * rep_bytes <= 4 * PRODUCT_BUDGET:
             size *= 2
         sizes.append(size)
-    if sum(ceil(job.reps / size) for job, size in zip(jobs, sizes)) < 4 * workers:
-        return [CHUNK] * len(jobs)
+    while (
+        sum(ceil(job.reps / size) for job, size in zip(jobs, sizes)) < 4 * workers
+        and any(size > CHUNK for size in sizes)
+    ):
+        sizes = [max(CHUNK, size // 2) for size in sizes]
     return sizes
 
 
@@ -452,6 +460,16 @@ def power(
     return report
 
 
+def _study_jobs(alternatives, statistics, sizes, p, alpha, reps, calibration_reps, rng):
+    """The jobs of ``power_study``, checked: at each n, the calibration, then
+    every alternative."""
+    jobs = []
+    for n in sizes:
+        jobs.append(_calibration_job(statistics, n, p, calibration_reps, rng.child(0, n)))
+        jobs += [_power_job(alt, n, p, alpha, reps, rng.child(1, n)) for alt in alternatives]
+    return jobs
+
+
 def power_study(
     alternatives,
     statistics,
@@ -473,10 +491,7 @@ def power_study(
     rng.child(0, n))``.  Every job is checked before the first chunk runs.
     """
     statistics = tuple(statistics)
-    jobs = []
-    for n in sizes:
-        jobs.append(_calibration_job(statistics, n, p, calibration_reps, rng.child(0, n)))
-        jobs += [_power_job(alt, n, p, alpha, reps, rng.child(1, n)) for alt in alternatives]
+    jobs = _study_jobs(alternatives, statistics, sizes, p, alpha, reps, calibration_reps, rng)
     run = _results(jobs, statistics, workers, alpha)
     try:
         for result, job in zip(run, jobs):

@@ -130,10 +130,10 @@ def load_null(path) -> NullTable:
         raise NullTableFormatError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):
         raise NullTableFormatError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
+    version = _header_field(path, header, "format_version", int)
+    if version != FORMAT_VERSION:
         raise NullTableFormatError(
-            f"{path}: format version {header.get('format_version')!r} not supported "
-            f"(expected {FORMAT_VERSION})"
+            f"{path}: format version {version!r} not supported (expected {FORMAT_VERSION})"
         )
     replications = _header_field(path, header, "replications", int)
     if len(payload) != 8 * replications:

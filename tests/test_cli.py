@@ -101,6 +101,23 @@ def test_power_rejects_bad_workers_before_loading_tables(tmp_path, capsys):
     assert "error: workers must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("affinity, count, default", [
+    ({0, 3, 5}, 64, 3),  # a run under taskset or a cpuset: its CPUs, not the host's
+    (None, 64, 64),  # a platform without affinity masks
+    (None, None, 1),  # and without a CPU count
+])
+def test_workers_default_to_the_cpus_the_process_may_use(monkeypatch, affinity, count, default):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    parser = cli.build_parser()
+    for command in ("calibrate --n 20 --p 2", "power --alt beta22 --n 20 --p 2",
+                    "tables --which 2"):
+        assert parser.parse_args(command.split()).workers == default
+
+
 @pytest.mark.parametrize("args", [
     "popvalues --p 0",
     "popvalues --p -1",

@@ -35,7 +35,7 @@ class Case:
 
 
 CASES = {
-    # (20, 2) runs as 4 chunks of 1024 on one worker, as 16 of 256 on two; the
+    # (20, 2) runs as 4 chunks of 1024 on one worker, as 8 of 512 on two; the
     # (100, 5) temporaries come from the CLI's tuned heap or the workers' ones
     "null-tables": Case(WORKERS, 24, lambda w: [
         f"calibrate --n 20 --p 2 --reps 4096 --seed 3 --workers {w} --out-dir .",
@@ -59,7 +59,7 @@ CASES = {
     "power-p3": Case(WORKERS, 1, lambda w: [
         f"tables --which 4 --reps 200 --calib-reps 1000 --seed 5 --workers {w} --out power.csv",
     ]),
-    # 4096 replications run as 4 chunks of 1024 on one worker, as 16 of 256
+    # 4096 replications run as 4 chunks of 1024 on one worker, as 8 of 512
     # on two, so the reports must not depend on the batch size either
     "power-reports": Case(WORKERS, 2, lambda w: [
         f"power --alt laplace2 --n 20 --p 2 --reps 4096 --null-dir ../nulls --format {fmt} "

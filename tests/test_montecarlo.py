@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cancornorm import alternatives, montecarlo, stats
+from cancornorm import alternatives, cli, montecarlo, stats
 from cancornorm.alternatives import (
     ALL_ALTERNATIVE_NAMES,
     RngStream,
@@ -48,6 +48,7 @@ from cancornorm.stats import (
 )
 
 from covblocks_oracle import functional_value
+from test_invariants import CASES, WORKERS
 
 Z2HL = StatisticId.parse("z2_hl")
 Z2W = StatisticId.parse("z2_w")
@@ -524,19 +525,57 @@ def test_timestamp_rejects_epochs_beyond_four_digit_years(monkeypatch, epoch):
 
 def test_chunk_sizes_follow_working_set_and_workers():
     # 8 n (C(p+1, 2) + C(p+2, 3)) bytes of pair and triple products per
-    # replication (engine.product_bytes)
+    # replication (engine.product_bytes), in at most 4 passes of PRODUCT_BUDGET
     jobs = [_job(20, 2, 4096), _job(50, 2, 4096), _job(50, 3, 4096), _job(100, 6, 4096)]
-    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 1) == [1024, 512, 256, 256]
-    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 2) == [1024, 512, 256, 256]
-    # fewer than 4 chunks per worker: every job falls back to CHUNK
+    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 1) == [4096, 2048, 1024, 256]
+    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 2) == [4096, 2048, 1024, 256]
+    # fewer than 4 chunks per worker: every size above CHUNK is halved until
+    # there are 4 per worker or every size is CHUNK
     assert montecarlo._chunk_sizes(jobs[:1], ALL_STATISTICS, 1) == [1024]
-    assert montecarlo._chunk_sizes(jobs[:1], ALL_STATISTICS, 2) == [256]
-    pair = [_job(20, 2, 1000), _job(50, 2, 1500)]  # 1 + 3 chunks
-    assert montecarlo._chunk_sizes(pair, ALL_STATISTICS, 1) == [1024, 512]
-    assert montecarlo._chunk_sizes(pair, ALL_STATISTICS, 2) == [256, 256]
+    assert montecarlo._chunk_sizes(jobs[:1], ALL_STATISTICS, 2) == [512]
+    assert montecarlo._chunk_sizes([_job(20, 2, 10000)], ALL_STATISTICS, 2) == [1024]
+    assert montecarlo._chunk_sizes([_job(100, 5, 2048)], ALL_STATISTICS, 2) == [256]
+    assert montecarlo._chunk_sizes([_job(100, 6, 1000)], ALL_STATISTICS, 2) == [256]
+    pair = [_job(20, 2, 1000), _job(50, 2, 1500)]  # 1 + 1 chunks
+    assert montecarlo._chunk_sizes(pair, ALL_STATISTICS, 1) == [1024, 512]  # 1 + 3
+    assert montecarlo._chunk_sizes(pair, ALL_STATISTICS, 2) == [512, 256]  # 2 + 6
+    assert montecarlo._chunk_sizes([], ALL_STATISTICS, 2) == []
     # the power table of the paper: 28 jobs of 1000 replications at each of n = 20, 50
     study = [_job(20, 2, 1000)] * 28 + [_job(50, 2, 1000)] * 28
-    assert montecarlo._chunk_sizes(study, ALL_STATISTICS, 2) == [1024] * 28 + [512] * 28
+    assert montecarlo._chunk_sizes(study, ALL_STATISTICS, 2) == [4096] * 28 + [2048] * 28
+
+
+def _command_run(command):
+    """The jobs, statistics and worker count of the run a CLI command makes."""
+    ns = cli.build_parser().parse_args(command.split())
+    rng = RngStream(ns.seed)
+    if ns.command == "tables":
+        p = 2 if ns.which == "2" else 3
+        specs = [alternative(name, p) for name in ALL_ALTERNATIVE_NAMES]
+        jobs = montecarlo._study_jobs(specs, ALL_STATISTICS, (20, 50), p, ns.alpha, ns.reps,
+                                      ns.calib_reps, rng)
+        return jobs, ALL_STATISTICS, ns.workers
+    statistics = cli._parse_statistics(ns.statistics)
+    if ns.command == "calibrate":
+        job = montecarlo._calibration_job(statistics, ns.n, ns.p, ns.reps, rng)
+    else:
+        job = montecarlo._power_job(alternative(ns.alt, ns.p), ns.n, ns.p, ns.alpha, ns.reps, rng)
+    return [job], statistics, ns.workers
+
+
+# The commands of each worker-count case of tests/test_invariants.py whose
+# batch size the case claims changes between 1 and 2 workers; there, the
+# case also checks that the values do not depend on the batch size.
+RESIZED = {"null-tables": [True, False], "power-reports": [True, True]}
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items() if case.values == WORKERS])
+def test_worker_count_cases_change_the_batch_size_they_claim(name):
+    case = CASES[name]
+    runs = [[_command_run(command) for command in case.commands(w)] for w in WORKERS]
+    sizes = [[montecarlo._chunk_sizes(*run) for run in by_command] for by_command in runs]
+    resized = [one != two for one, two in zip(*sizes)]
+    assert resized == RESIZED.get(name, [False] * len(resized)), sizes
 
 
 @pytest.mark.parametrize("size", [montecarlo.CHUNK, 4 * montecarlo.CHUNK, 97])
@@ -561,17 +600,17 @@ def test_values_do_not_depend_on_chunk_size(monkeypatch, size):
 
 
 def test_draw_group_reports_do_not_depend_on_the_batch_size():
-    # One draw group of three alternatives: a serial run evaluates batches
-    # of 3 x 342 of them, a run on two workers batches of 3 x 86, since its
-    # 4 jobs of one chunk each fall back to CHUNK.
+    # One draw group of three alternatives: a serial run evaluates one batch
+    # of 3 x 1024 of them, a run on two workers batches of 3 x 171, since
+    # its 4 jobs of one chunk each are halved to chunks of 512.
     alts = [alternative(name, 2) for name in ("al0_r0", "al1_r0", "al3_r0")]
     rng = RngStream(31)
     jobs = [montecarlo._calibration_job(ALL_STATISTICS, 20, 2, 1024, rng.child(0, 20))] + [
         montecarlo._power_job(alt, 20, 2, 0.05, 1024, rng.child(1, 20)) for alt in alts
     ]
     assert [len(group) for group in montecarlo._draw_groups(jobs)] == [1, 3]
-    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 1) == [1024] * 4
-    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 2) == [256] * 4
+    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 1) == [4096] * 4
+    assert montecarlo._chunk_sizes(jobs, ALL_STATISTICS, 2) == [512] * 4
     reports = [
         list(power_study(alts, ALL_STATISTICS, (20,), 2, 0.05, 1024, 1024, rng, workers=workers))
         for workers in (1, 2)
@@ -610,11 +649,8 @@ def test_failing_replication_in_a_large_chunk_is_named(monkeypatch):
 
 def _power_table_jobs(p, n, reps):
     """The jobs ``power_study`` runs at one sample size, for every alternative."""
-    rng = RngStream(5)
-    return [montecarlo._calibration_job(ALL_STATISTICS, n, p, 1000, rng.child(0, n))] + [
-        montecarlo._power_job(alternative(name, p), n, p, 0.05, reps, rng.child(1, n))
-        for name in ALL_ALTERNATIVE_NAMES
-    ]
+    return montecarlo._study_jobs([alternative(name, p) for name in ALL_ALTERNATIVE_NAMES],
+                                  ALL_STATISTICS, (n,), p, 0.05, reps, 1000, RngStream(5))
 
 
 @pytest.mark.parametrize("n", [20, 50])
@@ -637,9 +673,9 @@ def test_power_table_has_ten_draw_groups(n):
 
 
 def test_power_study_draws_each_group_range_once(monkeypatch):
-    # One raw draw per draw group and replication range: chunks of 1024 at
-    # n = 20 give the 10 mixtures ranges of 103 replications (3 for 300),
-    # the 5 AL rows ranges of 205 (2) and every other group one range.
+    # One raw draw per draw group and replication range: chunks of 4096 at
+    # n = 20 give the 10 mixtures ranges of 410 replications (3 for 1000),
+    # the 5 AL rows ranges of 820 (2) and every other group one range.
     draws = []
 
     def counted(generators, count, runs):
@@ -651,12 +687,12 @@ def test_power_study_draws_each_group_range_once(monkeypatch):
     statistics = (Z2HL, KURT)
     reports = list(power_study(
         [alternative(name, 2) for name in ALL_ALTERNATIVE_NAMES], statistics, (20,), 2, 0.05,
-        300, 1000, RngStream(6),
+        1000, 1000, RngStream(6),
     ))
     assert len(reports) == 27
     assert len(draws) == 14
-    assert sum(draws) == 1000 + 10 * 300  # not 1000 + 27 * 300
-    assert sorted(draws)[:2] == [94, 95]  # the ragged last ranges of the mixtures and AL rows
+    assert sum(draws) == 1000 + 10 * 1000  # not 1000 + 27 * 1000
+    assert sorted(draws)[:2] == [180, 180]  # the ragged last ranges of the mixtures and AL rows
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -680,9 +716,9 @@ def test_power_study_with_a_repeated_sample_size(workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_replication_of_a_draw_group_is_named(monkeypatch, workers):
-    # Replication 250 of mix75_m1_r05, the 9th of the 10 mixtures, is row
-    # 8 * 94 + 44 of the last group task (replications 206 .. 299).
-    rng, bad, name = RngStream(5, (2,)), 250, "mix75_m1_r05"
+    # Replication 850 of mix75_m1_r05, the 9th of the 10 mixtures, is row
+    # 8 * 180 + 30 of the last group task (replications 820 .. 999).
+    rng, bad, name = RngStream(5, (2,)), 850, "mix75_m1_r05"
     stream = rng.child(1, 20)
     failing = []
     monkeypatch.setattr(montecarlo, "generate_group", constant_column_sampler(
@@ -690,7 +726,7 @@ def test_failing_replication_of_a_draw_group_is_named(monkeypatch, workers):
     ))
     mixtures = [alternative(mix, 2) for mix, *_ in alternatives._MIXTURES]
     with pytest.raises(DegenerateSampleError) as info:
-        list(power_study(mixtures, (Z2HL, KURT), (20,), 2, 0.05, 300, 1000, rng,
+        list(power_study(mixtures, (Z2HL, KURT), (20,), 2, 0.05, 1000, 1000, rng,
                          workers=workers))
     message = str(info.value)
     assert (
@@ -701,7 +737,7 @@ def test_failing_replication_of_a_draw_group_is_named(monkeypatch, workers):
     replay = generate(alternative(name, 2), 20,
                       RngStream(5, (2, 1, 20)).child(montecarlo.POWER_CONTEXT, bad))
     if workers == 1:  # a pool worker's cause and list stay in the worker
-        assert info.value.__cause__.item == 8 * 94 + 44
+        assert info.value.__cause__.item == 8 * 180 + 30
         assert len(failing) == 1
         assert_array_equal(replay, failing[0])
     replay[:, 1] = 2.0
@@ -892,3 +928,50 @@ def test_null_table_validation():
     with pytest.raises(ValueError):
         NullTable(statistic=Z2HL, n=20, p=2, replications=3, seed=0, stream=(),
                   values=np.array([3.0, 2.0, 1.0]), created_at="t")
+
+
+# The first three sorted values of each statistic of
+# calibrate(ALL_STATISTICS, n, p, 1000, RngStream(29)), as committed.
+ENGINE_VALUES = {
+    (20, 2): {
+        "mardia_skew": (0.011530031711682973, 0.014066787327501573, 0.02532986067430744),
+        "mardia_kurt": (4.338716538899957, 4.633198818549113, 4.665201961220569),
+        "z2_hl": (0.012803173592677936, 0.02217828625801417, 0.022857825345765612),
+        "z2_w": (0.10990481402764539, 0.13554471277609964, 0.1624187773435147),
+        "z2_pb": (0.012893575997329088, 0.022545445787052743, 0.023261163782607213),
+        "z2_max": (0.008371698264483678, 0.01861082943567024, 0.018657477368160223),
+        "z2_min": (0.00016686040812643717, 0.0005773332215182215, 0.0008284742085288214),
+        "z3_hl": (0.05515701138276455, 0.07187752186731358, 0.089158276676661),
+        "z3_w": (0.05519418077344692, 0.05920496426767983, 0.05961554515568716),
+        "z3_pb": (0.056971564315671186, 0.07486326090426888, 0.0938444652680582),
+        "z3_max": (0.03830455530136895, 0.04765126431809984, 0.059724244880243686),
+        "z3_min": (0.0032650335768393893, 0.0036633233196466386, 0.004817002252691202),
+    },
+    (50, 3): {
+        "mardia_skew": (0.0919233128281973, 0.18798302585001908, 0.2061916667917397),
+        "mardia_kurt": (11.1859159259109, 11.304347469725244, 11.327095627230833),
+        "z2_hl": (0.07805982562704757, 0.1037596830858359, 0.13675852723424411),
+        "z2_w": (0.2186148385294492, 0.23748990855179122, 0.24175199127900557),
+        "z2_pb": (0.08222314419098811, 0.1112320637523624, 0.1441796811396598),
+        "z2_max": (0.06091654001200038, 0.06213405700990536, 0.0810974853954316),
+        "z2_min": (0.003006548167614826, 0.0031033745918610475, 0.004245871722431439),
+        "z3_hl": (0.4146002476010876, 0.4924494015628919, 0.5116411947161326),
+        "z3_w": (0.03077213383638447, 0.037379314343091226, 0.03769617829080715),
+        "z3_pb": (0.49066983599121006, 0.5989327148046161, 0.6573139289490615),
+        "z3_max": (0.18184611938403256, 0.2075424489784336, 0.230685610808492),
+        "z3_min": (0.029726192334134822, 0.030012130922285427, 0.03722183955104923),
+    },
+}
+
+
+@pytest.mark.parametrize("n, p", list(ENGINE_VALUES))
+def test_engine_values_are_pinned(n, p):
+    # The sampler's variates are pinned bit for bit in test_alternatives.py;
+    # the engine's arithmetic may round differently under another BLAS build,
+    # so its values are held to 1e-12 relative, not to the bit.
+    tables = calibrate(ALL_STATISTICS, n, p, 1000, RngStream(29))
+    for sid in ALL_STATISTICS:
+        assert_allclose(
+            tables[sid].values[:3], ENGINE_VALUES[n, p][sid.name], rtol=1e-12, atol=0,
+            err_msg=f"{sid.name} at (n={n}, p={p}) moved under numpy {np.__version__}",
+        )

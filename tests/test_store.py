@@ -96,6 +96,16 @@ def rewrite_header(path, edit):
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_format_version_must_be_an_int(tmp_path, version):
+    # True == 1 == 1.0, so an equality check alone would read these as version 1
+    path = tmp_path / "t.null"
+    save_null(make_table(), path)
+    rewrite_header(path, lambda h: {**h, "format_version": version})
+    with pytest.raises(NullTableFormatError, match="t.null: header field 'format_version' is"):
+        load_null(path)
+
+
 def test_garbage_header_is_format_error(tmp_path):
     path = tmp_path / "t.null"
     path.write_bytes(b"\x00\x01\x02 not json\n12345678")
