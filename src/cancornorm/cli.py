@@ -6,10 +6,12 @@ alternative, ``popvalues`` prints large-n population values, and ``tables``
 reproduces the benchmark tables (power tables 2 and 4, and the population
 table ``altpop``) at a configurable replication count.
 
-Exit codes: 0 success, 2 usage error, 3 data error (unreadable CSV, missing
-or corrupt table files), 4 computation error (thresholds, singular data).
-An exception's base class in ``errors`` decides its code (``DataError`` or
-``ComputeError``; any other ``ValueError`` is a usage error).
+Exit codes: 0 success, 2 usage error, 3 data error (unreadable CSV, missing,
+unreadable or corrupt table files), 4 computation error (thresholds,
+singular data).
+An exception's base class alone decides its code: ``errors.DataError`` 3,
+``errors.ComputeError`` and numpy's ``LinAlgError`` 4, and any other
+``ValueError`` 2, as for the ``UsageError`` of a bad option value.
 An output path whose directory is missing, or that names a directory, is a
 usage error reported before any replication runs or any file is read.
 
@@ -134,13 +136,10 @@ def _parse_statistics(text: str | None) -> tuple[StatisticId, ...]:
     usage error."""
     if not text:
         return ALL_STATISTICS
-    try:
-        statistics = tuple(StatisticId.parse(part) for part in text.split(","))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    statistics = tuple(StatisticId.parse(part) for part in text.split(","))
     for i, sid in enumerate(statistics):
         if sid in statistics[:i]:
-            raise UsageError(f"statistic {sid.name} is listed more than once")
+            raise ValueError(f"statistic {sid.name} is listed more than once")
     return statistics
 
 
@@ -157,7 +156,7 @@ def read_csv_sample(path) -> np.ndarray:
                 if any(cell.strip() for cell in row):
                     rows.append(row)
                     lines.append(reader.line_num)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFileError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataFileError(f"{path}: no data rows")
@@ -266,10 +265,7 @@ def cmd_power(ns) -> int:
     from .alternatives import RngStream, alternative
     from .montecarlo import _power_job, _steady_heap, power
 
-    try:
-        spec = alternative(ns.alt, ns.p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = alternative(ns.alt, ns.p)
     statistics = _parse_statistics(ns.statistics)
     rng = RngStream(ns.seed)
     _power_job(spec, ns.n, ns.p, ns.alpha, ns.reps, rng)  # checks the inputs before any I/O
@@ -312,14 +308,9 @@ def _population_rows(names, p_values):
 
 
 def cmd_popvalues(ns) -> int:
-    from .alternatives import alternative, available_alternatives
+    from .alternatives import available_alternatives
 
     names = [ns.alt] if ns.alt else list(available_alternatives())
-    if ns.alt:
-        try:
-            alternative(ns.alt, ns.p)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
     rows = _population_rows(names, [ns.p])
     if ns.out:
         write_csv(ns.out, POPULATION_FIELDS, rows)
@@ -434,16 +425,13 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ComputeError, np.linalg.LinAlgError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

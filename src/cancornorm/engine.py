@@ -408,9 +408,11 @@ def product_bytes(n: int, p: int, z3: bool) -> int:
 
 
 def _block_bytes(p: int, z3: bool) -> int:
-    """Bytes of the pair Gram of one sample, and of its sixth moments on
-    pairs of triples when ``z3`` statistics are evaluated:
-    8 C(p+1, 2)^2, plus 8 C(p+2, 3)^2 for z3."""
+    """Bytes of the Grams a block pass keeps per sample, by which the passes
+    are sized: the pair Gram, 8 C(p+1, 2)^2, plus the sixth moments on pairs
+    of triples, 8 C(p+2, 3)^2, when ``z3`` statistics are evaluated.  The
+    block stage's temporaries are not counted; at p = 2 they take about
+    three times as much."""
     return 8 * (comb(p + 1, 2) ** 2 + (comb(p + 2, 3) ** 2 if z3 else 0))
 
 

@@ -3,8 +3,9 @@ reference ``covblocks`` that shares its checks), the table store, the
 simulation and the population moments.  A type's base decides its exit
 code: ``DataError`` 3 (unreadable or mismatched input files),
 ``ComputeError`` 4 (thresholds, singular data), any other ``ValueError`` 2
-(usage).  ``cli.main`` reads only the two bases, so a new error class needs
-no CLI edit.  The modules that raise these re-export them.  ``engine``
+(usage).  ``cli.main`` reads only the two bases (and numpy's
+``LinAlgError``, a computation error), so a new error class needs no CLI
+edit.  The modules that raise these re-export them.  ``engine``
 imports nothing else from the package."""
 
 from __future__ import annotations

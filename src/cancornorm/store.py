@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    DataError,
     NullTableFormatError,
     NullTableIntegrityError,
     NullTableLengthError,
@@ -121,9 +122,14 @@ def _header_field(path, header: dict, key: str, kind: type):
 def load_null(path) -> NullTable:
     import hashlib  # loads OpenSSL, which only a checksum needs
 
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            payload = fh.read()
+    except (FileNotFoundError, NotADirectoryError):
+        raise  # no file at that path
+    except OSError as exc:  # a directory, or no permission to read
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -169,11 +175,12 @@ def null_table_filename(statistic: StatisticId, n: int, p: int) -> str:
 
 def find_null(directory, statistic: StatisticId, n: int, p: int) -> NullTable:
     path = Path(directory) / null_table_filename(statistic, n, p)
-    if not path.exists():
-        raise FileNotFoundError(
+    try:
+        return load_null(path)
+    except (FileNotFoundError, NotADirectoryError):
+        raise DataError(
             f"no null table for {statistic.name} at (n={n}, p={p}); expected {path}"
-        )
-    return load_null(path)
+        ) from None
 
 
 def write_csv(path, fieldnames, rows) -> None:

@@ -248,6 +248,23 @@ def test_cmd_power_missing_table_is_data_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", [
+    ["test", "--data", "{csv}"],
+    ["power", "--alt", "laplace2", "--n", "20", "--p", "2", "--reps", "100", "--workers", "1"],
+], ids=["test", "power"])
+def test_unreadable_table_is_data_error(tmp_path, capsys, command):
+    data = generate(alternative("normal", 2), 20, RngStream(45))
+    csv_path = tmp_path / "d.csv"
+    write_csv(csv_path, data)
+    null_dir = tmp_path / "nulls"
+    (null_dir / "z2_hl_n20_p2.null").mkdir(parents=True)
+    argv = [arg.format(csv=csv_path) for arg in command]
+    assert main([*argv, "--statistics", "z2_hl", "--null-dir", str(null_dir)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: cannot read {null_dir / 'z2_hl_n20_p2.null'}: Is a directory\n"
+    )
+
+
 def test_cmd_test_malformed_table_header_is_data_error(null_dir, tmp_path, capsys):
     path = null_dir / "z2_hl_n20_p2.null"
     header_line, payload = path.read_bytes().split(b"\n", 1)
@@ -270,6 +287,16 @@ def test_cmd_test_non_finite_cell_is_data_error(null_dir, tmp_path, capsys):
     rc = main(["test", "--data", str(csv_path), "--null-dir", str(null_dir)])
     assert rc == 3
     assert "row 5, column 2" in capsys.readouterr().err
+
+
+def test_cmd_test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"1,2\n3,\xff\xfe\n")
+    assert main(["test", "--data", str(path), "--null-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 6: invalid start byte\n"
+    )
 
 
 def test_cmd_test_evaluates_the_sample_once(null_dir, tmp_path, monkeypatch):
@@ -738,7 +765,7 @@ def test_exit_code_usage():
 EXIT_CODES = [
     *[(error, 3, "data error") for error in (
         DataFileError, errors.TableMismatchError, errors.NullTableFormatError,
-        errors.NullTableIntegrityError, errors.NullTableLengthError, FileNotFoundError,
+        errors.NullTableIntegrityError, errors.NullTableLengthError,
     )],
     *[(error, 4, "computation error") for error in (
         errors.SampleSizeError, errors.DegenerateSampleError, errors.SingularBlockError,

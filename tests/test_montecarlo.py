@@ -6,6 +6,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -278,20 +279,30 @@ def fresh_pool(monkeypatch):
     built, initializers = [], []
 
     class CountingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers, initializer, **kwargs):
             built.append(max_workers)
             initializers.append(initializer)
-            super().__init__(max_workers=max_workers, initializer=initializer)
+            super().__init__(max_workers=max_workers, initializer=initializer, **kwargs)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
     yield built
     assert all(init is montecarlo._start_worker for init in initializers)
 
 
+def fork_pools(monkeypatch):
+    """Make the pools that runs build from here on fork their workers, so
+    that the workers inherit a fault the test patches into this process,
+    whatever the default start method."""
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", partial(
+        montecarlo.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+    ))
+
+
 def test_each_parallel_run_owns_its_pool(fresh_pool, small_tables, monkeypatch):
     # Every parallel calibrate, power and power_study builds one pool and
     # leaves no worker behind, whether it returns, raises on a worker,
     # loses a worker, or is closed by its caller.
+    fork_pools(monkeypatch)
     rng = RngStream(5, (2,))
     normal, indep_exp = alternative("normal", 2), alternative("indep_exp", 2)
     runs = [  # each run, and the stream of a replication that a failing run spoils
@@ -361,6 +372,7 @@ def test_threads_share_the_pool_safely(fresh_pool):
 
 
 def test_broken_pool_is_rebuilt(fresh_pool, monkeypatch):
+    fork_pools(monkeypatch)
     expected = calibrate((Z2HL,), 20, 2, 1000, RngStream(8), workers=1)[Z2HL].values
     with monkeypatch.context() as m:
         # the pool forks after this patch, so its workers die on their first chunk
@@ -721,6 +733,7 @@ def test_failing_replication_of_a_draw_group_is_named(monkeypatch, workers):
     rng, bad, name = RngStream(5, (2,)), 850, "mix75_m1_r05"
     stream = rng.child(1, 20)
     failing = []
+    fork_pools(monkeypatch)
     monkeypatch.setattr(montecarlo, "generate_group", constant_column_sampler(
         stream.child(montecarlo.POWER_CONTEXT, bad).generator(), failing, name
     ))

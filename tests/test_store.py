@@ -8,6 +8,7 @@ from numpy.testing import assert_array_equal
 
 import cancornorm
 from cancornorm.alternatives import RngStream
+from cancornorm.errors import DataError
 from cancornorm.montecarlo import (
     NullTable,
     PowerCell,
@@ -202,8 +203,14 @@ def test_saved_table_usable_by_run_test(tmp_path):
 
 
 def test_find_null_missing_names_requirements(tmp_path):
-    with pytest.raises(FileNotFoundError, match="z2_hl"):
+    with pytest.raises(DataError, match="z2_hl"):
         find_null(tmp_path, Z2HL, 20, 2)
+    with pytest.raises(FileNotFoundError):
+        load_null(tmp_path / null_table_filename(Z2HL, 20, 2))
+    a_file = tmp_path / "a_file"
+    a_file.touch()
+    with pytest.raises(DataError, match=f"^no null table for z2_hl at .*expected {a_file}"):
+        find_null(a_file, Z2HL, 20, 2)
 
 
 def sample_report():
