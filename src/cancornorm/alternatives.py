@@ -33,19 +33,22 @@ exponentials with a zero factor) expand binomially into powers of the factor
 and of their own parts.  The gamma ratios take that expectation over the
 factor by a fixed double-exponential rule whose nodes serve every pattern of
 the row, the conditional moments at each node coming from three-term
-recurrences.  Gaussians given a scalar (the normal, the asymmetric Laplace
-family, the normal mixtures) sum Isserlis moments over the even subsets of
-the index's slots, weighted by the scalar's moments.  The heavy-tailed t(2)
-has no moments of the orders needed here and population quantities raise
-``MomentsUndefinedError``.
+recurrences, run once per shape alpha (beta11 and beta12 share theirs).
+Gaussians given a scalar (the normal, the asymmetric Laplace family, the
+normal mixtures) sum Isserlis moments over the even subsets of the index's
+slots, weighted by the scalar's moments; the Isserlis values are kept per
+covariance, and the 16 Gaussian-type rows use only three (S_0 = I, S_0.5
+and S_0.9).  The heavy-tailed t(2) has no moments of the orders needed here
+and population quantities raise ``MomentsUndefinedError``.
 
 The large-n population values are computed a stack of alternatives at a
 time (``population_values_batch``), as samples are drawn a chunk at a time:
 each alternative's rule runs once per count pattern, the results are
 gathered into dense moment tensors through a per-(p, order) map from dense
-index to count pattern, and ``engine.evaluate_population_batch`` evaluates
-the whole stack at once.  ``population_values`` and ``population_value``
-are its one-alternative cases.  The scalar reference ``covblocks`` reads
+index to count pattern (``_count_patterns``), and
+``engine.evaluate_population_batch`` evaluates the whole stack at once.
+``population_values`` and ``population_value`` are its one-alternative
+cases.  The scalar reference ``covblocks`` reads
 the same dense tensors (``_population_tensors``) into its ``MomentTable``
 (``covblocks.population_moments``); this module never imports it.
 """
@@ -534,6 +537,13 @@ def _isserlis(sigma: np.ndarray, indices: tuple[int, ...]) -> float:
     return total
 
 
+@lru_cache(maxsize=None)
+def _gaussian_moment(p: int, corr: float, indices: tuple[int, ...]) -> float:
+    """``_isserlis`` at ``equicorrelation(p, corr)``, kept per covariance:
+    the Gaussian-type rows of the study share three."""
+    return _isserlis(equicorrelation(p, corr), indices)
+
+
 def _exp_weight(j: int, h: int) -> float:
     """E[(W-1)^j W^h] for W standard exponential."""
     return sum(comb(j, l) * (-1.0) ** (j - l) * factorial(l + h) for l in range(j + 1))
@@ -597,6 +607,18 @@ def _conditional_powers(alpha: int, t: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
+def _nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The steps s of the gamma-ratio rule and its nodes t = exp(pi/2 sinh s)."""
+    s = _DE_STEP * np.arange(_DE_RANGE[0], _DE_RANGE[1] + 1)
+    return s, np.exp(pi / 2 * np.sinh(s))
+
+
+@lru_cache(maxsize=None)
+def _node_powers(alpha: int) -> np.ndarray:
+    """``_conditional_powers`` at the rule's nodes, built once per shape alpha."""
+    return _conditional_powers(alpha, _nodes()[1], 6)
+
+
 @lru_cache(maxsize=None)
 def _ratio_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """The weights of the gamma-ratio rule over the shared factor and, at its
@@ -604,12 +626,11 @@ def _ratio_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     of one coordinate Y = X/(X + t), X ~ Gamma(alpha, 1)."""
     if alpha != int(alpha) or alpha < 1:
         raise ValueError(f"gamma-ratio moments need a positive integer alpha, got {alpha}")
-    s = _DE_STEP * np.arange(_DE_RANGE[0], _DE_RANGE[1] + 1)
-    t = np.exp(pi / 2 * np.sinh(s))
+    s, t = _nodes()
     # dt = pi/2 cosh(s) t ds, times the Gamma(beta, 1) density of the factor
     weights = _DE_STEP * pi / 2 * np.cosh(s) * t**beta * np.exp(-t) / gamma(beta)
     mean = alpha / (alpha + beta)
-    powers = _conditional_powers(int(alpha), t, 6)
+    powers = _node_powers(int(alpha))
     central = [
         sum(comb(c, j) * (-mean) ** (c - j) * powers[j] for j in range(c + 1)) for c in range(7)
     ]
@@ -664,28 +685,28 @@ def _gaussian_terms(counts: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int,
     )
 
 
-def _gaussian_rule(atoms):
+def _gaussian_rule(p: int, atoms):
     """The rule of a mixture of atoms with coordinates D + sqrt(V) G_i, where
-    G ~ N(0, sigma) is independent of the scalars (D, V): each even subset of
-    the index's slots, 2h slots given to G and j to D, adds ``coef(j, h) =
-    E[D^j V^h]`` times its Gaussian moment (Isserlis) to an atom's sum.
+    G ~ N(0, equicorrelation(p, corr)) is independent of the scalars (D, V):
+    each even subset of the index's slots, 2h slots given to G and j to D,
+    adds ``coef(j, h) = E[D^j V^h]`` times its Gaussian moment (Isserlis) to
+    an atom's sum.
 
-    Each atom keeps its coef values and its subsets' Isserlis values, which
-    recur across the patterns of a table.
+    Each atom keeps its coef values, which recur across the patterns of a
+    table; ``_gaussian_moment`` keeps the Gaussian moments, which recur
+    across the atoms and rows of one covariance too.
     """
-    cached = [(weight, coef, sigma, {}, {}) for weight, coef, sigma in atoms]
+    cached = [(weight, coef, corr, {}) for weight, coef, corr in atoms]
 
     def rule(counts):
         terms = _gaussian_terms(counts)
         total = 0.0
-        for weight, coef, sigma, coefs, moments in cached:
+        for weight, coef, corr, coefs in cached:
             part = 0.0
             for j, h, subset in terms:
                 if (j, h) not in coefs:
                     coefs[j, h] = coef(j, h)
-                if subset not in moments:
-                    moments[subset] = _isserlis(sigma, subset)
-                part += coefs[j, h] * moments[subset]
+                part += coefs[j, h] * _gaussian_moment(p, corr, subset)
             total += weight * part
         return total
 
@@ -720,17 +741,17 @@ def _moment_rule(spec: AlternativeSpec):
     if kind == "gamma_ratio":
         return partial(_ratio_moment, prm["alpha"], prm["beta"])
     if kind == "normal":
-        return _gaussian_rule([(1.0, lambda j, h: float(j == 0), np.eye(spec.p))])
+        return _gaussian_rule(spec.p, [(1.0, lambda j, h: float(j == 0), 0.0)])
     if kind == "asym_laplace":  # D = shift (W - 1), V = W, W standard exponential
         shift = prm["shift"]
-        sigma = equicorrelation(spec.p, prm["corr"])
-        return _gaussian_rule([(1.0, lambda j, h: shift**j * _exp_weight(j, h), sigma)])
+        return _gaussian_rule(
+            spec.p, [(1.0, lambda j, h: shift**j * _exp_weight(j, h), prm["corr"])]
+        )
     if kind == "normal_mixture":  # constant D: each component's mean less the mixture's
         w, shift = prm["weight"], prm["shift"]
-        sigma = equicorrelation(spec.p, prm["corr"])
-        return _gaussian_rule([
-            (w, lambda j, h: (-(1.0 - w) * shift) ** j, np.eye(spec.p)),
-            (1.0 - w, lambda j, h: (w * shift) ** j, sigma),
+        return _gaussian_rule(spec.p, [
+            (w, lambda j, h: (-(1.0 - w) * shift) ** j, 0.0),
+            (1.0 - w, lambda j, h: (w * shift) ** j, prm["corr"]),
         ])
     raise ValueError(f"unknown alternative kind {kind!r}")
 
@@ -746,10 +767,12 @@ def _count_patterns(p: int, order: int) -> tuple[tuple[tuple[int, ...], ...], np
     pattern among them (read-only: the cache shares it)."""
     dense = np.indices((p,) * order).reshape(order, -1)
     counts = np.sort((dense[:, :, None] == np.arange(p)).sum(axis=0), axis=1)
-    keys, inverse = np.unique(counts, axis=0, return_inverse=True)
+    # a sorted row's digits in base order + 1 order the keys as the rows
+    key = counts @ (order + 1) ** np.arange(p - 1, -1, -1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     inverse = inverse.reshape((p,) * order)
     inverse.flags.writeable = False
-    return tuple(tuple(c for c in row if c) for row in keys.tolist()), inverse
+    return tuple(tuple(c for c in row if c) for row in counts[first].tolist()), inverse
 
 
 def _population_tensors(spec: AlternativeSpec, orders) -> list[np.ndarray]:

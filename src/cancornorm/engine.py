@@ -50,8 +50,9 @@ take one pass.  A check that fails in a pass names the item by its index
 in the whole batch.  A batch within the budget takes one pass of each
 kind.  The simulation sizes its chunks by the same budget and the same
 ``product_bytes``.  A population's dense moment tensors are whitened by the
-same factor of its covariance, each population of a stack by its own, and
-read at the same distinct coordinates.
+same factor of its covariance, each population of a stack by its own, in one
+stacked matrix product per tensor index for the whole stack, and read at
+the same distinct coordinates.
 
 The second step builds the covariance blocks of both families from these
 whitened moments, under the weights of a sample size n or of the large-n
@@ -462,36 +463,39 @@ def _z3_term_map(p: int) -> tuple[np.ndarray, np.ndarray]:
     triples = _sorted_indices(p, 3)
     q3 = len(triples)
     a, b = np.tril_indices(q3)
-    c = np.concatenate([triples[a], triples[b]], axis=-1)
+    # int8 coordinates, boolean masks and np.add.at: with int64 ones, np.nonzero
+    # or np.bincount, a (100, 5) calibration, whose parent builds this map before
+    # its pool forks, peaked 0.1-0.3 MB higher
+    c = np.concatenate([triples[a], triples[b]], axis=-1).astype(np.int8)
     row = np.arange(len(c))
-    everywhere = np.ones(row.shape, dtype=bool)
     triple_of, quad_of = _sorted_position(p, 3), _sorted_position(p, 4)
     q4 = len(_sorted_indices(p, 4))
     unit = q4 + q3 * q3
 
     def coords(slots):
-        idx = np.sort(c[..., list(slots)], axis=-1)
-        return np.ravel_multi_index(np.moveaxis(idx, -1, 0), (p,) * len(slots))
+        idx = np.sort(c[:, slots], axis=-1)
+        return np.ravel_multi_index(np.moveaxis(idx, -1, 0), (p,) * slots.shape[-1])
 
     def same(pairs):
-        return np.logical_and.reduce([c[..., x] == c[..., y] for x, y in pairs])
+        return (c[:, pairs[..., 0]] == c[:, pairs[..., 1]]).all(axis=-1)
 
     rows, cols, classes = [], [], []
 
     def add(mask, col, w):
-        rows.append(row[mask])
-        cols.append(np.broadcast_to(col, row.shape)[mask])
+        rows.append(np.broadcast_to(row[:, None], mask.shape)[mask])
+        cols.append(np.broadcast_to(col, mask.shape)[mask])
         classes.append(np.full(mask.sum(), w))
 
+    # each label's terms at once, one (rows, terms) array per slot group
     for w, label in ((0, "sum15_pair"), (1, "sum9_pair")):
-        for pair, rest in permutation_scheme(label):
-            add(same([pair]), quad_of[coords(rest)], w)
+        pair, rest = (np.array(g) for g in zip(*permutation_scheme(label)))
+        add(same(pair[:, None]), quad_of[coords(rest)], w)
     for w, label in ((0, "sum10_triple"), (1, "sum9_triple")):
-        for t1, t2 in permutation_scheme(label):
-            add(everywhere, q4 + triple_of[coords(t1)] * q3 + triple_of[coords(t2)], w)
+        t1, t2 = (np.array(g) for g in zip(*permutation_scheme(label)))
+        col = q4 + triple_of[coords(t1)] * q3 + triple_of[coords(t2)]
+        add(np.ones(col.shape, dtype=bool), col, w)
     for w, label in ((0, "sum15_matching"), (2, "sum6_matching")):
-        for match in permutation_scheme(label):
-            add(same(match), unit, w)
+        add(same(np.array(permutation_scheme(label))), unit, w)
 
     keys, inverse = np.unique(
         np.concatenate(rows) * (unit + 1) + np.concatenate(cols), return_inverse=True
@@ -854,14 +858,6 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     return out
 
 
-def _along_every_axis(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """The tensor with ``matrix`` applied to each of its indices."""
-    for _ in range(tensor.ndim):
-        # contracts the leading index and appends the new one last
-        tensor = np.tensordot(tensor, matrix, axes=(0, 1))
-    return tensor
-
-
 def evaluate_population_batch(
     m2, m3, m4, m6=None, statistics=ALL_STATISTICS
 ) -> dict[StatisticId, np.ndarray]:
@@ -871,7 +867,9 @@ def evaluate_population_batch(
 
     Each item's tensors are whitened by the Cholesky factor of its
     covariance m2, found as ``evaluate_batch`` finds a sample's, so that the
-    whitened m2 is the identity up to roundoff.  They are then read at the
+    whitened m2 is the identity up to roundoff: one ``matmul`` per tensor
+    index for the whole stack, which hands each item's product the operand
+    layouts of ``np.tensordot`` and so its bits.  They are then read at the
     distinct coordinates the sample path forms (m3 of each coordinate with
     each pair, m4 on pairs of pairs, m6 on pairs of triples) and go through
     its builder at ``n=None``, in one call for the whole stack.  An item's
@@ -885,11 +883,17 @@ def evaluate_population_batch(
     if need_z3 and m6 is None:
         raise ValueError("z3 statistics need the sixth moments m6")
 
+    nb, p = m2.shape[:2]
+
     def whitened(m):
         m = np.asarray(m, dtype=float)
-        return np.stack([_along_every_axis(item, w) for item, w in zip(m, whitening)])
+        shape = m.shape
+        for _ in range(m.ndim - 1):
+            # contracts each item's leading index and appends the new one last
+            lead_last = np.ascontiguousarray(np.swapaxes(m.reshape(nb, p, -1), 1, 2))
+            m = (lead_last @ np.swapaxes(whitening, 1, 2)).reshape(shape)
+        return m
 
-    nb, p = m2.shape[:2]
     pairs = _plan(p).m2_pairs
     q2 = len(pairs)
     m2 = whitened(m2)

@@ -26,8 +26,16 @@ rule would leave a run with fewer than 4 chunks per worker, every chunk size
 above ``CHUNK`` is halved, so that the workers still share the run (the rule
 counts each job's chunks, before jobs are grouped): 10000 replications at
 (20, 2) on 2 workers run in chunks of 1024, and 2048 at (100, 5) keep their
-8 chunks of 256.  The choice depends only on (n, p), the statistics, the
-replication counts and the worker count.
+8 chunks of 256.  A chunk's samples take 8 n p bytes per replication, and
+the engine's centered copy, the buffer that becomes the whitened data and
+the raw draws each take as much again.  Where ``CHUNK`` samples would pass
+four budgets (8 MiB), a chunk holds the largest power of two of
+replications, down to 1, whose samples stay within them, so that a run's
+memory does not grow with n: 128 at (2000, 4) and 16 at (10000, 4), while
+256 at (1000, 4) hold 7.8 MiB and stay.  A replication at such n costs far
+more than a chunk's fixed cost, so the smaller chunks cost no time.  The
+choice depends only on (n, p), the statistics, the replication counts and
+the worker count.
 
 A chunk computes the Philox keys of all its replications in one vectorized
 pass (``alternatives.stream_keys``) and re-keys a single generator before
@@ -183,13 +191,17 @@ class SimulationJob(NamedTuple):
 def _chunk_sizes(jobs, statistics, workers: int) -> list[int]:
     """Replications per chunk of each job: the largest ``CHUNK * 2**k``,
     k <= 4, whose distinct products fill at most four product passes at the
-    job's (n, p); then, while the run has fewer than 4 chunks per worker,
-    every size above ``CHUNK`` is halved (see the module docstring)."""
+    job's (n, p), or, where ``CHUNK`` samples would pass four budgets, the
+    largest power of two of them within that; then, while the run has fewer
+    than 4 chunks per worker, every size above ``CHUNK`` is halved (see the
+    module docstring)."""
     z3 = any(sid.family == "z3" for sid in statistics)
     sizes = []
     for job in jobs:
         rep_bytes = product_bytes(job.n, job.spec.p, z3)
         size = CHUNK
+        while size > 1 and size * job.n * job.spec.p * 8 > 4 * PRODUCT_BUDGET:
+            size //= 2
         while size < 16 * CHUNK and 2 * size * rep_bytes <= 4 * PRODUCT_BUDGET:
             size *= 2
         sizes.append(size)

@@ -9,9 +9,10 @@ payload as little-endian 64-bit floats.  The header stays human-inspectable
 (``head -1 file``) while the payload is compact and exact; a SHA-256 over
 the payload guards against corruption, and ``library_version`` records
 ``cancornorm.__version__``.  ``hashlib`` is imported where a checksum is
-taken, so that a command that reads and writes no table does not load
-OpenSSL.  Unknown format versions are a hard
-error rather than a silent migration.
+taken, and ``json`` where a header or document is read or written, so that
+a command that reads and writes no table does not load OpenSSL and one that
+writes only CSV (``popvalues``, ``tables``) does not load ``json``.  Unknown
+format versions are a hard error rather than a silent migration.
 
 A power report is written as CSV rows (``report_rows``, one per statistic
 under ``REPORT_FIELDS``, with power and se in ``repr`` so that they read back
@@ -23,7 +24,6 @@ population tables and the results of ``test --json``.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,6 +91,7 @@ class PowerReport:
 
 def save_null(table: NullTable, path) -> None:
     import hashlib  # loads OpenSSL, which only a checksum needs
+    import json
 
     payload = np.ascontiguousarray(table.values, dtype="<f8").tobytes()
     header = {
@@ -121,6 +122,7 @@ def _header_field(path, header: dict, key: str, kind: type):
 
 def load_null(path) -> NullTable:
     import hashlib  # loads OpenSSL, which only a checksum needs
+    import json
 
     try:
         with open(path, "rb") as fh:
@@ -193,6 +195,8 @@ def write_csv(path, fieldnames, rows) -> None:
 
 def write_json(path, doc) -> None:
     """Write a JSON document, indented by 2, with a final newline."""
+    import json
+
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -371,7 +371,7 @@ def test_population_commands_load_no_pool_code(args, tmp_path):
         "import sys; from cancornorm.cli import main; "
         f"assert main({argv!r}) == 0; "
         "names = ('cancornorm.montecarlo', 'cancornorm.covblocks', 'concurrent.futures', "
-        "'multiprocessing'); "
+        "'multiprocessing', 'json'); "
         "print('loaded:', [m for m in names if m in sys.modules])"
     )
     assert _run_python(code).splitlines()[-1] == "loaded: []"

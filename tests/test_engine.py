@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,7 +10,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cancornorm import engine, montecarlo
-from cancornorm.alternatives import RngStream, alternative, generate_group, stream_generators
+from cancornorm.alternatives import (
+    RngStream,
+    _count_patterns,
+    alternative,
+    generate_group,
+    stream_generators,
+)
 from cancornorm.covblocks import (
     MomentTable,
     cancor_sq,
@@ -330,6 +337,34 @@ def test_z3_term_map_matches_term_lists(p):
     for w in range(3):
         np.add.at(dense[w], (rows, cols), coef[w])
     assert_array_equal(dense, reference)
+
+
+# SHA-256 prefixes of the integer structures the population and z3 paths read,
+# taken before their builders were vectorized: the term map's cols (as <i8)
+# and coef (as <f8) bytes, and the count patterns and dense-entry inverse of
+# orders 2, 3, 4 and 6.  Pure combinatorics, so they do not depend on BLAS.
+STRUCTURE_DIGESTS = {
+    1: ("40a9936d8c33f21b", "922d19364b4e6504"),
+    2: ("687f246b6d5bb1ce", "aacbb39385ccc9a7"),
+    3: ("b6faee4cddd385dd", "a3825e9ce41edddf"),
+    4: ("eaa93fc9ec105304", "9e839ab6bf11ddb5"),
+    5: ("f328043968453f64", "8b0ad96e9c024347"),
+    6: ("a29215e84ab5ef58", "1932cbd26704ca8c"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(STRUCTURE_DIGESTS))
+def test_term_map_and_count_patterns_are_pinned(p):
+    cols, coef = _z3_term_map(p)
+    assert (cols.dtype, coef.dtype) == (np.intp, np.float64)
+    term_map = hashlib.sha256(cols.astype("<i8").tobytes() + coef.astype("<f8").tobytes())
+    patterns = hashlib.sha256()
+    for order in (2, 3, 4, 6):
+        counts, inverse = _count_patterns(p, order)
+        assert inverse.dtype == np.intp and inverse.shape == (p,) * order
+        patterns.update(repr(counts).encode() + inverse.astype("<i8").tobytes())
+    got = (term_map.hexdigest()[:16], patterns.hexdigest()[:16])
+    assert got == STRUCTURE_DIGESTS[p]
 
 
 def forward_substitution(chol):

@@ -555,6 +555,12 @@ def test_chunk_sizes_follow_working_set_and_workers():
     # the power table of the paper: 28 jobs of 1000 replications at each of n = 20, 50
     study = [_job(20, 2, 1000)] * 28 + [_job(50, 2, 1000)] * 28
     assert montecarlo._chunk_sizes(study, ALL_STATISTICS, 2) == [4096] * 28 + [2048] * 28
+    # large n: where CHUNK samples (8 n p bytes each) would pass 4 budgets, the
+    # largest power of two of them within that, down to 1, on any worker count
+    large = [_job(1000, 4, 1024), _job(2000, 4, 1024), _job(10000, 4, 1024), _job(10**6, 2, 8)]
+    assert montecarlo._chunk_sizes(large, ALL_STATISTICS, 1) == [256, 128, 16, 1]
+    assert montecarlo._chunk_sizes(large, ALL_STATISTICS, 2) == [256, 128, 16, 1]
+    assert montecarlo._chunk_sizes(large[2:3], (Z2HL, KURT), 2) == [16]
 
 
 def _command_run(command):
