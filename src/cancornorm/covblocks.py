@@ -49,13 +49,14 @@ import numpy as np
 
 from .alternatives import AlternativeSpec, _population_tensors
 from .engine import (
+    _SINGULAR_BLOCK,
     cancor_eigs,
     checked_factor,
     permutation_scheme,
     second_order_threshold,
     third_order_threshold,
 )
-from .errors import SampleSizeError
+from .errors import SampleSizeError, SingularBlockError
 from .stats import as_sample
 
 MAX_MOMENT_ORDER = 6
@@ -318,7 +319,7 @@ class CanCorSq:
 
 def cancor_sq(blocks: CovBlocks) -> CanCorSq:
     """Squared canonical correlations of one set of covariance blocks."""
-    inv11 = checked_factor("b11 (mean)", blocks.b11[None])
+    inv11 = checked_factor(blocks.b11[None], SingularBlockError, f"b11 (mean) {_SINGULAR_BLOCK}")
     eigs = cancor_eigs(inv11, blocks.b12[None], blocks.b22[None])[0]
     clamped = int(np.sum((eigs < 0.0) | (eigs > 1.0)))
     return CanCorSq(values=np.clip(eigs, 0.0, 1.0), clamped_count=clamped)

@@ -9,12 +9,12 @@ alternatives (one alternative is a stack of one).  All moment
 tensors and covariance blocks are built as batched array operations.  The
 module also holds what the scalar reference ``covblocks`` shares with it,
 so that the reference depends on the runtime and never the other way
-round: the eigen step (``checked_factor``, ``cancor_eigs``,
-``batch_functionals``), the term lists of the permutation sums
-(``permutation_scheme``) and the sample-size thresholds.  ``cancor_eigs``
-range-checks the eigenvalues without clipping them: this module clips them
-for ``batch_functionals``, and ``covblocks`` counts the ones it clips.  The
-module imports nothing from the package but ``errors``.
+round: the eigen step (``checked_factor``, ``cancor_eigs``), the term
+lists of the permutation sums (``permutation_scheme``) and the sample-size
+thresholds.  ``cancor_eigs`` range-checks the eigenvalues without clipping
+them: this module clips them before it takes their summaries, and
+``covblocks`` counts the ones it clips.  The module imports nothing from the
+package but ``errors``.
 
 There are two steps.  The first makes whitened moments on the distinct
 coordinates.  Every sample is centered and whitened before any moment is
@@ -27,7 +27,7 @@ give.  The covariance is then equilibrated to a correlation matrix
 D^-1/2 cov D^-1/2 = L L^T, and the data are whitened as y = L^-1 D^-1/2 xc,
 so its second moments m2 are the identity up to roundoff.  The same Cholesky
 factor certifies that the sample is not degenerate (see
-``equilibrated_condition``).  From y come the distinct pair products P,
+``checked_factor``).  From y come the distinct pair products P,
 (B, C(p+1, 2), n), and triple products T, (B, C(p+2, 3), n), one slab
 multiply per leading index, and every higher moment is one of three batched
 Gram products on them: m3 = y P^T / n (each coordinate with each pair),
@@ -104,6 +104,8 @@ from .errors import (
 CONDITION_LIMIT = 1e12
 EIGENVALUE_TOL = 1e-8
 UNIT_ROOT_TOL = 1e-12
+# what a covariance block that fails ``checked_factor`` is said to be
+_SINGULAR_BLOCK = "block is numerically singular or not positive definite"
 # Bytes of distinct moment products that one pass of ``evaluate_batch`` forms
 # at most; the simulation sizes its chunks by the same figure.
 PRODUCT_BUDGET = 2 * 2**20
@@ -178,71 +180,56 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return chol
 
 
-def whitening_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse Cholesky factors of a (B, k, k) stack and a condition figure
-    per item that decides singularity as the exact condition number would.
+def checked_factor(a: np.ndarray, error: type, label: str) -> np.ndarray:
+    """L^-1 of each matrix of a (B, k, k) stack, a = L L^T, once every item
+    is found nonsingular as its exact condition number would find it.
 
-    With a = L L^T, L^-1 a L^-T = I, and cond_2(a) = (|L|_2 |L^-1|_2)^2 is at
-    most the certified bound (|L|_F |L^-1|_F)^2, itself at most k^2 cond_2(a).
-    The figure is that bound where it is <= CONDITION_LIMIT; where it is
-    larger, the exact ``np.linalg.cond`` of those items only is computed
-    instead, so ``figure <= CONDITION_LIMIT`` accepts exactly the items the
-    exact condition number accepts, and a well-conditioned stack costs no
-    SVD.  An item with no Cholesky factor (not positive definite, or not
-    finite) has figure inf.  Only the lower triangle of ``a`` is factored,
-    and |L|_F^2 is taken before L^-1 is written over L.  Returns (L^-1,
-    figure).
+    cond_2(a) = (|L|_2 |L^-1|_2)^2 is at most the certified bound
+    (|L|_F |L^-1|_F)^2, itself at most k^2 cond_2(a) (Higham, Accuracy and
+    Stability of Numerical Algorithms, chapters 7 and 14).  An item whose
+    bound is within CONDITION_LIMIT passes; only an item whose finite bound
+    exceeds it pays for the exact ``np.linalg.cond``, so a well-conditioned
+    stack costs no SVD.  An item with no Cholesky factor (not positive
+    definite, or not finite) has no finite bound and fails.  Only the lower
+    triangle of ``a`` is factored, and |L|_F^2 is taken before L^-1 is
+    written over L.  A failure raises ``error``: its message is ``label``
+    with the count of failing items and the first of them, which is the
+    error's ``item``.
     """
     try:
         chol = np.linalg.cholesky(a)
-        factored = np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
         # One failure fails the whole stack; factor item by item to find it.
         chol = np.full_like(a, np.nan)
-        factored = np.zeros(len(a), dtype=bool)
         for b, item in enumerate(a):
             try:
                 chol[b] = np.linalg.cholesky(item)
-                factored[b] = True
             except np.linalg.LinAlgError:
                 pass
     norm = np.einsum("bij,bij->b", chol, chol)
     inv = _lower_inverse(chol)
     bound = norm * np.einsum("bij,bij->b", inv, inv)
-    figure = np.where(factored, bound, np.inf)
-    suspect = np.flatnonzero(factored & ~(figure <= CONDITION_LIMIT))
+    suspect = np.flatnonzero(np.isfinite(bound) & (bound > CONDITION_LIMIT))
     if suspect.size:
-        figure[suspect] = np.linalg.cond(a[suspect])
-    return inv, figure
-
-
-def _check_condition(figure: np.ndarray, error: type, label: str) -> None:
-    """Raise ``error`` when a condition figure of a stack exceeds
-    CONDITION_LIMIT (or is not a number): the message is ``label`` with the
-    count of failing items and the first of them, which is the error's
-    ``item``."""
-    bad = np.flatnonzero(~(figure <= CONDITION_LIMIT))
+        bound[suspect] = np.linalg.cond(a[suspect])
+    bad = np.flatnonzero(~(bound <= CONDITION_LIMIT))
     if bad.size:
-        raise error(
-            f"{label} in {bad.size} batch item(s), first item {bad[0]}", item=int(bad[0])
-        )
-
-
-def checked_factor(name: str, block: np.ndarray) -> np.ndarray:
-    """L^-1 of each matrix of a (B, k, k) stack of covariance blocks, after
-    ``whitening_factor`` has checked it: an item is accepted when the
-    certified bound on its condition number is within CONDITION_LIMIT (only
-    an item whose bound exceeds the limit pays for the exact
-    ``np.linalg.cond``).  A block that fails, or that has no Cholesky
-    factor, raises ``SingularBlockError`` naming the block and the first
-    failing item.
-    """
-    inv, figure = whitening_factor(block)
-    _check_condition(
-        figure, SingularBlockError,
-        f"{name} block is numerically singular or not positive definite",
-    )
+        raise error(f"{label} in {bad.size} batch item(s), first item {bad[0]}", item=int(bad[0]))
     return inv
+
+
+def _equilibrated_factor(cov: np.ndarray, error: type, label: str) -> np.ndarray:
+    """The whitening matrix L^-1 D^-1/2 of each matrix of a (B, p, p) stack,
+    D = diag(cov), where D^-1/2 cov D^-1/2 = L L^T passes ``checked_factor``.
+
+    Every statistic is invariant to rescaling a coordinate, so rank
+    deficiency is judged on this equilibrated (correlation) matrix rather
+    than in raw units (Higham, section 7.3).  A zero variance takes the
+    scale NaN, so that its item has no finite bound and fails.
+    """
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    d = np.sqrt(np.where(var > 0.0, var, np.nan))
+    return checked_factor(cov / (d[..., :, None] * d[..., None, :]), error, label) / d[..., None, :]
 
 
 def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> np.ndarray:
@@ -250,14 +237,14 @@ def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> np.ndarr
     given b11 as its ``checked_factor`` L11^-1, so that families sharing a
     b11 factor it once.
 
-    b22 is checked and factored by ``checked_factor``.  The eigenproblem
+    b22 is checked and factored by ``checked_factor`` too.  The eigenproblem
     b11^-1 b12 b22^-1 b21 then becomes W^T W with W = L22^-1 b21 L11^-T,
     symmetric positive semidefinite by construction, so no inverse or
     general solve is formed.  Returns the (B, p) eigenvalues, sorted
     descending and checked to lie in [0, 1] within EIGENVALUE_TOL, but not
     clipped: the caller clips them, and may first count the ones outside.
     """
-    inv22 = checked_factor("b22 (moment)", b22)
+    inv22 = checked_factor(b22, SingularBlockError, f"b22 (moment) {_SINGULAR_BLOCK}")
     w = inv22 @ np.swapaxes(b12, 1, 2) @ np.swapaxes(inv11, 1, 2)
     eigs = np.linalg.eigvalsh(np.swapaxes(w, 1, 2) @ w)[:, ::-1]
     outside = (eigs < -EIGENVALUE_TOL) | (eigs > 1.0 + EIGENVALUE_TOL)
@@ -291,32 +278,6 @@ _FUNCTIONALS = {
     "max": lambda eigs: eigs[:, 0],
     "min": lambda eigs: eigs[:, -1],
 }
-
-
-def batch_functionals(eigs: np.ndarray) -> dict[str, np.ndarray]:
-    """All five summaries per row of a (B, k) stack of eigenvalues."""
-    return {name: f(eigs) for name, f in _FUNCTIONALS.items()}
-
-
-def equilibrated_condition(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Condition figure of D^-1/2 cov D^-1/2, D = diag(cov), per matrix of a
-    (B, p, p) stack, and the whitening matrix L^-1 D^-1/2 that comes with it.
-
-    Every statistic is invariant to rescaling a coordinate, so rank
-    deficiency is judged on this equilibrated (correlation) matrix rather
-    than in raw units (Higham, Accuracy and Stability of Numerical
-    Algorithms, section 7.3).  The figure is the certified upper bound
-    (|L|_F |L^-1|_F)^2 on its condition number from its Cholesky factor L,
-    with the exact ``np.linalg.cond`` computed instead for the items whose
-    bound exceeds CONDITION_LIMIT (``whitening_factor``), so comparing
-    it with the limit decides as the exact condition number does.  A zero
-    variance, or a matrix with no Cholesky factor, gives inf.
-    """
-    var = np.diagonal(cov, axis1=-2, axis2=-1)
-    live = np.all(var > 0.0, axis=-1)
-    d = np.sqrt(np.where(live[..., None], var, 1.0))
-    inv, figure = whitening_factor(cov / (d[..., :, None] * d[..., None, :]))
-    return np.where(live, figure, np.inf), inv / d[..., None, :]
 
 
 def _matchings(slots: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
@@ -746,9 +707,11 @@ def _moment_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[Statist
     families = {s.family for s in statistics} & {"z2", "z3"}
     if not families:
         return out
-    inv11 = checked_factor("b11 (mean)", m2 / (1 if n is None else n))
+    inv11 = checked_factor(m2 / (1 if n is None else n), SingularBlockError,
+                           f"b11 (mean) {_SINGULAR_BLOCK}")
     for family, (b12, b22) in _blocks(m2, m3, m4, sixth, n, families).items():
-        vals = batch_functionals(np.clip(cancor_eigs(inv11, b12, b22), 0.0, 1.0))
+        eigs = np.clip(cancor_eigs(inv11, b12, b22), 0.0, 1.0)
+        vals = {name: f(eigs) for name, f in _FUNCTIONALS.items()}
         for sid in statistics:
             if sid.family == family:
                 out[sid] = vals[sid.functional]
@@ -813,8 +776,8 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     of that pass.
     """
     data = np.asarray(data, dtype=float)
-    if data.ndim != 3:
-        raise ValueError("evaluate_batch expects a (batch, n, p) array")
+    if data.ndim != 3 or data.shape[2] < 1:
+        raise ValueError(f"evaluate_batch expects a (batch, n, p) array, p >= 1, got {data.shape}")
     nb, n, p = data.shape
     statistics = tuple(statistics)
     check_sample_size(statistics, n, p)
@@ -836,8 +799,7 @@ def evaluate_batch(data: np.ndarray, statistics=ALL_STATISTICS) -> dict[Statisti
     buf = np.abs(xc)
     np.ldexp(xc, -np.frexp(buf.max(axis=2))[1][:, :, None], out=xc)
     cov = xc @ np.swapaxes(xc, 1, 2) / n
-    cond, whitening = equilibrated_condition(cov)
-    _check_condition(cond, DegenerateSampleError, "rank-deficient sample covariance")
+    whitening = _equilibrated_factor(cov, DegenerateSampleError, "rank-deficient sample covariance")
     y = np.matmul(whitening, xc, out=buf)
     del xc, buf
     # The moments and the blocks, in passes of even size over consecutive
@@ -877,8 +839,9 @@ def evaluate_population_batch(
     """
     statistics = tuple(statistics)
     m2 = np.asarray(m2, dtype=float)
-    cond, whitening = equilibrated_condition(m2)
-    _check_condition(cond, SingularBlockError, "population covariance is numerically singular")
+    whitening = _equilibrated_factor(
+        m2, SingularBlockError, "population covariance is numerically singular"
+    )
     need_z3 = any(s.family == "z3" for s in statistics)
     if need_z3 and m6 is None:
         raise ValueError("z3 statistics need the sixth moments m6")

@@ -9,7 +9,7 @@ same for the second-order blocks.  The package's term lists, its scalar
 block builders and the engine's block builder are all compared with them.
 
 The package evaluates the five summaries on (B, k) stacks of eigenvalues
-(``engine.batch_functionals``); ``functional_value``/``functionals`` read
+(``engine._FUNCTIONALS``); ``functional_value``/``functionals`` read
 them one at a time from a ``CanCorSq``, the result type of the scalar
 reference path (``covblocks.lambda_blocks``/``psi_blocks`` then
 ``covblocks.cancor_sq``), so that path can be compared with the engine

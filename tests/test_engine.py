@@ -181,23 +181,29 @@ def test_engine_degenerate_batch_errors():
     with pytest.raises(DegenerateSampleError, match="first item 2") as info:
         evaluate_batch(np.stack([good, good, constant]))
     assert info.value.item == 2
+    # a non-finite sample has no finite condition bound, so it is named too
+    missing = good.copy()
+    missing[7, 1] = np.nan
+    with pytest.raises(DegenerateSampleError, match=r"in 1 batch item\(s\), first item 1$") as info:
+        evaluate_batch(np.stack([good, missing, good]))
+    assert info.value.item == 1
 
 
 def failing_in_pass(fail_pass, fail_item):
-    """A ``checked_factor`` that fails item ``fail_item`` of the (35, 35) z3
-    b22 blocks of p = 5 in the ``fail_pass``-th block pass (from 0), as a
-    singular block fails, and is the real one otherwise; and the list of the
-    sizes of the passes it has seen, counted by their b11 blocks."""
+    """A ``checked_factor`` that zeroes item ``fail_item`` of the (35, 35) z3
+    b22 blocks of p = 5 in the ``fail_pass``-th block pass (from 0), so that
+    the real check fails it as a singular block, and is the real one
+    otherwise; and the list of the sizes of the passes it has seen, counted
+    by their b11 blocks."""
     passes = []
 
-    def checked(name, block):
-        if name.startswith("b11"):
+    def checked(block, error, label):
+        if label.startswith("b11"):
             passes.append(len(block))
         if len(passes) == fail_pass + 1 and block.shape[-1] == 35:
-            figure = np.zeros(len(block))
-            figure[fail_item] = np.inf
-            engine._check_condition(figure, SingularBlockError, f"{name} block is singular")
-        return checked_factor(name, block)
+            block = block.copy()
+            block[fail_item] = 0.0
+        return checked_factor(block, error, label)
 
     return checked, passes
 
@@ -537,6 +543,8 @@ def test_power_of_two_column_units_keep_every_bit():
 def test_engine_rejects_wrong_shape():
     with pytest.raises(ValueError):
         evaluate_batch(np.zeros((10, 2)))
+    with pytest.raises(ValueError, match=r"p >= 1, got \(2, 20, 0\)$"):
+        evaluate_batch(np.ones((2, 20, 0)))
 
 
 def test_population_path_rejects_singular_covariance():

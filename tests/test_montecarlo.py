@@ -466,10 +466,10 @@ def test_steady_heap_without_mallopt_changes_nothing(monkeypatch):
     assert montecarlo._steady_heap() is False
 
 
-def constant_column_sampler(target, failing, name="normal"):
+def constant_column_sampler(target, failing, name="normal", fill=2.0):
     """A ``generate_group`` that gives the replication of alternative
-    ``name`` drawn by the generator ``target`` a constant column, appending
-    that sample, as drawn, to ``failing``."""
+    ``name`` drawn by the generator ``target`` a column of ``fill``, constant
+    or not finite, appending that sample, as drawn, to ``failing``."""
     target_key = target.bit_generator.state["state"]["key"]
 
     def group_with_constant_column(specs, n, generators, count):
@@ -486,34 +486,36 @@ def constant_column_sampler(target, failing, name="normal"):
         for i in hits:
             row = names.index(name) * count + i
             failing.append(x[row].copy())
-            x[row, :, 1] = 2.0
+            x[row, :, 1] = fill
         return x
 
     return group_with_constant_column
 
 
 def test_failing_replication_is_named_by_its_stream(monkeypatch):
-    # One replication of the second chunk gets a constant column; the run
-    # still aborts, with the coordinates that replay that replication.
+    # One replication of the second chunk gets a constant column, or one of
+    # NaN; the run still aborts, with the coordinates that replay that
+    # replication.  The per-sample path refuses a NaN sample as it reads it.
     rng, bad = RngStream(5, (2,)), 300
-    failing = []
-    group_with_constant_column = constant_column_sampler(
-        rng.child(montecarlo.CALIBRATION_CONTEXT, bad).generator(), failing
-    )
-    monkeypatch.setattr(montecarlo, "generate_group", group_with_constant_column)
-    with pytest.raises(DegenerateSampleError) as info:
-        calibrate((Z2HL, KURT), 20, 2, 1000, rng)
-    message = str(info.value)
-    assert f"r={bad} of seed=5, path=(2,), context={montecarlo.CALIBRATION_CONTEXT}" in message
-    assert info.value.__cause__.item == bad - montecarlo.CHUNK
-    replay_stream = RngStream(5, (2,)).child(montecarlo.CALIBRATION_CONTEXT, bad)
-    replay = group_with_constant_column(
-        (alternative("normal", 2),), 20, [replay_stream.generator()], 1
-    )[0]
-    assert len(failing) == 2
-    assert_array_equal(failing[1], failing[0])  # the replay draws the run's sample
-    with pytest.raises(DegenerateSampleError):
-        compute_statistics(replay)
+    for fill, replay_error in ((2.0, DegenerateSampleError), (np.nan, ValueError)):
+        failing = []
+        group_with_constant_column = constant_column_sampler(
+            rng.child(montecarlo.CALIBRATION_CONTEXT, bad).generator(), failing, fill=fill
+        )
+        monkeypatch.setattr(montecarlo, "generate_group", group_with_constant_column)
+        with pytest.raises(DegenerateSampleError) as info:
+            calibrate((Z2HL, KURT), 20, 2, 1000, rng)
+        message = str(info.value)
+        assert f"r={bad} of seed=5, path=(2,), context={montecarlo.CALIBRATION_CONTEXT}" in message
+        assert info.value.__cause__.item == bad - montecarlo.CHUNK
+        replay_stream = RngStream(5, (2,)).child(montecarlo.CALIBRATION_CONTEXT, bad)
+        replay = group_with_constant_column(
+            (alternative("normal", 2),), 20, [replay_stream.generator()], 1
+        )[0]
+        assert len(failing) == 2
+        assert_array_equal(failing[1], failing[0])  # the replay draws the run's sample
+        with pytest.raises(replay_error):
+            compute_statistics(replay)
 
 
 def _job(n, p, reps):
