@@ -20,11 +20,17 @@ in-process callers.  Its one process-wide effect: a serial simulation
 (``--workers 1``) runs its chunks in this process, so it first gives it the
 pool workers' allocator thresholds (``montecarlo._steady_heap``).  ``run``
 is the entry point of a process the CLI owns (the ``cancornorm`` script and
-``python -m cancornorm.cli``): it calls ``main``, then freezes the garbage
-collector's heap (``gc.freeze``) and exits, so that interpreter finalization
-does not sweep the tens of thousands of objects the imports left behind.
-Atexit handlers and stream flushes still run; a parallel run has shut its
-worker pool down before ``main`` returns.
+``python -m cancornorm.cli``), and it has two more, both on the garbage
+collector.  Run as ``python -m``, this module pauses the collector before
+its first import, so numpy and the package modules load without collection
+passes, which would walk the ~23k objects they build and free almost none;
+``run`` then freezes those objects (``gc.freeze``) and turns the collector
+back on, so the command's own garbage is collected and no collection walks
+the imports again, in this process or in the pool workers it forks.  After
+``main`` it freezes the heap again and exits, so that interpreter
+finalization does not sweep what the command left behind either.  Atexit
+handlers and stream flushes still run; a parallel run has shut its worker
+pool down before ``main`` returns.
 
 Every command runs its BLAS single-threaded unless the environment says
 otherwise, so that a process's arithmetic never depends on the worker count
@@ -32,18 +38,23 @@ and parallel workers do not oversubscribe the cores.  The simulation modules
 (``montecarlo``, ``alternatives``) are imported by the commands that run
 them, so ``test`` loads only the statistics and the table store, and the
 population values (``popvalues``, ``tables --which altpop``) load
-``alternatives`` but neither ``montecarlo`` nor its worker pool.
+``alternatives`` but neither ``montecarlo`` nor its worker pool, nor the
+test decision (``stats``).
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import gc
-import os
-import sys
-from pathlib import Path
-from typing import NoReturn
+
+if __name__ == "__main__":  # a process the CLI owns imports without collections (see run)
+    gc.disable()
+
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import os  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+from typing import NoReturn  # noqa: E402
 
 # Before numpy loads, which reads these once; a value the user set wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -51,8 +62,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from .engine import ALL_STATISTICS, StatisticId  # noqa: E402
 from .errors import ComputeError, DataError  # noqa: E402
-from .stats import ALL_STATISTICS, StatisticId, check_alpha, run_tests  # noqa: E402
 from .store import (  # noqa: E402
     REPORT_FIELDS,
     export_report,
@@ -230,6 +241,8 @@ def cmd_calibrate(ns) -> int:
 
 
 def cmd_test(ns) -> int:
+    from .stats import check_alpha, run_tests
+
     check_alpha(ns.alpha)  # before any file is read
     statistics = _parse_statistics(ns.statistics)
     data = read_csv_sample(ns.data)
@@ -440,11 +453,17 @@ def run() -> NoReturn:
     """Run the command of this process's arguments and exit with its code.
 
     The entry point of a process the CLI owns (see the module docstring).
-    Freezing the heap moves every live object to the permanent generation,
-    which finalization's collections skip; only the ``__del__`` of objects
-    left in reference cycles at exit, which Python never promises to call,
-    may then not run.
+    Its two process-wide effects are freezes of the heap, each of which
+    moves every live object to the permanent generation, which later
+    collections skip.  The first, before the command, takes the objects the
+    imports built, with the collector paused since this module started
+    under ``python -m``; the collector then runs again for the command's
+    own garbage.  The second, after it, spares finalization its sweep; only
+    the ``__del__`` of objects left in reference cycles at exit, which
+    Python never promises to call, may then not run.
     """
+    gc.freeze()
+    gc.enable()
     code = main()
     gc.freeze()
     sys.exit(code)

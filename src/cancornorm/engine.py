@@ -696,6 +696,8 @@ def _moment_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[Statist
     The Mardia statistics are sums of squared third moments and of the
     fourth moments m4[(ii), (jj)], with the (n-1)/n factors of their
     sample forms.  b11 = m2 (over n) is factored once for both families.
+    Only the requested summaries of a family's eigenvalues are taken, so
+    the domain check of the ratio trace fails only a request that names it.
     """
     plan = _plan(m2.shape[1])
     bias = 1.0 if n is None else (n - 1) / n
@@ -711,10 +713,9 @@ def _moment_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[Statist
                            f"b11 (mean) {_SINGULAR_BLOCK}")
     for family, (b12, b22) in _blocks(m2, m3, m4, sixth, n, families).items():
         eigs = np.clip(cancor_eigs(inv11, b12, b22), 0.0, 1.0)
-        vals = {name: f(eigs) for name, f in _FUNCTIONALS.items()}
         for sid in statistics:
             if sid.family == family:
-                out[sid] = vals[sid.functional]
+                out[sid] = _FUNCTIONALS[sid.functional](eigs)
     return out
 
 
@@ -839,6 +840,10 @@ def evaluate_population_batch(
     """
     statistics = tuple(statistics)
     m2 = np.asarray(m2, dtype=float)
+    if m2.ndim != 3 or m2.shape[1] < 1 or m2.shape[1] != m2.shape[2]:
+        raise ValueError(
+            f"evaluate_population_batch expects a (batch, p, p) covariance, p >= 1, got {m2.shape}"
+        )
     whitening = _equilibrated_factor(
         m2, SingularBlockError, "population covariance is numerically singular"
     )

@@ -77,7 +77,9 @@ or closed by its caller), so that no worker outlives the run.
 
 Each pool worker starts by freezing the objects it inherits from the
 parent (``gc.freeze``), so that its garbage collections never walk them and
-never copy the pages they share with the parent, and by fixing its C
+never copy the pages they share with the parent; a worker forked from the
+CLI inherits the imports already frozen (``cli.run``), and its own freeze
+takes what the parent built since.  It also fixes its C
 allocator's thresholds (glibc's ``mallopt``): arrays below
 ``WORKER_MMAP_THRESHOLD`` come from the heap, and the heap keeps up to
 ``WORKER_TRIM_THRESHOLD`` bytes of free memory, so the chunks after a

@@ -30,13 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .engine import StatisticId
 from .errors import (
     DataError,
     NullTableFormatError,
     NullTableIntegrityError,
     NullTableLengthError,
 )
-from .stats import StatisticId
 
 FORMAT_VERSION = 1
 REPORT_FIELDS = ("alternative", "n", "p", "statistic", "power", "se", "reps")

@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import json
@@ -370,8 +371,8 @@ def test_population_commands_load_no_pool_code(args, tmp_path):
     code = (
         "import sys; from cancornorm.cli import main; "
         f"assert main({argv!r}) == 0; "
-        "names = ('cancornorm.montecarlo', 'cancornorm.covblocks', 'concurrent.futures', "
-        "'multiprocessing', 'json'); "
+        "names = ('cancornorm.montecarlo', 'cancornorm.covblocks', 'cancornorm.stats', "
+        "'concurrent.futures', 'multiprocessing', 'json'); "
         "print('loaded:', [m for m in names if m in sys.modules])"
     )
     assert _run_python(code).splitlines()[-1] == "loaded: []"
@@ -732,10 +733,40 @@ def test_run_freezes_the_heap_before_exit():
         assert proc.stdout.splitlines()[-1] == "True"
 
 
+# Records, at the start of each collection, whether the heap holds frozen
+# objects and whether numpy has begun to load, while the CLI runs as
+# ``python -m cancornorm.cli popvalues --p 2 --alt normal``.
+COLLECTIONS_UNDER_THE_CLI = """
+import gc, runpy, sys
+seen = []
+
+def record(phase, info):
+    if phase == "start":
+        seen.append((gc.get_freeze_count(), "numpy" in sys.modules))
+
+gc.callbacks.append(record)
+sys.argv = ["cancornorm", "popvalues", "--p", "2", "--alt", "normal"]
+try:
+    runpy.run_module("cancornorm.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0
+print(seen)
+"""
+
+
+def test_cli_imports_run_no_collection_over_unfrozen_objects():
+    # the collector is paused while numpy and the package load, and every
+    # later collection skips what they built
+    seen = ast.literal_eval(_run_python(COLLECTIONS_UNDER_THE_CLI).splitlines()[-1])
+    unfrozen = [i for i, (frozen, numpy_loading) in enumerate(seen) if numpy_loading and not frozen]
+    assert unfrozen == []
+
+
 def test_main_leaves_the_heap_unfrozen(capsys):
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert main(["popvalues", "--p", "2", "--alt", "normal"]) == 0
     assert gc.get_freeze_count() == frozen
+    assert gc.isenabled() == enabled
 
 
 def test_console_script_is_the_process_owning_entry():

@@ -40,7 +40,12 @@ from cancornorm.engine import (
     evaluate_population_batch,
     permutation_scheme,
 )
-from cancornorm.errors import DegenerateSampleError, SampleSizeError, SingularBlockError
+from cancornorm.errors import (
+    DegenerateSampleError,
+    FunctionalDomainError,
+    SampleSizeError,
+    SingularBlockError,
+)
 from cancornorm.montecarlo import calibrate
 from cancornorm.stats import ALL_STATISTICS, StatisticId, compute_statistics
 
@@ -545,6 +550,35 @@ def test_engine_rejects_wrong_shape():
         evaluate_batch(np.zeros((10, 2)))
     with pytest.raises(ValueError, match=r"p >= 1, got \(2, 20, 0\)$"):
         evaluate_batch(np.ones((2, 20, 0)))
+
+
+def test_population_path_rejects_wrong_shape():
+    # an unstacked covariance and p = 0 are named by their shape
+    with pytest.raises(ValueError, match=r"p >= 1, got \(2, 2\)$"):
+        evaluate_population_batch(np.eye(2), np.zeros((2,) * 3), np.zeros((2,) * 4))
+    with pytest.raises(ValueError, match=r"p >= 1, got \(1, 0, 0\)$"):
+        evaluate_population_batch(np.zeros((1, 0, 0)), np.zeros((1, 0, 0, 0)),
+                                  np.zeros((1, 0, 0, 0, 0)))
+
+
+def test_ratio_trace_domain_fails_only_a_request_for_it(monkeypatch):
+    # a squared canonical correlation at 1 in item 1 leaves its other
+    # summaries defined
+    cancor_eigs = engine.cancor_eigs
+
+    def one_at_unit(*blocks):
+        eigs = cancor_eigs(*blocks)
+        eigs[1, 0] = 1.0
+        return eigs
+
+    monkeypatch.setattr(engine, "cancor_eigs", one_at_unit)
+    x = np.random.default_rng(12).standard_normal((2, 20, 2))
+    hl, pb = StatisticId.parse("z2_hl"), StatisticId.parse("z2_pb")
+    values = evaluate_batch(x, (hl,))[hl]
+    assert np.all(np.isfinite(values)) and values[1] >= 1.0
+    with pytest.raises(FunctionalDomainError, match="batch item 1$") as info:
+        evaluate_batch(x, (pb,))
+    assert info.value.item == 1
 
 
 def test_population_path_rejects_singular_covariance():
