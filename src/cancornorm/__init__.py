@@ -19,7 +19,10 @@ and population values (``generate``, ``population_value``) in
 ``alternatives``; and the scalar reference path, from ``central_moments``,
 ``population_moments`` and ``MomentTable`` through
 ``lambda_blocks``/``psi_blocks`` to ``cancor_sq``, in ``covblocks``, which
-no command loads.
+no command loads.  The vec/vech, Kronecker, commutation and duplication
+matrix helpers are not part of the package: they live under ``tests/`` as
+a test oracle, against which acceptance criterion 9 checks the engine's z2
+covariance block in its textbook Kronecker form.
 """
 
 from importlib import import_module
@@ -37,7 +40,6 @@ _EXPORTS = {
     ),
     "engine": ("evaluate_batch", "permutation_scheme"),
     "errors": ("MomentsUndefinedError",),
-    "matalg": ("commutation", "duplication_elimination", "kron", "unvech", "vec", "vech"),
     "montecarlo": ("calibrate", "power"),
     "stats": (
         "ALL_STATISTICS", "Sample", "StatisticId", "TestResult", "compute_statistic",

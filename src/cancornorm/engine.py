@@ -44,11 +44,9 @@ consecutive items, in ceil(B ``_block_bytes`` / PRODUCT_BUDGET) block
 passes of even size, each holding about PRODUCT_BUDGET bytes or fewer of
 pair Grams and, for z3, sixth moments; the product passes run within each.
 So the q3 x q3 blocks and their factors, q3^2 per item, no longer grow with
-B either: a (256, 100, 5) batch runs as 2 x 128 and a (256, 100, 6) batch
-as 4 x 64, while the simulation's chunks at p = 2, of up to 4096 items,
-take one pass.  A check that fails in a pass names the item by its index
-in the whole batch.  A batch within the budget takes one pass of each
-kind.  The simulation sizes its chunks by the same budget and the same
+B either.  A check that fails in a pass names the item by its index in the
+whole batch.  A batch within the budget takes one pass of each kind.  The
+simulation sizes its chunks by the same budget and the same
 ``product_bytes``.  A population's dense moment tensors are whitened by the
 same factor of its covariance, each population of a stack by its own, in one
 stacked matrix product per tensor index for the whole stack, and read at
@@ -826,7 +824,8 @@ def evaluate_population_batch(
 ) -> dict[StatisticId, np.ndarray]:
     """Large-n limits of statistics from (B, p, ..., p) stacks of dense
     central moment tensors, one population per item; ``m6`` is needed only
-    for z3 statistics.  Returns one (B,) array per requested statistic.
+    for z3 statistics.  Returns one (B,) array per requested statistic
+    (empty when B = 0).
 
     Each item's tensors are whitened by the Cholesky factor of its
     covariance m2, found as ``evaluate_batch`` finds a sample's, so that the
@@ -850,8 +849,9 @@ def evaluate_population_batch(
     need_z3 = any(s.family == "z3" for s in statistics)
     if need_z3 and m6 is None:
         raise ValueError("z3 statistics need the sixth moments m6")
-
     nb, p = m2.shape[:2]
+    if nb == 0:
+        return {sid: np.empty(0) for sid in statistics}
 
     def whitened(m):
         m = np.asarray(m, dtype=float)

@@ -14,28 +14,23 @@ the pair products, and the triple products when z3 statistics are evaluated)
 fill at most four passes of ``engine.PRODUCT_BUDGET`` bytes at the job's
 (n, p), so that small problems pay the fixed cost of a chunk (the numpy
 calls on small blocks, the stream keys, the sampler set-up, pickling a task
-and reducing its values) fewer times: 4096 replications at (20, 2), 2048 at
-(50, 2), 1024 at (50, 3) and 256 for z3 at (100, 5).  The engine forms a
-chunk's products in passes that each fit the budget, or hold one replication
-where one alone exceeds it, and builds its moments and covariance blocks in
-block passes of even size that each hold about the same budget of pair Grams
-and, with z3 statistics, sixth moments (``engine.evaluate_batch``), so that
-a z3 chunk of 256 takes 2 passes of 128 at p = 5 and 4 of 64 at p = 6; the
-chunk size bounds the number of passes, not the memory of one.  While the
-rule would leave a run with fewer than 4 chunks per worker, every chunk size
-above ``CHUNK`` is halved, so that the workers still share the run (the rule
-counts each job's chunks, before jobs are grouped): 10000 replications at
-(20, 2) on 2 workers run in chunks of 1024, and 2048 at (100, 5) keep their
-8 chunks of 256.  A chunk's samples take 8 n p bytes per replication, and
-the engine's centered copy, the buffer that becomes the whitened data and
-the raw draws each take as much again.  Where ``CHUNK`` samples would pass
-four budgets (8 MiB), a chunk holds the largest power of two of
+and reducing its values) fewer times.  The engine forms a chunk's products
+in passes that each fit the budget, or hold one replication where one alone
+exceeds it, and builds its moments and covariance blocks in block passes of
+even size that each hold about the same budget of pair Grams and, with z3
+statistics, sixth moments (``engine.evaluate_batch``); the chunk size bounds
+the number of passes, not the memory of one.  While the rule would leave a
+run with fewer than 4 chunks per worker, every chunk size above ``CHUNK`` is
+halved, so that the workers still share the run (the rule counts each job's
+chunks, before jobs are grouped).  A chunk's samples take 8 n p bytes per
+replication, and the engine's centered copy, the buffer that becomes the
+whitened data and the raw draws each take as much again.  Where ``CHUNK``
+samples would pass four budgets, a chunk holds the largest power of two of
 replications, down to 1, whose samples stay within them, so that a run's
-memory does not grow with n: 128 at (2000, 4) and 16 at (10000, 4), while
-256 at (1000, 4) hold 7.8 MiB and stay.  A replication at such n costs far
-more than a chunk's fixed cost, so the smaller chunks cost no time.  The
-choice depends only on (n, p), the statistics, the replication counts and
-the worker count.
+memory does not grow with n.  A replication at such n costs far more than a
+chunk's fixed cost, so the smaller chunks cost no time.  The choice depends
+only on (n, p), the statistics, the replication counts and the worker
+count; the README gives the sizes it makes at common shapes.
 
 A chunk computes the Philox keys of all its replications in one vectorized
 pass (``alternatives.stream_keys``) and re-keys a single generator before
@@ -308,21 +303,17 @@ def _simulate(jobs, statistics, workers):
     # Built here, before the pool forks, so that its workers inherit them.
     for p in {job.spec.p for job in jobs}:
         _plan(p)
+    pool = None
     if workers > 1 and len(tasks) > 1:
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
-        try:
-            yield from _by_group(jobs, layout, pool.map(chunk, tasks))
-        finally:
+    try:
+        results = map(chunk, tasks) if pool is None else pool.map(chunk, tasks)
+        for (group, start, count), values in zip(layout, results):
+            last = start + count == jobs[group[0]].reps
+            yield group, values.reshape(len(values), len(group), count), last
+    finally:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
-    else:
-        yield from _by_group(jobs, layout, map(chunk, tasks))
-
-
-def _by_group(jobs, layout, results):
-    """Each task's result, in task order, as ``_simulate`` yields it."""
-    for (group, start, count), values in zip(layout, results):
-        last = start + count == jobs[group[0]].reps
-        yield group, values.reshape(len(values), len(group), count), last
 
 
 def _calibration_job(statistics, n: int, p: int, replications: int, rng: RngStream):

@@ -1,13 +1,20 @@
-"""Kronecker product, vec/vech and commutation/duplication matrix algebra.
+"""Test oracle: Kronecker product, vec/vech and commutation/duplication
+matrix algebra.
 
-Conventions used throughout the library:
+No package code reads these helpers.  They state textbook matrix forms
+(Magnus and Neudecker, "Symmetry, 0-1 matrices and Jacobians", Econometric
+Theory 2, 1986), against which the tests check the engine's index-gathered
+covariance blocks: acceptance criterion 9 compares the z2 b22 with
+H[(M4 - vec m2 vec m2^T)/n + (I + K)(m2 (x) m2)/(n(n-1))]H^T, K the
+commutation matrix and H the elimination matrix below.
+
+Conventions:
 
 * ``vec`` stacks columns (column-major), so ``vec(A)[c*p + r] = A[r, c]``.
 * ``vech`` lists the diagonal and above-diagonal elements row by row:
   ``(A11, A12, ..., A1p, A22, ..., A2p, A33, ..., App)``.  This is the same
-  ordering as the vector of distinct sample covariances used by the test
-  statistics, so half-vectorized quantities line up with covariance-block
-  columns without any permutation.
+  ordering as the engine's distinct pairs, so half-vectorized quantities
+  line up with covariance-block rows and columns without any permutation.
 
 All matrices here are small and dense (p rarely exceeds 10), so no sparse
 representations are provided.

@@ -21,7 +21,10 @@ Tolerances are fixed here, not tuned at runtime:
 7. Desk-scale power reproduction of designated reference cells to +-0.03.
 8. Bit-identical Monte Carlo results across reruns and worker counts.
 9. Matrix identities (vec of a product, commutation involution,
-   half-vectorization determinant lemma) to 1e-10.
+   half-vectorization determinant lemma) to 1e-10, and the engine's z2 b22
+   against its Kronecker form (Magnus and Neudecker 1986) to 1e-12
+   relative, on raw, unwhitened sample moments and on normal populations
+   at p = 1..5; the matrix helpers are the test oracle ``matalg_oracle``.
 
 The Monte Carlo criteria use a fixed root seed; determinism (criterion 8)
 makes the whole suite reproducible.
@@ -36,11 +39,12 @@ from numpy.testing import assert_array_equal
 import cancornorm as cc
 from cancornorm.alternatives import RngStream, alternative, generate, population_value
 from cancornorm.covblocks import triple_indices
-from cancornorm.engine import evaluate_batch
+from cancornorm.engine import _blocks, _moments, _plan, evaluate_batch
 from cancornorm.montecarlo import calibrate, power
 from cancornorm.stats import ALL_STATISTICS, StatisticId
 
 from covblocks_oracle import oracle_third_cov
+from matalg_oracle import commutation, duplication_elimination, kron, vec
 from refvalues import POPULATION_TABLE, POWER_CELLS
 from test_covblocks import isserlis_table, random_table
 from univariate_oracle import z2_prime, z3_prime
@@ -302,25 +306,65 @@ def test_criterion_9_matrix_identities():
     worst = 0.0
     for _ in range(50):
         a, b, c = rng.standard_normal((3, 3, 3))
-        lhs = cc.vec(a @ b @ c)
-        rhs = cc.kron(c.T, a) @ cc.vec(b)
+        lhs = vec(a @ b @ c)
+        rhs = kron(c.T, a) @ vec(b)
         worst = max(worst, np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(lhs)), 1e-12))
     assert worst <= 1e-10
     for p in (1, 2, 3, 4, 5):
-        k = cc.commutation(p)
+        k = commutation(p)
         assert_array_equal(k @ k, np.eye(p * p))
     det_worst = 0.0
     for p in (2, 3, 4):
-        g, h = cc.duplication_elimination(p)
+        g, h = duplication_elimination(p)
         for _ in range(20):
             a = rng.standard_normal((p, p)) + 2.0 * np.eye(p)
-            d = h @ cc.kron(a, a) @ g
+            d = h @ kron(a, a) @ g
             rel = abs(np.linalg.det(d) - np.linalg.det(a) ** (p + 1)) / abs(
                 np.linalg.det(a) ** (p + 1)
             )
             det_worst = max(det_worst, rel)
             assert rel <= 1e-10
+    sample_worst, limit_worst = _z2_kronecker_worst(rng)
+    assert sample_worst <= 1e-12 and limit_worst <= 1e-12
     _report(
         9, "matrix identities",
-        f"vec identity worst {worst:.2e}, determinant lemma worst {det_worst:.2e}",
+        f"vec identity worst {worst:.2e}, determinant lemma worst {det_worst:.2e}, "
+        f"z2 b22 Kronecker form worst {sample_worst:.2e} (n = 40), {limit_worst:.2e} (limit)",
     )
+
+
+def _z2_kronecker_worst(rng, n=40):
+    """The largest relative difference, over p = 1..5, between the engine's
+    z2 b22 and H[(M4 - vec m2 vec m2^T)/n + (I + K)(m2 (x) m2)/(n(n-1))]H^T
+    on raw, unwhitened moments of skewed samples with a general covariance,
+    and between its large-n limit on a normal population's moments and
+    H(I + K)(Sigma (x) Sigma)H^T.  M4 is the fourth-moment matrix in vec
+    order, K the commutation matrix and H the elimination matrix; the
+    engine's pairs are vech's entries in the same order."""
+
+    def rel(got, expected):
+        return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+
+    sample_worst = limit_worst = 0.0
+    for p in (1, 2, 3, 4, 5):
+        _, h = duplication_elimination(p)
+        sym = np.eye(p * p) + commutation(p)
+        mix = rng.standard_normal((p, p)) + 2.0 * np.eye(p)
+        x = rng.standard_exponential((3, n, p)) @ mix
+        xc = x - x.mean(axis=1, keepdims=True)
+        b22 = _blocks(*_moments(np.swapaxes(xc, 1, 2), _plan(p), False), n, {"z2"})["z2"][1]
+        for item, got in zip(xc, b22):
+            m2 = item.T @ item / n
+            products = np.array([vec(np.outer(r, r)) for r in item])
+            m4 = products.T @ products / n
+            expected = h @ (
+                (m4 - np.outer(vec(m2), vec(m2))) / n + sym @ kron(m2, m2) / (n * (n - 1))
+            ) @ h.T
+            sample_worst = max(sample_worst, rel(got, expected))
+        table, sigma = isserlis_table(p, 900 + p, max_order=4)
+        pairs = list(zip(*np.triu_indices(p)))
+        m4 = np.array([[table.mu(*a, *b) for b in pairs] for a in pairs])
+        m3 = np.zeros((1, p, len(pairs)))
+        got = _blocks(sigma[None], m3, m4[None], None, None, {"z2"})["z2"][1][0]
+        limit_worst = max(limit_worst, rel(got, h @ sym @ kron(sigma, sigma) @ h.T))
+    return sample_worst, limit_worst

@@ -590,6 +590,20 @@ def test_population_path_rejects_singular_covariance():
                                   np.zeros((1,) + (2,) * 4))
 
 
+
+def test_population_path_empty_stack_gives_empty_values():
+    out = evaluate_population_batch(np.zeros((0, 2, 2)), np.zeros((0,) + (2,) * 3),
+                                    np.zeros((0,) + (2,) * 4), np.zeros((0,) + (2,) * 6))
+    assert list(out) == list(ALL_STATISTICS)
+    for values in out.values():
+        assert values.shape == (0,) and values.dtype == float
+
+
+def test_population_path_empty_stack_still_needs_m6_for_z3():
+    with pytest.raises(ValueError, match="m6"):
+        evaluate_population_batch(np.zeros((0, 2, 2)), np.zeros((0,) + (2,) * 3),
+                                  np.zeros((0,) + (2,) * 4))
+
 def test_large_gaussian_sample_statistics_vanish():
     rng = np.random.default_rng(6)
     data = rng.standard_normal((1, 200_000, 2))

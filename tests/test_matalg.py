@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cancornorm.matalg import (
+from matalg_oracle import (
     commutation,
     duplication_elimination,
     kron,
