@@ -50,6 +50,7 @@ import numpy as np
 from .alternatives import AlternativeSpec, _population_tensors
 from .engine import (
     _SINGULAR_BLOCK,
+    _elementwise,
     cancor_eigs,
     checked_factor,
     permutation_scheme,
@@ -319,7 +320,8 @@ class CanCorSq:
 
 def cancor_sq(blocks: CovBlocks) -> CanCorSq:
     """Squared canonical correlations of one set of covariance blocks."""
-    inv11 = checked_factor(blocks.b11[None], SingularBlockError, f"b11 (mean) {_SINGULAR_BLOCK}")
+    inv11 = checked_factor(blocks.b11[None], SingularBlockError, f"b11 (mean) {_SINGULAR_BLOCK}",
+                           _elementwise(len(blocks.b11)))
     eigs = cancor_eigs(inv11, blocks.b12[None], blocks.b22[None])[0]
     clamped = int(np.sum((eigs < 0.0) | (eigs > 1.0)))
     return CanCorSq(values=np.clip(eigs, 0.0, 1.0), clamped_count=clamped)

@@ -73,6 +73,11 @@ run by descending length, and the products of two third moments are formed
 on one triangle only.  The sixth moments enter as they are: each block's
 sums are added to their array, which becomes b22, so no array of every
 entry's sum is formed.  Each Cholesky factor's inverse is written over it.
+Where the factors and the eigenvalues come from depends on p alone
+(``_elementwise``): at p <= 2 every block is factored, and every eigenvalue
+taken in closed form, elementwise over the batch, one numpy operation on
+each matrix entry's values for the whole batch; at every larger p LAPACK
+factors each item and ``eigvalsh`` takes its eigenvalues.
 The Mardia statistics are the sum of the squared third moments and the sum
 of the fourth moments m4[(ii), (jj)].  Every array handed to a matrix
 product is C-contiguous or a transposed view of one, so each item's
@@ -178,7 +183,51 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return chol
 
 
-def checked_factor(a: np.ndarray, error: type, label: str) -> np.ndarray:
+def _elementwise(p: int) -> bool:
+    """Whether the blocks of dimension p are factored, and their eigenvalues
+    taken, elementwise over the batch (``_entry_factor``, ``_gram_eigs``)
+    rather than through LAPACK item by item.  At p <= 2 every block is at
+    most 4 x 4 and every eigenproblem 2 x 2, so one numpy operation per entry
+    of a whole batch costs less than a LAPACK call per item; larger p keeps
+    LAPACK, and its bits."""
+    return p <= 2
+
+
+def _entry_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L^-1 and |L|_F^2 of each matrix of a (B, k, k) stack, a = L L^T, one
+    numpy operation on the (B,) vector of an entry at a time.
+
+    The Cholesky recurrence reads only the lower triangle of ``a``; a pivot
+    that is not positive and finite is NaN, and NaN spreads to every later
+    entry of its item, so the item has no finite bound.  L^-1 is then
+    written over L row by row, as in ``_lower_inverse``.
+    """
+    nb, k, _ = a.shape
+    chol = np.zeros(a.shape)
+    norm = np.zeros(nb)
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            for i in range(j, k):
+                s = a[:, i, j].copy()
+                for c in range(j):
+                    s -= chol[:, i, c] * chol[:, j, c]
+                if i == j:
+                    s = np.sqrt(np.where((s > 0.0) & (s < np.inf), s, np.nan))
+                else:
+                    s /= chol[:, j, j]
+                chol[:, i, j] = s
+                norm += s * s
+        for i in range(k):
+            for j in range(i):
+                s = chol[:, i, j] * chol[:, j, j]
+                for c in range(j + 1, i):
+                    s += chol[:, i, c] * chol[:, c, j]
+                chol[:, i, j] = -s / chol[:, i, i]
+            chol[:, i, i] = 1.0 / chol[:, i, i]
+    return chol, norm
+
+
+def checked_factor(a: np.ndarray, error: type, label: str, elementwise: bool = False) -> np.ndarray:
     """L^-1 of each matrix of a (B, k, k) stack, a = L L^T, once every item
     is found nonsingular as its exact condition number would find it.
 
@@ -190,22 +239,26 @@ def checked_factor(a: np.ndarray, error: type, label: str) -> np.ndarray:
     stack costs no SVD.  An item with no Cholesky factor (not positive
     definite, or not finite) has no finite bound and fails.  Only the lower
     triangle of ``a`` is factored, and |L|_F^2 is taken before L^-1 is
-    written over L.  A failure raises ``error``: its message is ``label``
-    with the count of failing items and the first of them, which is the
-    error's ``item``.
+    written over L.  ``elementwise`` (see ``_elementwise``) factors the
+    stack entry by entry with ``_entry_factor``; otherwise LAPACK factors
+    it.  A failure raises ``error``: its message is ``label`` with the count
+    of failing items and the first of them, which is the error's ``item``.
     """
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        # One failure fails the whole stack; factor item by item to find it.
-        chol = np.full_like(a, np.nan)
-        for b, item in enumerate(a):
-            try:
-                chol[b] = np.linalg.cholesky(item)
-            except np.linalg.LinAlgError:
-                pass
-    norm = np.einsum("bij,bij->b", chol, chol)
-    inv = _lower_inverse(chol)
+    if elementwise:
+        inv, norm = _entry_factor(a)
+    else:
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            # One failure fails the whole stack; factor item by item to find it.
+            chol = np.full_like(a, np.nan)
+            for b, item in enumerate(a):
+                try:
+                    chol[b] = np.linalg.cholesky(item)
+                except np.linalg.LinAlgError:
+                    pass
+        norm = np.einsum("bij,bij->b", chol, chol)
+        inv = _lower_inverse(chol)
     bound = norm * np.einsum("bij,bij->b", inv, inv)
     suspect = np.flatnonzero(np.isfinite(bound) & (bound > CONDITION_LIMIT))
     if suspect.size:
@@ -227,7 +280,82 @@ def _equilibrated_factor(cov: np.ndarray, error: type, label: str) -> np.ndarray
     """
     var = np.diagonal(cov, axis1=-2, axis2=-1)
     d = np.sqrt(np.where(var > 0.0, var, np.nan))
-    return checked_factor(cov / (d[..., :, None] * d[..., None, :]), error, label) / d[..., None, :]
+    corr = cov / (d[..., :, None] * d[..., None, :])
+    return checked_factor(corr, error, label, _elementwise(cov.shape[-1])) / d[..., None, :]
+
+
+def _entry_w(inv11: np.ndarray, b12: np.ndarray, inv22: np.ndarray) -> np.ndarray:
+    """W = L22^-1 b21 L11^-T of each item of a stack, from the (B, p, p)
+    and (B, q, q) lower-triangular inverses and the (B, p, q) b12, as a
+    (q, p, B) array: one numpy operation on the (B,) vector of an entry at a
+    time, first V = b21 L11^-T, then W, each entry a sum in index order."""
+    nb, p, q = b12.shape
+    v = np.empty((q, p, nb))
+    for s in range(q):
+        for r in range(p):
+            np.multiply(b12[:, 0, s], inv11[:, r, 0], out=v[s, r])
+            for t in range(1, r + 1):
+                v[s, r] += b12[:, t, s] * inv11[:, r, t]
+    w = np.empty((q, p, nb))
+    for i in range(q):
+        np.multiply(inv22[:, i, 0], v[0], out=w[i])
+        for s in range(1, i + 1):
+            w[i] += inv22[:, i, s] * v[s]
+    return w
+
+
+# Veltkamp's splitter for doubles: x * (2^27 + 1) splits x into two halves of
+# at most 26 significant bits each, whose products are exact (``_gram_eigs``).
+_SPLITTER = 2.0**27 + 1.0
+
+
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low halves of each entry of x, x = high + low exactly."""
+    scaled = x * _SPLITTER
+    high = scaled - (scaled - x)
+    return high, x - high
+
+
+def _gram_eigs(w: np.ndarray) -> np.ndarray:
+    """The (B, p) eigenvalues of W^T W, descending, for a (q, p, B) array W
+    with p <= 2, in closed form, one numpy operation on the (B,) vectors of
+    a few entries at a time.
+
+    At p = 1 the one eigenvalue is |W|^2.  At p = 2, W^T W = [[a, b], [b, c]]
+    has the larger eigenvalue (a + c)/2 + hypot((a - c)/2, b), a sum of two
+    nonnegative terms.  The smaller is det/larger, clamped to at most the
+    larger, where det is the sum of the squared 2 x 2 minors of W
+    (Cauchy-Binet), so the cancellation of ac - b^2 is never formed.  A
+    minor u_i v_j - u_j v_i cancels when the columns u and v are nearly
+    parallel, so each is summed from the exact products of the halves of
+    its entries (Dekker, Numer. Math. 18, 1971), the leading products
+    first, whose difference is then exact: both eigenvalues keep a few
+    units of roundoff relative to themselves, however far apart they are.
+    """
+    q, p, nb = w.shape
+    sq = np.zeros((p, nb))
+    for i in range(q):
+        sq += w[i] * w[i]
+    if p == 1:
+        return sq.T.copy()
+    u, v = w[:, 0], w[:, 1]
+    cross = np.zeros(nb)
+    for i in range(q):
+        cross += u[i] * v[i]
+    (uh, ul), (vh, vl) = _halves(u), _halves(v)
+    det = np.zeros(nb)
+    for i in range(q):
+        for j in range(i + 1, q):
+            minor = uh[i] * vh[j] - uh[j] * vh[i]
+            minor += (uh[i] * vl[j] + ul[i] * vh[j]) - (uh[j] * vl[i] + ul[j] * vh[i])
+            minor += ul[i] * vl[j] - ul[j] * vl[i]
+            det += minor * minor
+    eigs = np.zeros((nb, 2))
+    larger, smaller = eigs[:, 0], eigs[:, 1]
+    np.add((sq[0] + sq[1]) / 2, np.hypot((sq[0] - sq[1]) / 2, cross), out=larger)
+    np.divide(det, larger, out=smaller, where=larger > 0.0)
+    np.minimum(smaller, larger, out=smaller)
+    return eigs
 
 
 def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> np.ndarray:
@@ -238,13 +366,20 @@ def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> np.ndarr
     b22 is checked and factored by ``checked_factor`` too.  The eigenproblem
     b11^-1 b12 b22^-1 b21 then becomes W^T W with W = L22^-1 b21 L11^-T,
     symmetric positive semidefinite by construction, so no inverse or
-    general solve is formed.  Returns the (B, p) eigenvalues, sorted
-    descending and checked to lie in [0, 1] within EIGENVALUE_TOL, but not
-    clipped: the caller clips them, and may first count the ones outside.
+    general solve is formed.  At p <= 2 (``_elementwise``) b22 is factored
+    and the eigenvalues are taken elementwise over the batch
+    (``_gram_eigs``); otherwise LAPACK does both.  Returns the (B, p)
+    eigenvalues, sorted descending and checked to lie in [0, 1] within
+    EIGENVALUE_TOL, but not clipped: the caller clips them, and may first
+    count the ones outside.
     """
-    inv22 = checked_factor(b22, SingularBlockError, f"b22 (moment) {_SINGULAR_BLOCK}")
-    w = inv22 @ np.swapaxes(b12, 1, 2) @ np.swapaxes(inv11, 1, 2)
-    eigs = np.linalg.eigvalsh(np.swapaxes(w, 1, 2) @ w)[:, ::-1]
+    elementwise = _elementwise(inv11.shape[-1])
+    inv22 = checked_factor(b22, SingularBlockError, f"b22 (moment) {_SINGULAR_BLOCK}", elementwise)
+    if elementwise:
+        eigs = _gram_eigs(_entry_w(inv11, b12, inv22))
+    else:
+        w = inv22 @ np.swapaxes(b12, 1, 2) @ np.swapaxes(inv11, 1, 2)
+        eigs = np.linalg.eigvalsh(np.swapaxes(w, 1, 2) @ w)[:, ::-1]
     outside = (eigs < -EIGENVALUE_TOL) | (eigs > 1.0 + EIGENVALUE_TOL)
     if np.any(outside):
         item = int(np.flatnonzero(outside.any(axis=1))[0])
@@ -371,8 +506,8 @@ def _block_bytes(p: int, z3: bool) -> int:
     """Bytes of the Grams a block pass keeps per sample, by which the passes
     are sized: the pair Gram, 8 C(p+1, 2)^2, plus the sixth moments on pairs
     of triples, 8 C(p+2, 3)^2, when ``z3`` statistics are evaluated.  The
-    block stage's temporaries are not counted; at p = 2 they take about
-    three times as much."""
+    block stage's temporaries are not counted; at p = 2, with all twelve
+    statistics, they peak at about 3.6 times as much."""
     return 8 * (comb(p + 1, 2) ** 2 + (comb(p + 2, 3) ** 2 if z3 else 0))
 
 
@@ -708,7 +843,7 @@ def _moment_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[Statist
     if not families:
         return out
     inv11 = checked_factor(m2 / (1 if n is None else n), SingularBlockError,
-                           f"b11 (mean) {_SINGULAR_BLOCK}")
+                           f"b11 (mean) {_SINGULAR_BLOCK}", _elementwise(m2.shape[1]))
     for family, (b12, b22) in _blocks(m2, m3, m4, sixth, n, families).items():
         eigs = np.clip(cancor_eigs(inv11, b12, b22), 0.0, 1.0)
         for sid in statistics:

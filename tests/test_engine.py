@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,12 @@ from cancornorm.covblocks import (
 from cancornorm.engine import (
     CONDITION_LIMIT,
     _blocks,
+    _entry_factor,
     _lower_inverse,
     _plan,
     _z3_b22,
     _z3_term_map,
+    cancor_eigs,
     checked_factor,
     evaluate_batch,
     evaluate_population_batch,
@@ -202,13 +205,13 @@ def failing_in_pass(fail_pass, fail_item):
     by their b11 blocks."""
     passes = []
 
-    def checked(block, error, label):
+    def checked(block, error, label, *options):
         if label.startswith("b11"):
             passes.append(len(block))
         if len(passes) == fail_pass + 1 and block.shape[-1] == 35:
             block = block.copy()
             block[fail_item] = 0.0
-        return checked_factor(block, error, label)
+        return checked_factor(block, error, label, *options)
 
     return checked, passes
 
@@ -406,6 +409,160 @@ def test_lower_inverse_in_place_matches_a_separate_buffer(nb, k):
     assert inv is work
     assert_same_bits(inv, expected)
     assert_allclose(inv @ chol, np.broadcast_to(np.eye(k), chol.shape), atol=1e-10)
+
+
+def spd_stack(nb, k, seed):
+    """A (B, k, k) stack of random symmetric positive definite matrices."""
+    x = np.random.default_rng(seed).standard_normal((nb, k, 2 * k))
+    return x @ np.swapaxes(x, 1, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_entry_factor_matches_lapack(k):
+    # The elementwise factor of the p <= 2 blocks against LAPACK's Cholesky
+    # factor and ``_lower_inverse``: L^-1 and the certified bound agree to
+    # 1e-14 relative.  Only the lower triangle is read.
+    a = spd_stack(500, k, 40 + k)
+    chol = np.linalg.cholesky(a)
+    norm = np.einsum("bij,bij->b", chol, chol)
+    inv = _lower_inverse(chol)
+    lower = np.tril(a) + np.triu(np.full((k, k), np.nan), 1)
+    got, got_norm = _entry_factor(lower)
+    assert got.shape == a.shape and got.flags.c_contiguous
+    assert np.all(np.triu(got, 1) == 0.0)
+    dev = np.linalg.norm(got - inv, axis=(1, 2)) / np.linalg.norm(inv, axis=(1, 2))
+    assert dev.max() <= 1e-14
+    bound = norm * np.einsum("bij,bij->b", inv, inv)
+    got_bound = got_norm * np.einsum("bij,bij->b", got, got)
+    assert_allclose(got_bound, bound, rtol=1e-14, atol=0)
+    assert_array_equal(checked_factor(a, SingularBlockError, "b", True), got)
+
+
+def raised(call):
+    """The class, message and item of the error that ``call`` raises, with
+    every RuntimeWarning made an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Exception) as info:
+            call()
+    return type(info.value), str(info.value), getattr(info.value, "item", None)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_elementwise_failures_match_lapack(p):
+    # A stack with a failing item fails on the elementwise path with the
+    # class, message and item of the LAPACK path: a block with a negative
+    # pivot and a block with a NaN, at each block size of p (the
+    # covariance and b11, and both families' b22), and samples with a NaN,
+    # a constant column or two collinear columns.
+    plan = engine._plan(p)
+    for k in sorted({p, plan.pair_start[-1], plan.triple_start[-1]}):
+        for bad, item in ((-np.eye(k), 3), (np.full((k, k), np.nan), 1)):
+            a = spd_stack(5, k, k)
+            a[item] = bad
+            lapack = raised(lambda: checked_factor(a, SingularBlockError, "b22", False))
+            assert lapack == (SingularBlockError, f"b22 in 1 batch item(s), first item {item}", item)
+            assert raised(lambda: checked_factor(a, SingularBlockError, "b22", True)) == lapack
+    good = np.random.default_rng(20 + p).standard_normal((20, p))
+    missing, constant = good.copy(), good.copy()
+    missing[7, 0] = np.nan
+    constant[:, -1] = 3.0
+    samples = [(missing, 1), (constant, 2)]
+    if p == 2:
+        samples.append((np.column_stack([good[:, 0], 2.0 * good[:, 0] - 1.0]), 0))
+    for sample, item in samples:
+        stack = np.stack([good] * 3)
+        stack[item] = sample
+        message = f"rank-deficient sample covariance in 1 batch item(s), first item {item}"
+        assert raised(lambda: evaluate_batch(stack)) == (DegenerateSampleError, message, item)
+
+
+def identity_blocks(w):
+    """b11, b12 and b22 whose W = L22^-1 b21 L11^-T is the (B, q, p) ``w``:
+    b11 = I (given as its inverse factor), b12 = w^T and b22 = I."""
+    nb, q, p = w.shape
+    return (np.broadcast_to(np.eye(p), (nb, p, p)).copy(), np.swapaxes(w, 1, 2).copy(),
+            np.broadcast_to(np.eye(q), (nb, q, q)).copy())
+
+
+def stack_with_spectrum(q, p, ratios, seed):
+    """(B, q, p) stacks W = U diag(s) V^T with random orthonormal U and V and
+    singular values s = (0.9, 0.9 sqrt(ratio)), one ratio of the eigenvalues
+    of W^T W per item."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((len(ratios), q, p)))[0]
+    v = np.linalg.qr(rng.standard_normal((len(ratios), p, p)))[0]
+    s = 0.9 * np.sqrt(np.column_stack([np.ones(len(ratios)), ratios]))[:, :p]
+    return (u * s[:, None, :]) @ np.swapaxes(v, 1, 2)
+
+
+@pytest.mark.parametrize("q, p", [(1, 1), (3, 1), (3, 2), (4, 2)])
+def test_closed_form_eigenvalues_match_mpmath(q, p):
+    # The closed-form eigenvalues of W^T W against 50-digit eigenvalues of
+    # the same float W, at eigenvalue ratios from 1 down to 1e-12, to 1e-13
+    # relative; equal eigenvalues come back sorted.
+    mp = pytest.importorskip("mpmath")
+    ratios = np.repeat(10.0 ** -np.arange(13), 4)
+    w = stack_with_spectrum(q, p, ratios, 30 + q)
+    eigs = cancor_eigs(*identity_blocks(w))
+    assert eigs.shape == (len(w), p) and np.all(eigs[:, :-1] >= eigs[:, 1:])
+    with mp.workdps(50):
+        for b, item in enumerate(w):
+            m = mp.matrix(item.tolist())
+            exact = sorted(mp.eigsy(m.T * m)[0], reverse=True)
+            for got, want in zip(eigs[b], exact):
+                assert abs(mp.mpf(float(got)) - want) <= 1e-13 * abs(want), (b, got, want)
+
+
+def test_equal_eigenvalues_come_back_sorted():
+    # W with orthogonal columns of equal norm in random directions: W^T W is
+    # a multiple of I, and its rounded smaller eigenvalue may exceed the
+    # larger unless it is clamped.
+    w = stack_with_spectrum(4, 2, np.ones(2000), 50)
+    eigs = cancor_eigs(*identity_blocks(w))
+    assert np.all(eigs[:, 0] >= eigs[:, 1])
+    assert_allclose(eigs, 0.81, rtol=1e-14)
+
+
+def test_elementwise_path_is_taken_only_at_p_up_to_2(monkeypatch):
+    # Every factor and eigenvalue at p >= 3 comes from LAPACK, so that its
+    # bits do not move; at p <= 2 none does.
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("_entry_factor", "_gram_eigs"):
+        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    rng = np.random.default_rng(13)
+    for p in (1, 2, 3, 4):
+        calls.clear()
+        evaluate_batch(rng.standard_exponential((3, 40, p)))
+        used = set(calls)
+        if p <= 2:
+            assert used == {"_entry_factor", "_gram_eigs"}, p
+        else:
+            assert used == {"cholesky", "eigvalsh"}, p
+
+
+def test_p_up_to_2_stacks_match_their_slices_bit_for_bit():
+    # The elementwise path gives each item the bits it would get alone or
+    # in any slice of the stack.
+    for p in (1, 2):
+        data = np.concatenate([
+            generate_group([alternative(name, p)], 20, stream_generators(RngStream(3), 1, 0, 100), 100)
+            for name in ("normal", "logn_2", "beta22")
+        ])
+        whole = evaluate_batch(data)
+        for lo, hi in [(0, 1), (1, 77), (77, 150), (150, 300)] + [(b, b + 1) for b in range(2, 300, 37)]:
+            values = evaluate_batch(data[lo:hi])
+            for sid in ALL_STATISTICS:
+                assert_same_bits(values[sid], whole[sid][lo:hi])
 
 
 def dense_z3_b22(sixth, m3d, k4, weights, p):
