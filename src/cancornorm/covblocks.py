@@ -50,7 +50,6 @@ import numpy as np
 from .alternatives import AlternativeSpec, _population_tensors
 from .engine import (
     _SINGULAR_BLOCK,
-    _elementwise,
     cancor_eigs,
     checked_factor,
     permutation_scheme,
@@ -320,8 +319,7 @@ class CanCorSq:
 
 def cancor_sq(blocks: CovBlocks) -> CanCorSq:
     """Squared canonical correlations of one set of covariance blocks."""
-    inv11 = checked_factor(blocks.b11[None], SingularBlockError, f"b11 (mean) {_SINGULAR_BLOCK}",
-                           _elementwise(len(blocks.b11)))
+    inv11 = checked_factor(blocks.b11[None], SingularBlockError, f"b11 (mean) {_SINGULAR_BLOCK}")
     eigs = cancor_eigs(inv11, blocks.b12[None], blocks.b22[None])[0]
     clamped = int(np.sum((eigs < 0.0) | (eigs > 1.0)))
     return CanCorSq(values=np.clip(eigs, 0.0, 1.0), clamped_count=clamped)

@@ -73,11 +73,12 @@ run by descending length, and the products of two third moments are formed
 on one triangle only.  The sixth moments enter as they are: each block's
 sums are added to their array, which becomes b22, so no array of every
 entry's sum is formed.  Each Cholesky factor's inverse is written over it.
-Where the factors and the eigenvalues come from depends on p alone
-(``_elementwise``): at p <= 2 every block is factored, and every eigenvalue
-taken in closed form, elementwise over the batch, one numpy operation on
-each matrix entry's values for the whole batch; at every larger p LAPACK
-factors each item and ``eigvalsh`` takes its eigenvalues.
+How a block is factored depends on its size alone (``checked_factor``):
+a block of at most 4 x 4, which is every block at p <= 2 and the covariance
+and b11 at p = 3 and 4, is factored elementwise over the batch, one numpy
+operation on each matrix entry's values for the whole batch; LAPACK factors
+every larger one.  The eigenvalues are taken in closed form, elementwise
+too, when b11 is at most 2 x 2 (p <= 2), and by ``eigvalsh`` otherwise.
 The Mardia statistics are the sum of the squared third moments and the sum
 of the fourth moments m4[(ii), (jj)].  Every array handed to a matrix
 product is C-contiguous or a transposed view of one, so each item's
@@ -183,16 +184,6 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _elementwise(p: int) -> bool:
-    """Whether the blocks of dimension p are factored, and their eigenvalues
-    taken, elementwise over the batch (``_entry_factor``, ``_gram_eigs``)
-    rather than through LAPACK item by item.  At p <= 2 every block is at
-    most 4 x 4 and every eigenproblem 2 x 2, so one numpy operation per entry
-    of a whole batch costs less than a LAPACK call per item; larger p keeps
-    LAPACK, and its bits."""
-    return p <= 2
-
-
 def _entry_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L^-1 and |L|_F^2 of each matrix of a (B, k, k) stack, a = L L^T, one
     numpy operation on the (B,) vector of an entry at a time.
@@ -227,7 +218,7 @@ def _entry_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chol, norm
 
 
-def checked_factor(a: np.ndarray, error: type, label: str, elementwise: bool = False) -> np.ndarray:
+def checked_factor(a: np.ndarray, error: type, label: str) -> np.ndarray:
     """L^-1 of each matrix of a (B, k, k) stack, a = L L^T, once every item
     is found nonsingular as its exact condition number would find it.
 
@@ -239,24 +230,22 @@ def checked_factor(a: np.ndarray, error: type, label: str, elementwise: bool = F
     stack costs no SVD.  An item with no Cholesky factor (not positive
     definite, or not finite) has no finite bound and fails.  Only the lower
     triangle of ``a`` is factored, and |L|_F^2 is taken before L^-1 is
-    written over L.  ``elementwise`` (see ``_elementwise``) factors the
-    stack entry by entry with ``_entry_factor``; otherwise LAPACK factors
-    it.  A failure raises ``error``: its message is ``label`` with the count
-    of failing items and the first of them, which is the error's ``item``.
+    written over L.  A stack of blocks of at most 4 x 4 is factored entry by
+    entry over the batch (``_entry_factor``), a larger one by LAPACK.  LAPACK
+    fails the whole stack on one item with no factor; ``_entry_factor`` then
+    factors the same stack, which marks each such item NaN.  A failure
+    raises ``error``: its message is ``label`` with the count of failing
+    items and the first of them, which is the error's ``item``.
     """
-    if elementwise:
-        inv, norm = _entry_factor(a)
-    else:
+    chol = None
+    if a.shape[-1] > 4:
         try:
             chol = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
-            # One failure fails the whole stack; factor item by item to find it.
-            chol = np.full_like(a, np.nan)
-            for b, item in enumerate(a):
-                try:
-                    chol[b] = np.linalg.cholesky(item)
-                except np.linalg.LinAlgError:
-                    pass
+            pass
+    if chol is None:
+        inv, norm = _entry_factor(a)
+    else:
         norm = np.einsum("bij,bij->b", chol, chol)
         inv = _lower_inverse(chol)
     bound = norm * np.einsum("bij,bij->b", inv, inv)
@@ -281,7 +270,7 @@ def _equilibrated_factor(cov: np.ndarray, error: type, label: str) -> np.ndarray
     var = np.diagonal(cov, axis1=-2, axis2=-1)
     d = np.sqrt(np.where(var > 0.0, var, np.nan))
     corr = cov / (d[..., :, None] * d[..., None, :])
-    return checked_factor(corr, error, label, _elementwise(cov.shape[-1])) / d[..., None, :]
+    return checked_factor(corr, error, label) / d[..., None, :]
 
 
 def _entry_w(inv11: np.ndarray, b12: np.ndarray, inv22: np.ndarray) -> np.ndarray:
@@ -366,16 +355,16 @@ def cancor_eigs(inv11: np.ndarray, b12: np.ndarray, b22: np.ndarray) -> np.ndarr
     b22 is checked and factored by ``checked_factor`` too.  The eigenproblem
     b11^-1 b12 b22^-1 b21 then becomes W^T W with W = L22^-1 b21 L11^-T,
     symmetric positive semidefinite by construction, so no inverse or
-    general solve is formed.  At p <= 2 (``_elementwise``) b22 is factored
-    and the eigenvalues are taken elementwise over the batch
-    (``_gram_eigs``); otherwise LAPACK does both.  Returns the (B, p)
-    eigenvalues, sorted descending and checked to lie in [0, 1] within
-    EIGENVALUE_TOL, but not clipped: the caller clips them, and may first
-    count the ones outside.
+    general solve is formed.  When b11 is at most 2 x 2 (p <= 2), W and
+    its eigenvalues are formed elementwise over the batch (``_entry_w``,
+    ``_gram_eigs``); otherwise by matrix products and ``eigvalsh``, whose
+    smaller eigenvalues keep only about eps times the ratio of the largest
+    to them in relative accuracy.  Returns the (B, p) eigenvalues, sorted
+    descending and checked to lie in [0, 1] within EIGENVALUE_TOL, but not
+    clipped: the caller clips them, and may first count the ones outside.
     """
-    elementwise = _elementwise(inv11.shape[-1])
-    inv22 = checked_factor(b22, SingularBlockError, f"b22 (moment) {_SINGULAR_BLOCK}", elementwise)
-    if elementwise:
+    inv22 = checked_factor(b22, SingularBlockError, f"b22 (moment) {_SINGULAR_BLOCK}")
+    if inv11.shape[-1] <= 2:
         eigs = _gram_eigs(_entry_w(inv11, b12, inv22))
     else:
         w = inv22 @ np.swapaxes(b12, 1, 2) @ np.swapaxes(inv11, 1, 2)
@@ -842,8 +831,7 @@ def _moment_values(m2, m3, m4, sixth, n: int | None, statistics) -> dict[Statist
     families = {s.family for s in statistics} & {"z2", "z3"}
     if not families:
         return out
-    inv11 = checked_factor(m2 / (1 if n is None else n), SingularBlockError,
-                           f"b11 (mean) {_SINGULAR_BLOCK}", _elementwise(m2.shape[1]))
+    inv11 = checked_factor(m2 / (1 if n is None else n), SingularBlockError, f"b11 (mean) {_SINGULAR_BLOCK}")
     for family, (b12, b22) in _blocks(m2, m3, m4, sixth, n, families).items():
         eigs = np.clip(cancor_eigs(inv11, b12, b22), 0.0, 1.0)
         for sid in statistics:

@@ -205,13 +205,13 @@ def failing_in_pass(fail_pass, fail_item):
     by their b11 blocks."""
     passes = []
 
-    def checked(block, error, label, *options):
+    def checked(block, error, label):
         if label.startswith("b11"):
             passes.append(len(block))
         if len(passes) == fail_pass + 1 and block.shape[-1] == 35:
             block = block.copy()
             block[fail_item] = 0.0
-        return checked_factor(block, error, label, *options)
+        return checked_factor(block, error, label)
 
     return checked, passes
 
@@ -417,12 +417,33 @@ def spd_stack(nb, k, seed):
     return x @ np.swapaxes(x, 1, 2)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_entry_factor_matches_lapack(k):
-    # The elementwise factor of the p <= 2 blocks against LAPACK's Cholesky
-    # factor and ``_lower_inverse``: L^-1 and the certified bound agree to
+def small_engine_blocks(p, monkeypatch):
+    """The stacks of at most 4 x 4 that ``evaluate_batch`` hands
+    ``checked_factor`` on 200 exponential samples of dimension p and size
+    60, one stack: the equilibrated covariances and the b11 blocks."""
+    seen = []
+
+    def recorded(a, error, label):
+        if a.shape[-1] <= 4:
+            seen.append(a.copy())
+        return checked_factor(a, error, label)
+
+    monkeypatch.setattr(engine, "checked_factor", recorded)
+    evaluate_batch(np.random.default_rng(60 + p).standard_exponential((200, 60, p)))
+    monkeypatch.undo()
+    assert len(seen) == 2
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, "engine-p3", "engine-p4"])
+def test_entry_factor_matches_lapack(k, monkeypatch):
+    # The elementwise factor of the blocks of at most 4 x 4 against LAPACK's
+    # Cholesky factor and ``_lower_inverse``, on random blocks of each size k
+    # and on the covariance and b11 blocks of the engine at p = 3 and 4
+    # ("engine-p3", "engine-p4"): L^-1 and the certified bound agree to
     # 1e-14 relative.  Only the lower triangle is read.
-    a = spd_stack(500, k, 40 + k)
+    a = spd_stack(500, k, 40 + k) if isinstance(k, int) else small_engine_blocks(int(k[-1]), monkeypatch)
+    k = a.shape[-1]
     chol = np.linalg.cholesky(a)
     norm = np.einsum("bij,bij->b", chol, chol)
     inv = _lower_inverse(chol)
@@ -435,7 +456,7 @@ def test_entry_factor_matches_lapack(k):
     bound = norm * np.einsum("bij,bij->b", inv, inv)
     got_bound = got_norm * np.einsum("bij,bij->b", got, got)
     assert_allclose(got_bound, bound, rtol=1e-14, atol=0)
-    assert_array_equal(checked_factor(a, SingularBlockError, "b", True), got)
+    assert_array_equal(checked_factor(a, SingularBlockError, "b"), got)
 
 
 def raised(call):
@@ -448,28 +469,49 @@ def raised(call):
     return type(info.value), str(info.value), getattr(info.value, "item", None)
 
 
-@pytest.mark.parametrize("p", [1, 2])
+def negative_last_pivot(k, seed):
+    """A (k, k) symmetric matrix whose leading (k-1) x (k-1) block is
+    positive definite and whose last Cholesky pivot is negative."""
+    x = np.random.default_rng(seed).standard_normal((k, 2 * k))
+    chol = np.linalg.cholesky(x @ x.T)
+    a = chol @ chol.T
+    a[-1, -1] -= 2.0 * chol[-1, -1] ** 2
+    return a
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 def test_elementwise_failures_match_lapack(p):
-    # A stack with a failing item fails on the elementwise path with the
-    # class, message and item of the LAPACK path: a block with a negative
-    # pivot and a block with a NaN, at each block size of p (the
-    # covariance and b11, and both families' b22), and samples with a NaN,
-    # a constant column or two collinear columns.
+    # A stack with failing items names their class, count and first item,
+    # with no RuntimeWarning: a block with a negative first or last pivot,
+    # a block with a NaN, and one of each, at each block size of p (the
+    # covariance and b11, and both families' b22; blocks of at most 4 x 4
+    # are factored elementwise, larger ones elementwise once LAPACK fails
+    # the stack), and samples with a NaN, a constant column or, at p >= 2,
+    # a column that is a combination of others.
     plan = engine._plan(p)
     for k in sorted({p, plan.pair_start[-1], plan.triple_start[-1]}):
-        for bad, item in ((-np.eye(k), 3), (np.full((k, k), np.nan), 1)):
+        negative = {3: -np.eye(k), 0: negative_last_pivot(k, k)}
+        for bad in negative.values():
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(bad)
+        # item 3 has a negative first pivot, item 0 a negative last one and
+        # item 1 is NaN
+        for items in ({3}, {0}, {1}, {1, 3}):
             a = spd_stack(5, k, k)
-            a[item] = bad
-            lapack = raised(lambda: checked_factor(a, SingularBlockError, "b22", False))
-            assert lapack == (SingularBlockError, f"b22 in 1 batch item(s), first item {item}", item)
-            assert raised(lambda: checked_factor(a, SingularBlockError, "b22", True)) == lapack
-    good = np.random.default_rng(20 + p).standard_normal((20, p))
+            for item in items:
+                a[item] = negative.get(item, np.nan)
+            first = min(items)
+            assert raised(lambda: checked_factor(a, SingularBlockError, "b22")) == (
+                SingularBlockError, f"b22 in {len(items)} batch item(s), first item {first}", first)
+    good = np.random.default_rng(20 + p).standard_normal((80, p))
     missing, constant = good.copy(), good.copy()
     missing[7, 0] = np.nan
     constant[:, -1] = 3.0
     samples = [(missing, 1), (constant, 2)]
-    if p == 2:
-        samples.append((np.column_stack([good[:, 0], 2.0 * good[:, 0] - 1.0]), 0))
+    if p >= 2:
+        collinear = good.copy()
+        collinear[:, -1] = 2.0 * good[:, 0] - 1.0 + good[:, 1:-1].sum(axis=1)
+        samples.append((collinear, 0))
     for sample, item in samples:
         stack = np.stack([good] * 3)
         stack[item] = sample
@@ -524,15 +566,16 @@ def test_equal_eigenvalues_come_back_sorted():
     assert_allclose(eigs, 0.81, rtol=1e-14)
 
 
-def test_elementwise_path_is_taken_only_at_p_up_to_2(monkeypatch):
-    # Every factor and eigenvalue at p >= 3 comes from LAPACK, so that its
-    # bits do not move; at p <= 2 none does.
+def test_factor_path_follows_block_size(monkeypatch):
+    # At every p, a block of at most 4 x 4 is factored elementwise and a
+    # larger one by LAPACK; the eigenvalues are in closed form at p <= 2
+    # only, where b11 is at most 2 x 2.
     calls = []
 
     def counted(name, real):
-        def wrapper(*args):
-            calls.append(name)
-            return real(*args)
+        def wrapper(a, *args):
+            calls.append((name, a.shape[-1]))
+            return real(a, *args)
         return wrapper
 
     for name in ("_entry_factor", "_gram_eigs"):
@@ -540,14 +583,15 @@ def test_elementwise_path_is_taken_only_at_p_up_to_2(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     rng = np.random.default_rng(13)
-    for p in (1, 2, 3, 4):
+    for p in range(1, 7):
         calls.clear()
-        evaluate_batch(rng.standard_exponential((3, 40, p)))
-        used = set(calls)
-        if p <= 2:
-            assert used == {"_entry_factor", "_gram_eigs"}, p
-        else:
-            assert used == {"cholesky", "eigvalsh"}, p
+        evaluate_batch(rng.standard_exponential((3, 80, p)))
+        plan = engine._plan(p)
+        sizes = {p, plan.pair_start[-1], plan.triple_start[-1]}
+        factors = {(name, k) for name, k in calls if name in ("_entry_factor", "cholesky")}
+        assert factors == {("_entry_factor" if k <= 4 else "cholesky", k) for k in sizes}, p
+        eigens = {name for name, _ in calls} - {"_entry_factor", "cholesky"}
+        assert eigens == ({"_gram_eigs"} if p <= 2 else {"eigvalsh"}), p
 
 
 def test_p_up_to_2_stacks_match_their_slices_bit_for_bit():
